@@ -14,6 +14,7 @@ import numpy as np
 _EXPANSIVE_TOL = 1e-10
 _ISO_REL_TOL = 1e-9
 _ISO_COND_MAX = 1e6
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,18 @@ class Dilation:
         return self.matrix.shape[0]
 
     def power(self, j: int) -> np.ndarray:
-        """``M**j`` exactly for ``j >= 0`` (integer), by solve for ``j < 0``."""
+        """``M**j`` exactly for ``j >= 0`` (integer), by solve for ``j < 0``.
+
+        ``M**|j|`` is formed in exact integer arithmetic; ``OverflowError``
+        is raised when an entry leaves the int64 range.
+        """
+        exact = np.linalg.matrix_power(self.matrix.astype(object), abs(j))
+        if any(not _INT64.min <= v <= _INT64.max for v in exact.flat):
+            raise OverflowError(f"M**{abs(j)} has entries beyond the int64 range")
+        pos = exact.astype(np.int64)
         if j >= 0:
-            return np.linalg.matrix_power(self.matrix, j)
-        pos = np.linalg.matrix_power(self.matrix, -j).astype(float)
-        return np.linalg.solve(pos, np.eye(self.d))
+            return pos
+        return np.linalg.solve(pos.astype(float), np.eye(self.d))
 
     def scale(self, j: int) -> float:
         """Natural per-level scale: ``lambda_abs**-j`` when isotropic, else

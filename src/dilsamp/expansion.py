@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from ._quadrature import QuadSpec, ball_rule
-from .diffop import DiffOperator, apply_to_signal, apply_to_signal_many, ball_operator
+from .diffop import DiffOperator, apply_to_signal_many, ball_operator
 from .dilation import Dilation
 from .generators import Generator
 
@@ -104,8 +104,9 @@ def ball_average(f, center, radius: float, quad: QuadSpec = QuadSpec()) -> compl
     """Average of ``f`` over the ball of given center and radius.
 
     Deterministic quadrature in dimensions 1 and 2 (Gauss-Legendre and a
-    polar product rule), fixed-seed Monte Carlo beyond.  Kink locations
-    declared by the signal split the segment rule in dimension 1.
+    polar product rule), fixed-seed Monte Carlo beyond.  A one-point call
+    into :func:`_pullback_average`: in dimension 1 the segment rule is
+    split at the signal's declared kinks strictly inside the ball.
     """
     center = np.asarray(center, dtype=float).reshape(-1)
     return _pullback_average(
@@ -116,20 +117,14 @@ def ball_average(f, center, radius: float, quad: QuadSpec = QuadSpec()) -> compl
 def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadSpec):
     """Averages ``(1/V_h) integral_{|t|<=h} f(base + A t) dt`` for each base.
 
-    Vectorized over bases in chunks; signals with kinks fall back to a
-    per-base split rule in dimension 1.
+    One vectorized pass applies the unsplit rule to every base, in chunks.
+    In dimension 1 the signal's declared kinks then sit at the offsets
+    ``t = (x0 - base) / A``; only the bases with such an offset strictly
+    inside ``(-h, h)`` are recomputed with the segment rule split there,
+    the same strict test :func:`segment_rule` applies.  That correction
+    touches at most ``floor(2h) + 1`` bases per kink.
     """
     d = bases.shape[1]
-    kinks = tuple(getattr(f, "kinks", ()) or ())
-    if kinks and d == 1:
-        scale = float(a[0, 0])
-        out = np.empty(bases.shape[0], dtype=complex)
-        for i, base in enumerate(bases[:, 0]):
-            breaks = [(x0 - base) / scale for x0 in kinks]
-            nodes, weights = ball_rule(1, h, quad, breaks=breaks)
-            pts = base + nodes * scale
-            out[i] = np.asarray(f.eval(pts)) @ weights
-        return out
     nodes, weights = ball_rule(d, h, quad)
     mapped = nodes @ a.T
     out = np.empty(bases.shape[0], dtype=complex)
@@ -139,6 +134,15 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
         pts = chunk[:, None, :] + mapped[None, :, :]
         vals = np.asarray(f.eval(pts))
         out[lo : lo + step] = vals @ weights
+    kinks = tuple(getattr(f, "kinks", ()) or ())
+    if kinks and d == 1:
+        scale = float(a[0, 0])
+        breaks = (np.asarray(kinks, dtype=float) - bases) / scale
+        inside = np.any((-h < breaks) & (breaks < h), axis=1)
+        for i in np.flatnonzero(inside):
+            split_nodes, split_weights = ball_rule(1, h, quad, breaks=breaks[i])
+            pts = bases[i, 0] + split_nodes * scale
+            out[i] = np.asarray(f.eval(pts)) @ split_weights
     return out
 
 
@@ -209,12 +213,10 @@ def deviation(
     """Ball-averaged minus differential coefficient at one lattice point.
 
     Decays like ``scale(j)**(order + 1)`` for signals with bounded
-    derivatives of total order ``order + 1``.
+    derivatives of total order ``order + 1``.  A one-point call into
+    :func:`deviation_many`.
     """
-    ks = np.asarray(k, dtype=float).reshape(1, -1)
-    a = np.asarray(m.power(-j), dtype=float)
-    avg = _pullback_average(f, ks @ a.T, a, h, quad)[0]
-    return complex(avg - apply_to_signal(op, f, m, j, ks[0]))
+    return complex(deviation_many(f, op, m, j, [k], h, quad)[0])
 
 
 def deviation_many(

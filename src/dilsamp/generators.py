@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._arrays import as_points
 from ._finitediff import fd_partial
 from .multiindex import indices_of_order
 
@@ -63,12 +62,6 @@ class Generator:
     band_limited: bool = False
     interpolatory: bool = False
     params: dict = field(default_factory=dict)
-
-    def spatial_at(self, x):
-        return self.spatial(as_points(x, self.d))
-
-    def fourier_at(self, xi):
-        return self.fourier(as_points(xi, self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +251,15 @@ def bspline3_2d(b1: float = 0.5, b2: float = 0.5) -> Generator:
     ``pi**2 (2 b1 - 1)`` and ``pi**2 (2 b2 - 1)``.  Moment conditions hold
     to order 3 on the lattice for any parameter values.
     """
-    terms1 = sin_power_shifts(3, {2: float(b1)})
-    terms2 = sin_power_shifts(3, {2: float(b2)})
+    shifted1 = _shift_spatial(3, sin_power_shifts(3, {2: float(b1)}))
+    shifted2 = _shift_spatial(3, sin_power_shifts(3, {2: float(b2)}))
 
     def spatial(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         base1 = bspline(3, x1) + 0.0j
         base2 = bspline(3, x2) + 0.0j
-        corr1 = np.zeros(x1.shape, dtype=complex)
-        for t in terms1:
-            corr1 += t.amplitude * bspline(3, x1 - t.shift)
-        corr2 = np.zeros(x2.shape, dtype=complex)
-        for t in terms2:
-            corr2 += t.amplitude * bspline(3, x2 - t.shift)
-        return base1 * base2 + corr1 * base2 + base1 * corr2
+        return base1 * base2 + shifted1(x1) * base2 + base1 * shifted2(x2)
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
@@ -311,14 +298,10 @@ def bspline4_1d(b1: complex = 0.0, b2: complex = 0.0, b3: complex = 0.0) -> Gene
     shift_powers = {s: c for s, c in powers.items() if s > 0 and c != 0}
     terms = (ShiftTerm(0.0, 1.0 + 0.0j),) + sin_power_shifts(4, shift_powers)
     reach = max(abs(t.shift) for t in terms) + 2.0
+    shifted = _shift_spatial(4, terms)
 
     def spatial(x):
-        x = np.asarray(x, dtype=float)
-        x0 = x[..., 0]
-        out = np.zeros(x0.shape, dtype=complex)
-        for t in terms:
-            out += t.amplitude * bspline(4, x0 - t.shift)
-        return out
+        return shifted(np.asarray(x, dtype=float)[..., 0])
 
     f_1d = _shift_fourier(4, powers)
 

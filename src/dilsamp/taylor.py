@@ -17,7 +17,6 @@ expresses derivatives of the composed function:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,11 +119,6 @@ def chain_rule_derivatives(derivs: dict, a) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _orders_cached(p: int, d: int):
-    return indices_of_order(p, d)
-
-
 def verify_taylor_recombination(f, a, x, t, nmax: int) -> float:
     """Residual of the two-sided Taylor identity at ``(x, t)``.
 
@@ -147,7 +141,7 @@ def verify_taylor_recombination(f, a, x, t, nmax: int) -> float:
     rhs = 0.0 + 0.0j
     derivs = {}
     for p in range(nmax + 1):
-        for beta in _orders_cached(p, d):
+        for beta in indices_of_order(p, d):
             dv = complex(np.asarray(f.derivative(beta, ax.reshape(1, d)))[0])
             derivs[beta] = dv
             lhs += dv * complex(monomial(at.reshape(1, d), beta)[0]) / factorial(beta)

@@ -7,6 +7,7 @@ import pytest
 from dilsamp import (
     Box,
     ExactRule,
+    FalsifiedRule,
     StudyPlan,
     ball_operator,
     convergence_study,
@@ -15,6 +16,7 @@ from dilsamp import (
     fit_rate,
     gaussian,
     hat,
+    laplace1d,
     lp_distance,
     make_grid,
     predicted_rate,
@@ -182,6 +184,24 @@ class TestStudies:
         vol = math.sqrt(2.0 * halfwidth)
         for e2, einf in zip(two_rep.errors, inf_rep.errors):
             assert e2 <= einf * vol * (1.0 + 1e-12)
+
+    def test_kinked_ball_average_study_end_to_end(self):
+        # the rough-signal rate of ball-averaged sampling: a kinked Laplace
+        # signal caps the hat expansion at order 1
+        rep = convergence_study(StudyPlan(
+            generator=hat(1),
+            dilation=dyadic(1),
+            rule=FalsifiedRule(0.5),
+            signal=laplace1d(1.0 / 3.0),
+            operator=ball_operator(1, 1, 0.5),
+            mode="falsified1d",
+            j_min=1,
+            j_max=7,
+            slope_tolerance=0.3,
+        ))
+        assert rep.meta["mode"] == "falsified1d"
+        assert rep.predicted_rate == pytest.approx(1.0)
+        assert rep.verdict == "pass"
 
     def test_deviation_study_targets_operator_order_plus_one(self):
         rep = deviation_study(gaussian(1), ball_operator(1, 1, 0.5), dyadic(1),

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from dilsamp import Dilation, diagonal, dyadic, named_dilations, operator_norm, quincunx
+from dilsamp import (
+    Dilation, diagonal, dyadic, named_dilations, operator_norm, quincunx, triadic,
+)
 
 
 class TestValidation:
@@ -76,6 +78,17 @@ class TestPowers:
 
     def test_zero_power(self):
         assert np.allclose(quincunx().power(0), np.eye(2))
+
+    def test_power_is_exact_up_to_the_int64_range(self):
+        assert triadic(1).power(39)[0, 0] == 3**39
+        assert dyadic(2).power(62)[1, 1] == 2**62
+
+    @pytest.mark.parametrize("m,j", [
+        (triadic(1), 40), (triadic(1), -40), (dyadic(2), 63), (dyadic(2), -63),
+    ])
+    def test_power_beyond_int64_raises(self, m, j):
+        with pytest.raises(OverflowError, match="int64"):
+            m.power(j)
 
     def test_operator_norm_matches_numpy(self):
         a = np.array([[0.5, 0.25], [0.0, 0.5]])

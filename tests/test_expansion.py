@@ -1,4 +1,8 @@
 """Expansion machinery: lattices, coefficient rules, evaluation, deviation."""
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,16 +16,20 @@ from dilsamp import (
     coefficients,
     delta_operator,
     deviation,
+    dilation,
     dyadic,
     evaluate,
     expand,
     gaussian,
     hat,
+    laplace1d,
     lattice_support,
+    matern1d,
     polynomial,
     quincunx,
     sinc_squared,
 )
+from dilsamp._quadrature import QuadSpec, ball_rule
 
 
 class TestBox:
@@ -89,6 +97,54 @@ class TestCoefficientRules:
     def test_falsified_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="positive"):
             FalsifiedRule(0.0)
+
+
+def _per_base_split(f, m, j, ks, h, quad=QuadSpec()):
+    """Reference: the segment rule split at the kinks, built base by base."""
+    a = np.asarray(m.power(-j), dtype=float)
+    scale = float(a[0, 0])
+    out = []
+    for base in (ks @ a.T)[:, 0]:
+        breaks = [(x0 - base) / scale for x0 in f.kinks]
+        nodes, weights = ball_rule(1, h, quad, breaks=breaks)
+        out.append(np.asarray(f.eval(base + nodes * scale)) @ weights)
+    return np.asarray(out)
+
+
+class TestKinkedCoefficients:
+    # (dilation, level): the dyadic scale 1/8, and M = -2 at an odd level,
+    # whose scale -1/8 is negative
+    LEVELS = [(dyadic(1), 3), (dilation([[-2]]), 3)]
+    KS = np.arange(-40, 41).reshape(-1, 1)
+
+    @pytest.mark.parametrize("make", [laplace1d, matern1d])
+    @pytest.mark.parametrize("kink", ["off_lattice", "on_lattice", "ball_edge"])
+    @pytest.mark.parametrize("h", [0.25, 1.3])
+    @pytest.mark.parametrize("m,j", LEVELS)
+    def test_matches_the_per_base_split_rule(self, make, kink, h, m, j):
+        scale = float(m.power(-j)[0, 0])
+        # the ball edge lies h * |scale| from base 0: h and the power-of-two
+        # scale make (x0 - 0) / scale = +-h exactly, so base 0 must not split
+        x0 = {"off_lattice": 1.0 / 3.0, "on_lattice": 0.0}.get(kink, h * abs(scale))
+        f = make(x0)
+        got = coefficients(FalsifiedRule(h), f, m, j, self.KS)
+        got = np.array([got[(int(k),)] for k in self.KS[:, 0]])
+        ref = _per_base_split(f, m, j, self.KS, h)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
+
+        # only the bases with the kink strictly inside their ball, by exact
+        # arithmetic, leave the unsplit rule; at most floor(2h) + 1 of them
+        smooth = coefficients(
+            FalsifiedRule(h), dataclasses.replace(f, kinks=()), m, j, self.KS
+        )
+        split = {int(k) for k, c in zip(self.KS[:, 0], got) if c != smooth[(int(k),)]}
+        offset = Fraction(x0) / Fraction(scale)
+        inside = {int(k) for k in self.KS[:, 0] if abs(offset - int(k)) < Fraction(h)}
+        assert split == inside
+        assert len(inside) <= math.floor(2 * h) + 1
+        if kink == "ball_edge":
+            assert 0 not in split
 
 
 class TestEvaluation:
