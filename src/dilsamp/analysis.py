@@ -26,10 +26,9 @@ from .expansion import (
     DifferentialRule,
     ExactRule,
     FalsifiedRule,
-    coefficients,
+    _image_box,
     deviation_many,
-    evaluate,
-    lattice_support,
+    expand,
 )
 from .generators import Generator
 
@@ -281,11 +280,9 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     levels = list(range(plan.j_min, plan.j_max + 1))
     scales, errors = [], []
     for j in levels:
-        lat = lattice_support(g, m, j, domain, plan.truncation_tol)
-        cs = coefficients(plan.rule, f, m, j, lat)
         spacing = operator_norm(m.power(-j)) / plan.grid_per_scale
         pts = make_grid(domain, spacing)
-        qv = evaluate(g, m, j, cs, pts)
+        qv = expand(g, m, j, plan.rule, f, domain, pts, plan.truncation_tol).values
         errors.append(lp_distance(f.eval(pts), qv, plan.p, spacing, g.d))
         scales.append(m.scale(j))
     mode = plan.mode if plan.mode is not None else _infer_mode(plan.rule)
@@ -340,16 +337,6 @@ class DeviationReport:
     predicted_rate: float
 
 
-def _lattice_in_box(m: Dilation, j: int, domain: Box) -> np.ndarray:
-    """Integer points ``k`` with ``M^{-j} k`` inside the domain box."""
-    img = domain.corners() @ np.asarray(m.power(j), dtype=float).T
-    lo = np.ceil(img.min(axis=0) - 1e-9).astype(int)
-    hi = np.floor(img.max(axis=0) + 1e-9).astype(int)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
-
-
 def deviation_study(
     f,
     op: DiffOperator,
@@ -373,7 +360,7 @@ def deviation_study(
     levels = list(range(j_min, j_max + 1))
     scales, errors = [], []
     for j in levels:
-        lat = _lattice_in_box(m, j, domain)
+        lat = _image_box(m, j, domain, 0.0)
         dev = deviation_many(f, op, m, j, lat, h, quad)
         errors.append(float(np.abs(dev).max()))
         scales.append(m.scale(j))

@@ -25,7 +25,7 @@ from .calibrate import CalibrationError, solve_free_params
 from .config import ConfigError, ExperimentConfig, parse_config
 from .diffop import ball_moments
 from .dilation import operator_norm
-from .expansion import coefficients, evaluate, lattice_support
+from .expansion import expand
 from .generators import named_families, named_generators, strang_fix_table
 from .multiindex import indices_below
 from .signals import polynomial
@@ -217,11 +217,10 @@ def cmd_expand(args, out: Path) -> int:
     plan, _ = cfg.build_plan()
     g, m, j = plan.generator, plan.dilation, args.level
     domain = study_domain(plan)
-    lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
-    cs = coefficients(plan.rule, plan.signal, m, j, lattice)
     spacing = operator_norm(m.power(-j)) / plan.grid_per_scale
     pts = make_grid(domain, spacing)
-    vals = evaluate(g, m, j, cs, pts)
+    vals = expand(g, m, j, plan.rule, plan.signal, domain, pts,
+                  plan.truncation_tol).values
     header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
     rows = (
         [_fmt(c) for c in pt] + [_fmt(v.real), _fmt(v.imag)]

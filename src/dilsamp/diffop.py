@@ -121,7 +121,7 @@ def symbol(op: DiffOperator, xi):
 def _order_weights(op: DiffOperator, a_matrix: np.ndarray) -> dict:
     """Per-order weight vectors turning signal derivatives into coefficients.
 
-    For each total order ``p`` present in the operator, returns ``w_p`` so
+    For each total order ``p`` in the operator, returns ``w_p`` so
     that ``sum_alpha w_p[alpha] D^alpha f(y)`` equals
     ``sum_{[beta]=p} a_beta D^beta[f(A.)]`` at the matching point.
     """
@@ -150,7 +150,7 @@ def apply_to_signal_many(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 2 or ks.shape[1] != op.d:
         raise ValueError("lattice points must have shape (n, d)")
-    a = np.asarray(m.power(-j), dtype=float) if j != 0 else np.eye(op.d)
+    a = np.asarray(m.power(-j), dtype=float)
     y = ks @ a.T
     if f.deriv_order is not None and op.order > f.deriv_order:
         raise ValueError(

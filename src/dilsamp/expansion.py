@@ -28,8 +28,9 @@ from typing import Union
 
 import numpy as np
 
+from ._arrays import as_points
 from ._quadrature import QuadSpec, ball_rule
-from .diffop import DiffOperator, apply_to_signal_many, ball_operator
+from .diffop import DiffOperator, apply_to_signal_many
 from .dilation import Dilation
 from .generators import Generator
 
@@ -150,6 +151,42 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
 # lattice support and coefficients
 
 
+def _box_points(origin, shape) -> np.ndarray:
+    """Points ``(n, d)`` of the integer box ``origin + [0, shape)``, last axis fastest."""
+    axes = [np.arange(a, a + n) for a, n in zip(origin, shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _image_box(m: Dilation, j: int, domain: Box, reach: float) -> np.ndarray:
+    """Points of the integer box around ``M^j domain`` widened by ``reach``."""
+    y = domain.corners() @ np.asarray(m.power(j), dtype=float).T
+    lo = np.ceil(y.min(axis=0) - reach - _EDGE).astype(np.int64)
+    hi = np.floor(y.max(axis=0) + reach + _EDGE).astype(np.int64)
+    return _box_points(lo, hi - lo + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Coefficients:
+    """Coefficients ``c_k`` on the integer box ``origin + [0, values.shape)``.
+
+    ``values[i]`` is the coefficient of lattice point ``origin + i``.
+    ``len`` counts the coefficients and ``np.asarray`` gives ``values``.
+    """
+
+    origin: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.int64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+
 def lattice_support(
     g: Generator,
     m: Dilation,
@@ -159,7 +196,8 @@ def lattice_support(
 ) -> np.ndarray:
     """Integer lattice points whose translated generator matters on ``domain``.
 
-    For compactly supported generators this is a superset of every ``k``
+    The points form a full box, listed with the last axis fastest.  For
+    compactly supported generators this is a superset of every ``k``
     with ``supp phi(M^j . - k)`` meeting the domain (a thin boundary layer
     of vanishing terms may be included, which leaves the truncated sum
     exact).  For unbounded generators the per-coordinate reach ``R`` is
@@ -169,29 +207,29 @@ def lattice_support(
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
-    y = domain.corners() @ np.asarray(m.power(j), dtype=float).T
-    ylo, yhi = y.min(axis=0), y.max(axis=0)
-    if g.support_radius is not None:
-        reach = g.support_radius
-    else:
+    reach = g.support_radius
+    if reach is None:
         if truncation_tol <= 0:
             raise ValueError("truncation tolerance must be positive")
         reach = math.sqrt(g.decay_const / truncation_tol)
-    lo = np.ceil(ylo - reach - _EDGE).astype(np.int64)
-    hi = np.floor(yhi + reach + _EDGE).astype(np.int64)
-    ranges = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
+    return _image_box(m, j, domain, reach)
 
 
-def coefficients(rule: CoefficientRule, f, m: Dilation, j: int, lattice) -> dict:
-    """Coefficient map ``k -> c_k`` for the given rule.
+def coefficients(rule: CoefficientRule, f, m: Dilation, j: int, lattice) -> Coefficients:
+    """Coefficients of the given rule on a full lattice box.
 
-    ``lattice`` is an integer array ``(n, d)`` or an iterable of tuples.
-    The signal dimension, operator dimension and dilation must agree.
+    ``lattice`` is an integer array ``(n, d)`` listing a full box in
+    :func:`lattice_support` order; any other (or empty) lattice raises
+    ``ValueError``.  The signal dimension, operator dimension and dilation
+    must agree.
     """
-    ks = np.asarray(list(lattice) if not isinstance(lattice, np.ndarray) else lattice)
-    ks = ks.reshape(-1, m.d)
+    ks = np.asarray(lattice).reshape(-1, m.d)
+    if ks.shape[0] == 0:
+        raise ValueError("empty lattice")
+    origin = ks.min(axis=0).astype(np.int64)
+    shape = tuple(int(n) for n in ks.max(axis=0) - origin + 1)
+    if len(ks) != math.prod(shape) or not np.array_equal(ks, _box_points(origin, shape)):
+        raise ValueError("lattice is not a full box in lattice_support order")
     a = np.asarray(m.power(-j), dtype=float)
     bases = ks @ a.T
     if isinstance(rule, ExactRule):
@@ -204,7 +242,7 @@ def coefficients(rule: CoefficientRule, f, m: Dilation, j: int, lattice) -> dict
         vals = _pullback_average(f, bases, a, rule.h, rule.quad)
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")
-    return {tuple(int(v) for v in k): complex(c) for k, c in zip(ks, vals)}
+    return Coefficients(origin, vals.reshape(shape))
 
 
 def deviation(
@@ -234,94 +272,78 @@ def deviation_many(
 # evaluation
 
 
-def _dense_coeffs(coeffs: dict, d: int):
-    ks = np.asarray(list(coeffs.keys()), dtype=np.int64).reshape(-1, d)
-    vals = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-    kmin = ks.min(axis=0)
-    shape = tuple(ks.max(axis=0) - kmin + 1)
-    dense = np.zeros(shape, dtype=complex)
-    present = np.zeros(shape, dtype=bool)
-    idx = tuple((ks - kmin).T)
-    dense[idx] = vals
-    present[idx] = True
-    return dense, present, kmin
+def _point_rows(points, d: int) -> np.ndarray:
+    """Evaluation points as rows ``(n, d)``; scalars allowed when ``d == 1``."""
+    return np.asarray(as_points(points, d), dtype=float).reshape(-1, d)
 
 
-def evaluate(g: Generator, m: Dilation, j: int, coeffs: dict, points) -> np.ndarray:
+def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.ndarray:
     """Evaluate ``sum_k c_k phi(M^j x - k)`` at the given points.
 
     Every lattice point whose generator translate is nonzero at some
-    evaluation point must appear in ``coeffs``
+    evaluation point must lie in the coefficient box
     (:class:`MissingCoefficientError` otherwise).  For unbounded generators
-    the provided coefficients are summed as given; build them from
-    :func:`lattice_support` so the omitted tail is below the truncation
-    tolerance.
+    the whole box is summed; build it from :func:`lattice_support` so the
+    omitted tail is below the truncation tolerance.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :] if pts.size == g.d else pts[:, None]
-    if pts.shape[-1] != g.d:
-        raise ValueError("points must have last axis equal to the dimension")
-    pts = pts.reshape(-1, g.d)
-    if not coeffs:
-        raise ValueError("empty coefficient map")
-    dense, present, kmin = _dense_coeffs(coeffs, g.d)
+    pts = _point_rows(points, g.d)
+    if cs.origin.size != g.d:
+        raise ValueError("coefficient box dimension does not match the generator")
     mj = np.asarray(m.power(j), dtype=float)
+    part = _evaluate_full if g.support_radius is None else _evaluate_compact
     out = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[lo : lo + _CHUNK]
-        y = chunk @ mj.T
-        if g.support_radius is not None:
-            out[lo : lo + _CHUNK] = _evaluate_compact(g, y, dense, present, kmin)
-        else:
-            out[lo : lo + _CHUNK] = _evaluate_full(g, y, dense, present, kmin)
+        out[lo : lo + _CHUNK] = part(g, pts[lo : lo + _CHUNK] @ mj.T, cs)
     return out
 
 
-def _evaluate_compact(g, y, dense, present, kmin):
+def _evaluate_compact(g, y, cs: Coefficients):
     r = g.support_radius
     width = int(math.floor(2 * r + 2 * _EDGE)) + 1
     k0 = np.ceil(y - r - _EDGE).astype(np.int64)
     acc = np.zeros(y.shape[0], dtype=complex)
-    kmax = kmin + np.asarray(dense.shape) - 1
+    kmax = cs.origin + np.asarray(cs.values.shape) - 1
     for off in product(range(width), repeat=g.d):
         k = k0 + np.asarray(off, dtype=np.int64)
         phi = np.asarray(g.spatial(y - k))
         live = phi != 0
         if not np.any(live):
             continue
-        inside = np.all((k >= kmin) & (k <= kmax), axis=1)
-        sel = tuple(np.where(inside[:, None], k - kmin, 0).T)
-        have = present[sel] & inside
-        bad = live & ~have
+        inside = np.all((k >= cs.origin) & (k <= kmax), axis=1)
+        bad = live & ~inside
         if np.any(bad):
             missing = k[bad.argmax()]
             raise MissingCoefficientError(
                 f"no coefficient for lattice point {tuple(missing)}"
             )
-        acc += np.where(have, dense[sel], 0.0) * phi
+        sel = tuple(np.where(inside[:, None], k - cs.origin, 0).T)
+        acc += np.where(inside, cs.values[sel], 0.0) * phi
     return acc
 
 
-def _evaluate_full(g, y, dense, present, kmin):
-    ks = np.argwhere(present) + kmin
-    vals = dense[tuple((ks - kmin).T)]
+def _evaluate_full(g, y, cs: Coefficients):
+    ks = _box_points(cs.origin, cs.values.shape)
     acc = np.zeros(y.shape[0], dtype=complex)
     step = max(1, _CHUNK // max(1, ks.shape[0]))
     for lo in range(0, y.shape[0], step):
         yc = y[lo : lo + step]
         phi = np.asarray(g.spatial(yc[:, None, :] - ks[None, :, :]))
-        acc[lo : lo + step] = phi @ vals
+        acc[lo : lo + step] = phi @ cs.values.ravel()
     return acc
 
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """One evaluated expansion: level, lattice, coefficients, values."""
+    """One evaluated expansion at one level.
+
+    ``lattice`` holds the :func:`lattice_support` box points,
+    ``coefficients`` the :class:`Coefficients` on that box, and ``points``
+    the evaluation points as rows ``(n, d)``.
+    """
 
     level: int
     lattice: np.ndarray
-    coefficients: dict
+    coefficients: Coefficients
     points: np.ndarray
     values: np.ndarray
 
@@ -339,26 +361,7 @@ def expand(
     """Convenience wrapper: lattice support, coefficients, evaluation."""
     lat = lattice_support(g, m, j, domain, truncation_tol)
     cs = coefficients(rule, f, m, j, lat)
-    pts = np.asarray(points, dtype=float).reshape(-1, g.d)
+    pts = _point_rows(points, g.d)
     vals = evaluate(g, m, j, cs, pts)
     return ExpansionResult(j, lat, cs, pts, vals)
 
-
-__all__ = [
-    "Box",
-    "ExactRule",
-    "DifferentialRule",
-    "FalsifiedRule",
-    "CoefficientRule",
-    "QuadSpec",
-    "MissingCoefficientError",
-    "ball_average",
-    "ball_operator",
-    "lattice_support",
-    "coefficients",
-    "deviation",
-    "deviation_many",
-    "evaluate",
-    "expand",
-    "ExpansionResult",
-]

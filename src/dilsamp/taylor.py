@@ -96,7 +96,7 @@ def chain_rule_derivatives(derivs: dict, a) -> dict:
     ----------
     derivs : mapping
         ``alpha -> D^alpha f(Ax)`` covering complete total orders (if any
-        index of order p is present, all of them must be).
+        index of order p is given, all of them must be).
     a : array_like
         The matrix ``A``.
 

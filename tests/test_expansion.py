@@ -8,6 +8,7 @@ import pytest
 
 from dilsamp import (
     Box,
+    Coefficients,
     DifferentialRule,
     ExactRule,
     FalsifiedRule,
@@ -69,22 +70,36 @@ class TestLatticeSupport:
         assert np.max(np.abs(res.values - dense)) < 1e-14
 
 
+def _at(cs, k):
+    """The coefficient of lattice point ``k`` in a coefficient box."""
+    return cs.values[tuple(np.asarray(k) - cs.origin)]
+
+
+def _box(lo, hi):
+    """Points of the integer box ``lo..hi`` in lattice_support order."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 class TestCoefficientRules:
     def test_exact_rule_samples_on_the_scaled_lattice(self):
         f = gaussian(1)
         m = dyadic(1)
-        c = coefficients(ExactRule(), f, m, 3, np.array([[0], [4], [-8]]))
-        assert c[(4,)] == pytest.approx(complex(f(np.array([[0.5]]))[0]))
-        assert c[(-8,)] == pytest.approx(complex(f(np.array([[-1.0]]))[0]))
+        # the smallest box holding the points 0, 4 and -8
+        c = coefficients(ExactRule(), f, m, 3, _box([-8], [4]))
+        assert _at(c, (4,)) == pytest.approx(complex(f(np.array([[0.5]]))[0]))
+        assert _at(c, (-8,)) == pytest.approx(complex(f(np.array([[-1.0]]))[0]))
 
     def test_point_operator_reduces_to_exact(self):
         f = gaussian(2)
         m = quincunx()
-        lattice = np.array([[0, 0], [1, 2], [-1, 3]])
+        # the smallest box holding (0, 0), (1, 2) and (-1, 3)
+        lattice = _box([-1, 0], [1, 3])
         ce = coefficients(ExactRule(), f, m, 2, lattice)
         cd = coefficients(DifferentialRule(delta_operator(2)), f, m, 2, lattice)
-        assert set(ce) == set(cd)
-        assert all(abs(ce[k] - cd[k]) < 1e-15 for k in ce)
+        assert np.array_equal(ce.origin, cd.origin)
+        assert ce.values.shape == cd.values.shape == (3, 4)
+        assert np.all(np.abs(ce.values - cd.values) < 1e-15)
 
     def test_falsified_rule_is_a_pullback_ball_average(self):
         # c_k = average of f(M^-j (k + t)) over |t| <= h; for f = x^2,
@@ -92,7 +107,22 @@ class TestCoefficientRules:
         f = polynomial(1, {(2,): 1.0})
         h = 0.5
         c = coefficients(FalsifiedRule(h), f, dyadic(1), 1, np.array([[3]]))
-        assert c[(3,)] == pytest.approx((9.0 + h**2 / 3.0) / 4.0, rel=1e-12)
+        assert _at(c, (3,)) == pytest.approx((9.0 + h**2 / 3.0) / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lattice", [
+        np.array([[0], [4], [-8]]),
+        np.array([[0, 0], [1, 2], [-1, 3]]),
+        _box([-2, 0], [2, 1])[::-1],
+    ], ids=["gaps", "scattered", "reversed"])
+    def test_rejects_a_non_box_lattice(self, lattice):
+        m = dyadic(lattice.shape[1])
+        f = gaussian(lattice.shape[1])
+        with pytest.raises(ValueError, match="full box"):
+            coefficients(ExactRule(), f, m, 1, lattice)
+
+    def test_rejects_an_empty_lattice(self):
+        with pytest.raises(ValueError, match="empty"):
+            coefficients(ExactRule(), gaussian(1), dyadic(1), 1, np.empty((0, 1)))
 
     def test_falsified_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="positive"):
@@ -127,8 +157,7 @@ class TestKinkedCoefficients:
         # scale make (x0 - 0) / scale = +-h exactly, so base 0 must not split
         x0 = {"off_lattice": 1.0 / 3.0, "on_lattice": 0.0}.get(kink, h * abs(scale))
         f = make(x0)
-        got = coefficients(FalsifiedRule(h), f, m, j, self.KS)
-        got = np.array([got[(int(k),)] for k in self.KS[:, 0]])
+        got = coefficients(FalsifiedRule(h), f, m, j, self.KS).values
         ref = _per_base_split(f, m, j, self.KS, h)
         eps = np.finfo(float).eps
         assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
@@ -137,8 +166,8 @@ class TestKinkedCoefficients:
         # arithmetic, leave the unsplit rule; at most floor(2h) + 1 of them
         smooth = coefficients(
             FalsifiedRule(h), dataclasses.replace(f, kinks=()), m, j, self.KS
-        )
-        split = {int(k) for k, c in zip(self.KS[:, 0], got) if c != smooth[(int(k),)]}
+        ).values
+        split = {int(k) for k, c, s in zip(self.KS[:, 0], got, smooth) if c != s}
         offset = Fraction(x0) / Fraction(scale)
         inside = {int(k) for k in self.KS[:, 0] if abs(offset - int(k)) < Fraction(h)}
         assert split == inside
@@ -150,7 +179,19 @@ class TestKinkedCoefficients:
 class TestEvaluation:
     def test_missing_coefficient_detected(self):
         with pytest.raises(MissingCoefficientError, match="no coefficient"):
-            evaluate(hat(1), dyadic(1), 0, {(0,): 1.0}, np.array([[0.6]]))
+            evaluate(hat(1), dyadic(1), 0, Coefficients([0], [1.0]), np.array([[0.6]]))
+
+    def test_coefficient_box_dimension_checked(self):
+        with pytest.raises(ValueError, match="dimension"):
+            evaluate(hat(1), dyadic(1), 0, Coefficients([0, 0], [[1.0]]), [[0.3]])
+
+    def test_scalar_point_in_one_dimension(self):
+        g, m = hat(1), dyadic(1)
+        lat = lattice_support(g, m, 2, Box.centered(1.0, 1))
+        cs = coefficients(ExactRule(), gaussian(1), m, 2, lat)
+        scalar = evaluate(g, m, 2, cs, 0.3)
+        assert scalar.shape == (1,)
+        assert scalar[0] == evaluate(g, m, 2, cs, [[0.3]])[0]
 
     def test_linear_reproduction_by_hat(self):
         # hat shifts reproduce polynomials of degree <= 1 exactly
@@ -177,7 +218,11 @@ class TestEvaluation:
                      np.array([[0.3]]))
         assert res.level == 1
         assert res.lattice.shape[1] == 1
-        assert set(res.coefficients) == {tuple(k) for k in res.lattice}
+        cs = res.coefficients
+        assert len(cs) == len(res.lattice) == cs.values.size
+        assert np.array_equal(np.asarray(cs), cs.values)
+        assert np.array_equal(res.lattice[0], cs.origin)
+        assert np.array_equal(res.lattice[-1], cs.origin + np.asarray(cs.values.shape) - 1)
         assert res.points.shape == (1, 1)
         assert res.values.shape == (1,)
 
