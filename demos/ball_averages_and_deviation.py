@@ -42,7 +42,7 @@ center = complex(f.eval(x0.reshape(1, 1))[0])
 d2 = complex(f.derivative((2,), x0.reshape(1, 1))[0])
 print("ball average minus center value (d = 1, x = 0.8)")
 for h in (0.4, 0.2, 0.1, 0.05):
-    gap = complex(ball_average(f, x0, h)) - center
+    gap = ball_average(f, x0, h)[0] - center
     print(f"  h = {h:4.2f}   gap = {gap.real:+.6e}   "
           f"h^2 f''(x)/6 = {(h * h * d2 / 6.0).real:+.6e}")
 

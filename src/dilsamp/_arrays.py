@@ -1,6 +1,9 @@
 """Small array-shape helpers shared across modules."""
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -21,9 +24,44 @@ def as_points(x, d: int) -> np.ndarray:
     return a
 
 
+def as_rows(x, d: int) -> np.ndarray:
+    """One point or an array of points as float rows ``(n, d)``."""
+    return np.asarray(as_points(x, d), dtype=float).reshape(-1, d)
+
+
 def as_index(alpha) -> tuple[int, ...]:
     """Coerce to a tuple multi-index and validate non-negativity."""
     t = tuple(int(a) for a in np.atleast_1d(alpha))
     if any(a < 0 for a in t):
         raise ValueError(f"multi-index must be non-negative, got {t}")
     return t
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The integer box ``origin + [0, shape)``; ``len`` counts its points."""
+
+    origin: tuple
+    shape: tuple
+
+    def __post_init__(self):
+        origin = tuple(int(v) for v in np.atleast_1d(self.origin))
+        shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        if not origin or len(origin) != len(shape):
+            raise ValueError("lattice origin and shape must have one entry per axis")
+        if min(shape) < 1:
+            raise ValueError(f"empty lattice: extents {shape} must be positive")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "shape", shape)
+
+    @property
+    def d(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def points(self) -> np.ndarray:
+        """The points as int64 rows ``(len, d)``, last axis fastest."""
+        axes = [np.arange(a, a + n) for a, n in zip(self.origin, self.shape)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)

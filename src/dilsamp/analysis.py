@@ -27,7 +27,7 @@ from .expansion import (
     ExactRule,
     FalsifiedRule,
     _image_box,
-    deviation_many,
+    deviation,
     expand,
 )
 from .generators import Generator
@@ -69,12 +69,6 @@ def lp_distance(fv, qv, p: float, spacing: float, d: int) -> float:
     if math.isinf(p):
         return float(diff.max())
     return float((np.sum(diff**p) * spacing**d) ** (1.0 / p))
-
-
-def lp_error(f, approx, domain: Box, p: float, spacing: float) -> float:
-    """``L_p`` distance between two callables sampled on the domain grid."""
-    pts = make_grid(domain, spacing)
-    return lp_distance(f(pts), approx(pts), p, spacing, domain.d)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +354,8 @@ def deviation_study(
     levels = list(range(j_min, j_max + 1))
     scales, errors = [], []
     for j in levels:
-        lat = _image_box(m, j, domain, 0.0)
-        dev = deviation_many(f, op, m, j, lat, h, quad)
+        ks = _image_box(m, j, domain, 0.0).points()
+        dev = deviation(f, op, m, j, ks, h, quad)
         errors.append(float(np.abs(dev).max()))
         scales.append(m.scale(j))
     fit = fit_rate(scales, errors)

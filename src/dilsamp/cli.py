@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import convergence_study, make_grid, study_domain
 from .calibrate import CalibrationError, solve_free_params
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _json_number, parse_config
 from .diffop import ball_moments
 from .dilation import operator_norm
 from .expansion import expand
@@ -63,11 +63,6 @@ def _load_config(path) -> ExperimentConfig:
     except OSError as e:
         raise ConfigError(f"config: {e}") from e
     return parse_config(text)
-
-
-def _json_value(v):
-    v = complex(v)
-    return v.real if v.imag == 0 else [v.real, v.imag]
 
 
 def _meta_value(v):
@@ -113,14 +108,14 @@ def cmd_calibrate(args, out: Path) -> int:
     zero = family.make([0.0] * len(family.param_names))
     result = solve_free_params(family, cfg.build_operator(), zero.sf_order)
     residuals = [
-        {"gamma": list(g), "value": _json_value(v)}
+        {"gamma": list(g), "value": _json_number(v)}
         for g, v in sorted(result.residuals.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
     path = out / "calibration.json"
     _write_json(path, {
         "family": result.family,
         "target_order": result.target_order,
-        "params": {k: _json_value(v) for k, v in result.params.items()},
+        "params": {k: _json_number(v) for k, v in result.params.items()},
         "max_residual": result.max_residual,
         "residuals": residuals,
         "dropped": [list(g) for g in result.dropped],

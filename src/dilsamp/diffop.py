@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._arrays import as_index, as_points
+from ._arrays import as_index, as_points, as_rows
 from .multiindex import factorial, indices_below, indices_of_order, monomial
 from .taylor import chain_rule_matrix
 
@@ -135,21 +135,15 @@ def _order_weights(op: DiffOperator, a_matrix: np.ndarray) -> dict:
     return out
 
 
-def apply_to_signal(op: DiffOperator, f, m, j: int, k) -> complex:
-    """``L`` applied to the rescaled signal ``f(M^-j .)`` at lattice point ``k``."""
-    vals = apply_to_signal_many(op, f, m, j, np.asarray(k, dtype=float).reshape(1, -1))
-    return complex(vals[0])
+def apply_to_signal(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
+    """``L`` applied to the rescaled signal ``f(M^-j .)`` at lattice points ``ks``.
 
-
-def apply_to_signal_many(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
-    """Vectorized :func:`apply_to_signal` over an array of points ``(n, d)``.
-
-    ``m`` is a :class:`dilsamp.dilation.Dilation`; the signal must provide
-    exact derivatives up to the operator order at the mapped points.
+    ``ks`` is one point or rows ``(n, d)``; the result has one entry per
+    point.  ``m`` is a :class:`dilsamp.dilation.Dilation`; the signal must
+    provide exact derivatives up to the operator order at the mapped
+    points.
     """
-    ks = np.asarray(ks, dtype=float)
-    if ks.ndim != 2 or ks.shape[1] != op.d:
-        raise ValueError("lattice points must have shape (n, d)")
+    ks = as_rows(ks, op.d)
     a = np.asarray(m.power(-j), dtype=float)
     y = ks @ a.T
     if f.deriv_order is not None and op.order > f.deriv_order:

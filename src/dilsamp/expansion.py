@@ -28,9 +28,9 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import as_points
+from ._arrays import Lattice, as_rows
 from ._quadrature import QuadSpec, ball_rule
-from .diffop import DiffOperator, apply_to_signal_many
+from .diffop import DiffOperator, apply_to_signal
 from .dilation import Dilation
 from .generators import Generator
 
@@ -101,18 +101,16 @@ CoefficientRule = Union[ExactRule, DifferentialRule, FalsifiedRule]
 # ball averages
 
 
-def ball_average(f, center, radius: float, quad: QuadSpec = QuadSpec()) -> complex:
-    """Average of ``f`` over the ball of given center and radius.
+def ball_average(f, centers, radius: float, quad: QuadSpec = QuadSpec()) -> np.ndarray:
+    """Averages of ``f`` over the balls of given centers and radius.
 
-    Deterministic quadrature in dimensions 1 and 2 (Gauss-Legendre and a
-    polar product rule), fixed-seed Monte Carlo beyond.  A one-point call
-    into :func:`_pullback_average`: in dimension 1 the segment rule is
-    split at the signal's declared kinks strictly inside the ball.
+    ``centers`` is one point or rows ``(n, d)``; the result has one entry
+    per center.  Deterministic quadrature in dimensions 1 and 2
+    (Gauss-Legendre and a polar product rule), fixed-seed Monte Carlo
+    beyond.  In dimension 1 the segment rule is split at the signal's
+    declared kinks strictly inside a ball (see :func:`_pullback_average`).
     """
-    center = np.asarray(center, dtype=float).reshape(-1)
-    return _pullback_average(
-        f, center[None, :], np.eye(center.size), radius, quad
-    )[0]
+    return _pullback_average(f, as_rows(centers, f.d), np.eye(f.d), radius, quad)
 
 
 def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadSpec):
@@ -151,37 +149,32 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
 # lattice support and coefficients
 
 
-def _box_points(origin, shape) -> np.ndarray:
-    """Points ``(n, d)`` of the integer box ``origin + [0, shape)``, last axis fastest."""
-    axes = [np.arange(a, a + n) for a, n in zip(origin, shape)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def _image_box(m: Dilation, j: int, domain: Box, reach: float) -> np.ndarray:
-    """Points of the integer box around ``M^j domain`` widened by ``reach``."""
+def _image_box(m: Dilation, j: int, domain: Box, reach: float) -> Lattice:
+    """The integer box around ``M^j domain`` widened by ``reach``."""
     y = domain.corners() @ np.asarray(m.power(j), dtype=float).T
     lo = np.ceil(y.min(axis=0) - reach - _EDGE).astype(np.int64)
     hi = np.floor(y.max(axis=0) + reach + _EDGE).astype(np.int64)
-    return _box_points(lo, hi - lo + 1)
+    return Lattice(lo, hi - lo + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class Coefficients:
-    """Coefficients ``c_k`` on the integer box ``origin + [0, values.shape)``.
+    """Coefficients ``c_k`` on a lattice box.
 
-    ``values[i]`` is the coefficient of lattice point ``origin + i``.
-    ``len`` counts the coefficients and ``np.asarray`` gives ``values``.
+    ``values`` is shaped like the box, and ``values[i]`` is the
+    coefficient of lattice point ``lattice.origin + i``.  ``len`` counts
+    the coefficients and ``np.asarray`` gives ``values``.
     """
 
-    origin: np.ndarray
+    lattice: Lattice
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        vals = np.asarray(self.values, dtype=complex).reshape(self.lattice.shape)
+        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
-        return self.values.size
+        return len(self.lattice)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)
@@ -193,11 +186,10 @@ def lattice_support(
     j: int,
     domain: Box,
     truncation_tol: float = 1e-10,
-) -> np.ndarray:
-    """Integer lattice points whose translated generator matters on ``domain``.
+) -> Lattice:
+    """The integer lattice box whose translated generators matter on ``domain``.
 
-    The points form a full box, listed with the last axis fastest.  For
-    compactly supported generators this is a superset of every ``k``
+    For compactly supported generators this is a superset of every ``k``
     with ``supp phi(M^j . - k)`` meeting the domain (a thin boundary layer
     of vanishing terms may be included, which leaves the truncated sum
     exact).  For unbounded generators the per-coordinate reach ``R`` is
@@ -215,21 +207,16 @@ def lattice_support(
     return _image_box(m, j, domain, reach)
 
 
-def coefficients(rule: CoefficientRule, f, m: Dilation, j: int, lattice) -> Coefficients:
-    """Coefficients of the given rule on a full lattice box.
+def coefficients(
+    rule: CoefficientRule, f, m: Dilation, j: int, lattice: Lattice
+) -> Coefficients:
+    """Coefficients of the given rule on a lattice box.
 
-    ``lattice`` is an integer array ``(n, d)`` listing a full box in
-    :func:`lattice_support` order; any other (or empty) lattice raises
-    ``ValueError``.  The signal dimension, operator dimension and dilation
-    must agree.
+    The lattice, signal and operator dimensions must match the dilation.
     """
-    ks = np.asarray(lattice).reshape(-1, m.d)
-    if ks.shape[0] == 0:
-        raise ValueError("empty lattice")
-    origin = ks.min(axis=0).astype(np.int64)
-    shape = tuple(int(n) for n in ks.max(axis=0) - origin + 1)
-    if len(ks) != math.prod(shape) or not np.array_equal(ks, _box_points(origin, shape)):
-        raise ValueError("lattice is not a full box in lattice_support order")
+    if lattice.d != m.d:
+        raise ValueError("lattice dimension does not match the dilation")
+    ks = lattice.points()
     a = np.asarray(m.power(-j), dtype=float)
     bases = ks @ a.T
     if isinstance(rule, ExactRule):
@@ -237,44 +224,31 @@ def coefficients(rule: CoefficientRule, f, m: Dilation, j: int, lattice) -> Coef
     elif isinstance(rule, DifferentialRule):
         if rule.operator.d != m.d:
             raise ValueError("operator dimension does not match the dilation")
-        vals = apply_to_signal_many(rule.operator, f, m, j, ks)
+        vals = apply_to_signal(rule.operator, f, m, j, ks)
     elif isinstance(rule, FalsifiedRule):
         vals = _pullback_average(f, bases, a, rule.h, rule.quad)
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")
-    return Coefficients(origin, vals.reshape(shape))
+    return Coefficients(lattice, vals)
 
 
 def deviation(
-    f, op: DiffOperator, m: Dilation, j: int, k, h: float, quad: QuadSpec = QuadSpec()
-) -> complex:
-    """Ball-averaged minus differential coefficient at one lattice point.
-
-    Decays like ``scale(j)**(order + 1)`` for signals with bounded
-    derivatives of total order ``order + 1``.  A one-point call into
-    :func:`deviation_many`.
-    """
-    return complex(deviation_many(f, op, m, j, [k], h, quad)[0])
-
-
-def deviation_many(
-    f, op: DiffOperator, m: Dilation, j: int, lattice, h: float,
-    quad: QuadSpec = QuadSpec(),
+    f, op: DiffOperator, m: Dilation, j: int, ks, h: float, quad: QuadSpec = QuadSpec()
 ) -> np.ndarray:
-    """Vectorized :func:`deviation` over a lattice array ``(n, d)``."""
-    ks = np.asarray(lattice).reshape(-1, op.d)
+    """Ball-averaged minus differential coefficients at lattice points ``ks``.
+
+    ``ks`` is one point or rows ``(n, d)``; the result has one entry per
+    point.  Decays like ``scale(j)**(order + 1)`` for signals with bounded
+    derivatives of total order ``order + 1``.
+    """
+    ks = as_rows(ks, op.d)
     a = np.asarray(m.power(-j), dtype=float)
     avg = _pullback_average(f, ks @ a.T, a, h, quad)
-    return avg - apply_to_signal_many(op, f, m, j, ks)
+    return avg - apply_to_signal(op, f, m, j, ks)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _point_rows(points, d: int) -> np.ndarray:
-    """Evaluation points as rows ``(n, d)``; scalars allowed when ``d == 1``."""
-    return np.asarray(as_points(points, d), dtype=float).reshape(-1, d)
 
 
 def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.ndarray:
@@ -286,8 +260,8 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     the whole box is summed; build it from :func:`lattice_support` so the
     omitted tail is below the truncation tolerance.
     """
-    pts = _point_rows(points, g.d)
-    if cs.origin.size != g.d:
+    pts = as_rows(points, g.d)
+    if cs.lattice.d != g.d:
         raise ValueError("coefficient box dimension does not match the generator")
     mj = np.asarray(m.power(j), dtype=float)
     part = _evaluate_full if g.support_radius is None else _evaluate_compact
@@ -302,27 +276,28 @@ def _evaluate_compact(g, y, cs: Coefficients):
     width = int(math.floor(2 * r + 2 * _EDGE)) + 1
     k0 = np.ceil(y - r - _EDGE).astype(np.int64)
     acc = np.zeros(y.shape[0], dtype=complex)
-    kmax = cs.origin + np.asarray(cs.values.shape) - 1
-    for off in product(range(width), repeat=g.d):
-        k = k0 + np.asarray(off, dtype=np.int64)
+    origin = np.asarray(cs.lattice.origin)
+    kmax = origin + np.asarray(cs.lattice.shape) - 1
+    for off in Lattice((0,) * g.d, (width,) * g.d).points():
+        k = k0 + off
         phi = np.asarray(g.spatial(y - k))
         live = phi != 0
         if not np.any(live):
             continue
-        inside = np.all((k >= cs.origin) & (k <= kmax), axis=1)
+        inside = np.all((k >= origin) & (k <= kmax), axis=1)
         bad = live & ~inside
         if np.any(bad):
             missing = k[bad.argmax()]
             raise MissingCoefficientError(
                 f"no coefficient for lattice point {tuple(missing)}"
             )
-        sel = tuple(np.where(inside[:, None], k - cs.origin, 0).T)
+        sel = tuple(np.where(inside[:, None], k - origin, 0).T)
         acc += np.where(inside, cs.values[sel], 0.0) * phi
     return acc
 
 
 def _evaluate_full(g, y, cs: Coefficients):
-    ks = _box_points(cs.origin, cs.values.shape)
+    ks = cs.lattice.points()
     acc = np.zeros(y.shape[0], dtype=complex)
     step = max(1, _CHUNK // max(1, ks.shape[0]))
     for lo in range(0, y.shape[0], step):
@@ -336,13 +311,12 @@ def _evaluate_full(g, y, cs: Coefficients):
 class ExpansionResult:
     """One evaluated expansion at one level.
 
-    ``lattice`` holds the :func:`lattice_support` box points,
-    ``coefficients`` the :class:`Coefficients` on that box, and ``points``
-    the evaluation points as rows ``(n, d)``.
+    ``coefficients`` holds the :class:`Coefficients` on the
+    :func:`lattice_support` box, and ``points`` the evaluation points as
+    rows ``(n, d)``.
     """
 
     level: int
-    lattice: np.ndarray
     coefficients: Coefficients
     points: np.ndarray
     values: np.ndarray
@@ -361,7 +335,7 @@ def expand(
     """Convenience wrapper: lattice support, coefficients, evaluation."""
     lat = lattice_support(g, m, j, domain, truncation_tol)
     cs = coefficients(rule, f, m, j, lat)
-    pts = _point_rows(points, g.d)
+    pts = as_rows(points, g.d)
     vals = evaluate(g, m, j, cs, pts)
-    return ExpansionResult(j, lat, cs, pts, vals)
+    return ExpansionResult(j, cs, pts, vals)
 

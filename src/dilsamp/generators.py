@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._arrays import Lattice
 from ._finitediff import fd_partial
 from .multiindex import indices_of_order
 
@@ -393,11 +394,9 @@ def fourier_derivative(g: Generator, beta, xi) -> complex:
 
 
 def _lattice_points(d: int, radius: int):
-    rng = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    keep = np.any(pts != 0, axis=1)
-    return pts[keep]
+    """Nonzero integer points within sup-norm ``radius``, last axis fastest."""
+    pts = Lattice((-radius,) * d, (2 * radius + 1,) * d).points()
+    return pts[np.any(pts != 0, axis=1)]
 
 
 def strang_fix_table(g: Generator, n_max: int, tol: float = 1e-7):

@@ -7,16 +7,19 @@ import pytest
 from dilsamp import (
     DiffOperator,
     apply_to_signal,
-    apply_to_signal_many,
     ball_average,
     ball_moments,
     ball_operator,
     delta_operator,
+    deviation,
+    dilation,
     dyadic,
     gaussian,
     laplace1d,
     polynomial,
+    quincunx,
     symbol,
+    triadic,
 )
 from dilsamp._quadrature import QuadSpec, ball_rule, disk_rule, gauss_legendre, segment_rule
 
@@ -46,30 +49,31 @@ class TestBallAverage:
         # (1/2h) int_{c-h}^{c+h} x^2 dx = c^2 + h^2/3
         f = polynomial(1, {(2,): 1.0})
         got = ball_average(f, [0.4], 0.25)
-        assert got == pytest.approx(0.4**2 + 0.25**2 / 3, rel=1e-13)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(0.4**2 + 0.25**2 / 3, rel=1e-13)
 
     def test_disk_average_of_square(self):
         f = polynomial(2, {(2, 0): 1.0})
-        assert ball_average(f, [0.0, 0.0], 0.8) == pytest.approx(
+        assert ball_average(f, [0.0, 0.0], 0.8)[0] == pytest.approx(
             0.8**2 / 4, rel=1e-12
         )
 
     def test_disk_average_of_gaussian(self):
         # (1/pi) int_{|x|<=1} exp(-pi |x|^2) dx = (1 - e^{-pi}) / pi
-        got = ball_average(gaussian(2), [0.0, 0.0], 1.0)
+        got = ball_average(gaussian(2), [0.0, 0.0], 1.0)[0]
         assert got == pytest.approx((1 - math.exp(-PI)) / PI, rel=1e-12)
 
     def test_kinked_signal_split_is_exact(self):
         # (1/2) int_{-1}^{1} e^{-|x|} dx = 1 - 1/e
-        got = ball_average(laplace1d(0.0), [0.0], 1.0)
+        got = ball_average(laplace1d(0.0), [0.0], 1.0)[0]
         assert got == pytest.approx(1 - 1 / math.e, rel=1e-13)
 
     def test_ball3_monte_carlo_average(self):
         f = polynomial(3, {(2, 0, 0): 1.0})
-        got = ball_average(f, [0.0, 0.0, 0.0], 1.0)
+        got = ball_average(f, [0.0, 0.0, 0.0], 1.0)[0]
         assert got == pytest.approx(0.2, abs=5e-3)
         # fixed seed: bitwise reproducible
-        assert got == ball_average(f, [0.0, 0.0, 0.0], 1.0)
+        assert got == ball_average(f, [0.0, 0.0, 0.0], 1.0)[0]
 
 
 class TestBallMoments:
@@ -137,7 +141,8 @@ class TestApplyToSignal:
         f = gaussian(1)
         m = dyadic(1)
         got = apply_to_signal(delta_operator(1), f, m, 2, (3,))
-        assert got == pytest.approx(complex(f(np.array([[0.75]]))[0]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(complex(f(np.array([[0.75]]))[0]))
 
     def test_ball_application_combines_scaled_derivatives(self):
         # L[f(M^-j .)](k) = f(x) + a2 2^{-2j} f''(x) at x = 2^{-j} k
@@ -147,18 +152,39 @@ class TestApplyToSignal:
         x = np.array([[0.5]])
         a2 = h**2 / 6
         want = f(x)[0] + a2 * 2.0 ** (-2 * j) * f.derivative((2,), x)[0]
-        got = apply_to_signal(ball_operator(1, 2, h), f, m, j, (k,))
+        got = apply_to_signal(ball_operator(1, 2, h), f, m, j, (k,))[0]
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_many_matches_scalar_loop(self):
-        f = gaussian(2)
-        m = dyadic(2)
-        op = ball_operator(2, 2, 0.4)
-        ks = np.array([[0, 0], [1, 2], [-3, 1]])
-        many = apply_to_signal_many(op, f, m, 1, ks)
-        single = [apply_to_signal(op, f, m, 1, tuple(k)) for k in ks]
-        assert np.allclose(many, single, atol=1e-14)
 
     def test_rough_signal_guard(self):
         with pytest.raises(ValueError, match="exceeds signal smoothness"):
             apply_to_signal(ball_operator(1, 2, 0.5), laplace1d(0.0), dyadic(1), 1, (1,))
+
+
+_RNG = np.random.default_rng(5)
+_KS2 = _RNG.integers(-9, 10, size=(11, 2))
+_SHEAR = dilation([[3, 1], [0, 3]])
+
+
+@pytest.mark.parametrize("call,rows", [
+    # 1-d centers around the kink at 1/3: some balls split, some not
+    (lambda x: ball_average(laplace1d(1 / 3), x, 0.5), np.linspace(-0.9, 1.1, 11)[:, None]),
+    (lambda x: ball_average(gaussian(2), x, 0.7), _RNG.uniform(-1, 1, size=(11, 2))),
+    # Monte Carlo in 3-d: 200,000 nodes, so every quadrature chunk is one row
+    (lambda x: ball_average(gaussian(3), x, 0.6), _RNG.uniform(-1, 1, size=(3, 3))),
+    (lambda x: deviation(gaussian(2), ball_operator(2, 2, 0.4), quincunx(), 3, x, 0.4), _KS2),
+    (lambda x: deviation(gaussian(1), ball_operator(1, 3, 0.5), triadic(1), 2, x, 0.5),
+     _KS2[:, :1]),
+    (lambda x: apply_to_signal(ball_operator(2, 4, 0.5), gaussian(2), _SHEAR, 2, x), _KS2),
+], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
+        "deviation-1d", "apply_to_signal-2d"])
+def test_one_point_call_matches_its_row(call, rows):
+    # The same terms are summed either way, but NumPy reduces a lone row with
+    # a dot kernel and several rows with a matrix-vector kernel, whose
+    # real-valued form also sums a row by its place in a block of four; the
+    # order of a sum of O(1) terms may differ, so allow 4 ulps of 1.
+    many = call(rows)
+    assert many.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        one = call(row)
+        assert one.shape == (1,)
+        assert abs(one[0] - many[i]) <= 4 * np.finfo(float).eps, f"row {i}"

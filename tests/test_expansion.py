@@ -12,6 +12,7 @@ from dilsamp import (
     DifferentialRule,
     ExactRule,
     FalsifiedRule,
+    Lattice,
     MissingCoefficientError,
     ball_operator,
     coefficients,
@@ -45,11 +46,30 @@ class TestBox:
             Box((0.0, 0.0), (0.0, 1.0))
 
 
+class TestLattice:
+    def test_length_origin_and_order(self):
+        lat = Lattice([-2, 5, 0], [3, 1, 4])
+        assert lat.origin == (-2, 5, 0) and lat.shape == (3, 1, 4)
+        assert lat.d == 3 and len(lat) == 12
+        want = [(-2 + a, 5 + b, c) for a, b, c in np.ndindex(3, 1, 4)]
+        assert lat.points().tolist() == [list(k) for k in want]
+
+    @pytest.mark.parametrize("shape", [[0], [2, 0], [3, -1]])
+    def test_rejects_an_empty_lattice(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            Lattice([0] * len(shape), shape)
+
+    def test_rejects_mismatched_axes(self):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            Lattice([0, 0], [3])
+
+
 class TestLatticeSupport:
     def test_covers_every_contributing_shift(self):
         g = hat(1)
         m = dyadic(1)
-        ks = {tuple(k) for k in lattice_support(g, m, 2, Box.centered(1.0, 1))}
+        lat = lattice_support(g, m, 2, Box.centered(1.0, 1))
+        ks = {tuple(k) for k in lat.points()}
         # phi(4x - k) != 0 on [-1, 1] exactly for k in -4..4
         assert ks >= {(k,) for k in range(-4, 5)}
 
@@ -72,13 +92,7 @@ class TestLatticeSupport:
 
 def _at(cs, k):
     """The coefficient of lattice point ``k`` in a coefficient box."""
-    return cs.values[tuple(np.asarray(k) - cs.origin)]
-
-
-def _box(lo, hi):
-    """Points of the integer box ``lo..hi`` in lattice_support order."""
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return cs.values[tuple(np.subtract(k, cs.lattice.origin))]
 
 
 class TestCoefficientRules:
@@ -86,7 +100,7 @@ class TestCoefficientRules:
         f = gaussian(1)
         m = dyadic(1)
         # the smallest box holding the points 0, 4 and -8
-        c = coefficients(ExactRule(), f, m, 3, _box([-8], [4]))
+        c = coefficients(ExactRule(), f, m, 3, Lattice([-8], [13]))
         assert _at(c, (4,)) == pytest.approx(complex(f(np.array([[0.5]]))[0]))
         assert _at(c, (-8,)) == pytest.approx(complex(f(np.array([[-1.0]]))[0]))
 
@@ -94,10 +108,10 @@ class TestCoefficientRules:
         f = gaussian(2)
         m = quincunx()
         # the smallest box holding (0, 0), (1, 2) and (-1, 3)
-        lattice = _box([-1, 0], [1, 3])
+        lattice = Lattice([-1, 0], [3, 4])
         ce = coefficients(ExactRule(), f, m, 2, lattice)
         cd = coefficients(DifferentialRule(delta_operator(2)), f, m, 2, lattice)
-        assert np.array_equal(ce.origin, cd.origin)
+        assert ce.lattice == cd.lattice == lattice
         assert ce.values.shape == cd.values.shape == (3, 4)
         assert np.all(np.abs(ce.values - cd.values) < 1e-15)
 
@@ -106,23 +120,12 @@ class TestCoefficientRules:
         # M = 2, j = 1, k = 3: ((3 + t)/2)^2 averages to (9 + h^2/3) / 4
         f = polynomial(1, {(2,): 1.0})
         h = 0.5
-        c = coefficients(FalsifiedRule(h), f, dyadic(1), 1, np.array([[3]]))
+        c = coefficients(FalsifiedRule(h), f, dyadic(1), 1, Lattice([3], [1]))
         assert _at(c, (3,)) == pytest.approx((9.0 + h**2 / 3.0) / 4.0, rel=1e-12)
 
-    @pytest.mark.parametrize("lattice", [
-        np.array([[0], [4], [-8]]),
-        np.array([[0, 0], [1, 2], [-1, 3]]),
-        _box([-2, 0], [2, 1])[::-1],
-    ], ids=["gaps", "scattered", "reversed"])
-    def test_rejects_a_non_box_lattice(self, lattice):
-        m = dyadic(lattice.shape[1])
-        f = gaussian(lattice.shape[1])
-        with pytest.raises(ValueError, match="full box"):
-            coefficients(ExactRule(), f, m, 1, lattice)
-
-    def test_rejects_an_empty_lattice(self):
-        with pytest.raises(ValueError, match="empty"):
-            coefficients(ExactRule(), gaussian(1), dyadic(1), 1, np.empty((0, 1)))
+    def test_lattice_dimension_checked(self):
+        with pytest.raises(ValueError, match="lattice dimension"):
+            coefficients(ExactRule(), gaussian(2), dyadic(2), 1, Lattice([0], [3]))
 
     def test_falsified_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="positive"):
@@ -145,7 +148,8 @@ class TestKinkedCoefficients:
     # (dilation, level): the dyadic scale 1/8, and M = -2 at an odd level,
     # whose scale -1/8 is negative
     LEVELS = [(dyadic(1), 3), (dilation([[-2]]), 3)]
-    KS = np.arange(-40, 41).reshape(-1, 1)
+    LATTICE = Lattice([-40], [81])
+    KS = LATTICE.points()
 
     @pytest.mark.parametrize("make", [laplace1d, matern1d])
     @pytest.mark.parametrize("kink", ["off_lattice", "on_lattice", "ball_edge"])
@@ -157,7 +161,7 @@ class TestKinkedCoefficients:
         # scale make (x0 - 0) / scale = +-h exactly, so base 0 must not split
         x0 = {"off_lattice": 1.0 / 3.0, "on_lattice": 0.0}.get(kink, h * abs(scale))
         f = make(x0)
-        got = coefficients(FalsifiedRule(h), f, m, j, self.KS).values
+        got = coefficients(FalsifiedRule(h), f, m, j, self.LATTICE).values
         ref = _per_base_split(f, m, j, self.KS, h)
         eps = np.finfo(float).eps
         assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
@@ -165,7 +169,7 @@ class TestKinkedCoefficients:
         # only the bases with the kink strictly inside their ball, by exact
         # arithmetic, leave the unsplit rule; at most floor(2h) + 1 of them
         smooth = coefficients(
-            FalsifiedRule(h), dataclasses.replace(f, kinks=()), m, j, self.KS
+            FalsifiedRule(h), dataclasses.replace(f, kinks=()), m, j, self.LATTICE
         ).values
         split = {int(k) for k, c, s in zip(self.KS[:, 0], got, smooth) if c != s}
         offset = Fraction(x0) / Fraction(scale)
@@ -179,11 +183,17 @@ class TestKinkedCoefficients:
 class TestEvaluation:
     def test_missing_coefficient_detected(self):
         with pytest.raises(MissingCoefficientError, match="no coefficient"):
-            evaluate(hat(1), dyadic(1), 0, Coefficients([0], [1.0]), np.array([[0.6]]))
+            evaluate(hat(1), dyadic(1), 0, Coefficients(Lattice([0], [1]), [1.0]),
+                     np.array([[0.6]]))
+
+    def test_coefficient_values_must_fill_the_box(self):
+        with pytest.raises(ValueError):
+            Coefficients(Lattice([0], [3]), [1.0, 2.0])
 
     def test_coefficient_box_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
-            evaluate(hat(1), dyadic(1), 0, Coefficients([0, 0], [[1.0]]), [[0.3]])
+            evaluate(hat(1), dyadic(1), 0, Coefficients(Lattice([0, 0], [1, 1]), [[1.0]]),
+                     [[0.3]])
 
     def test_scalar_point_in_one_dimension(self):
         g, m = hat(1), dyadic(1)
@@ -217,12 +227,11 @@ class TestEvaluation:
         res = expand(hat(1), dyadic(1), 1, ExactRule(), f, Box.centered(1.0, 1),
                      np.array([[0.3]]))
         assert res.level == 1
-        assert res.lattice.shape[1] == 1
         cs = res.coefficients
-        assert len(cs) == len(res.lattice) == cs.values.size
+        assert cs.lattice == lattice_support(hat(1), dyadic(1), 1, Box.centered(1.0, 1))
+        assert len(cs) == len(cs.lattice) == cs.values.size
+        assert cs.values.shape == cs.lattice.shape
         assert np.array_equal(np.asarray(cs), cs.values)
-        assert np.array_equal(res.lattice[0], cs.origin)
-        assert np.array_equal(res.lattice[-1], cs.origin + np.asarray(cs.values.shape) - 1)
         assert res.points.shape == (1, 1)
         assert res.values.shape == (1,)
 
@@ -232,13 +241,15 @@ class TestDeviation:
         op = ball_operator(1, 2, 0.3)
         f = polynomial(1, {(0,): 0.5, (1,): -1.0, (2,): 2.0})
         dev = deviation(f, op, dyadic(1), 2, (3,), 0.3)
-        assert abs(dev) < 1e-12
+        assert dev.shape == (1,)
+        assert abs(dev[0]) < 1e-12
 
     def test_vanishes_in_two_dimensions(self):
         op = ball_operator(2, 2, 0.4)
         f = polynomial(2, {(0, 0): 1.0, (1, 1): 3.0, (2, 0): -2.0})
-        dev = deviation(f, op, quincunx(), 2, (1, -2), 0.4)
-        assert abs(dev) < 1e-12
+        dev = deviation(f, op, quincunx(), 2, [(1, -2), (0, 3)], 0.4)
+        assert dev.shape == (2,)
+        assert np.all(np.abs(dev) < 1e-12)
 
     def test_quartic_excess_by_hand(self):
         # f = x^4, M = 2, j = 1, k = 0: the average of (t/2)^4 over
@@ -246,5 +257,5 @@ class TestDeviation:
         h = 0.5
         op = ball_operator(1, 2, h)
         f = polynomial(1, {(4,): 1.0})
-        dev = deviation(f, op, dyadic(1), 1, (0,), h)
+        dev = deviation(f, op, dyadic(1), 1, (0,), h)[0]
         assert dev == pytest.approx(h**4 / 80.0, rel=1e-12)

@@ -1,0 +1,45 @@
+"""The public names the demos and README import exist, without running them."""
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import dilsamp
+
+ROOT = Path(__file__).resolve().parent.parent
+README_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+
+def _sources():
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield path.name, path.read_text()
+    blocks = README_BLOCK.findall((ROOT / "README.md").read_text())
+    for i, block in enumerate(blocks):
+        yield f"README.md python block {i + 1}", block
+
+
+SOURCES = list(_sources())
+
+
+def test_there_is_something_to_check():
+    assert any(name.startswith("README") for name, _ in SOURCES)
+    assert any(name.endswith(".py") for name, _ in SOURCES)
+
+
+@pytest.mark.parametrize("name,source", SOURCES, ids=[n for n, _ in SOURCES])
+def test_imports_from_dilsamp_are_exported(name, source):
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.ImportFrom) and node.module == "dilsamp"
+        for alias in node.names
+    ]
+    assert imported, f"{name} imports nothing from dilsamp"
+    missing = sorted(set(imported) - set(dilsamp.__all__))
+    assert not missing, f"{name} imports names missing from dilsamp.__all__: {missing}"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(dilsamp.__all__)) == len(dilsamp.__all__)
+    assert [n for n in dilsamp.__all__ if not hasattr(dilsamp, n)] == []
