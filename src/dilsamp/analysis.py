@@ -259,29 +259,39 @@ def study_domain(plan: StudyPlan) -> Box:
     return Box.centered(t, plan.generator.d)
 
 
+def level_grid(plan: StudyPlan, domain: Box, j: int):
+    """The level-``j`` error grid on ``domain`` and its spacing.
+
+    The spacing is ``||M^-j|| / grid_per_scale``, a fixed number of points
+    per scale unit.
+    """
+    spacing = operator_norm(plan.dilation.power(-j)) / plan.grid_per_scale
+    return make_grid(domain, spacing), spacing
+
+
 def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     """Run the expansion across levels and fit the error decay rate.
 
-    The verdict is ``pass`` when the fitted slope is within
-    ``slope_tolerance`` of the prediction, ``fail`` otherwise, and
-    ``inconclusive`` when fewer than three levels survive the fit filters
-    (pre-asymptotic skip plus the round-off floor).
+    The prediction is made before the first level, so a plan without one
+    raises ``ValueError`` before any work.  The verdict is ``pass`` when
+    the fitted slope is within ``slope_tolerance`` of the prediction,
+    ``fail`` otherwise, and ``inconclusive`` when fewer than three levels
+    survive the fit filters (pre-asymptotic skip plus the round-off floor).
     """
     g, m, f = plan.generator, plan.dilation, plan.signal
     if g.d != m.d or g.d != f.d:
         raise ValueError("generator, dilation and signal dimensions differ")
     domain = study_domain(plan)
-    levels = list(range(plan.j_min, plan.j_max + 1))
-    scales, errors = [], []
-    for j in levels:
-        spacing = operator_norm(m.power(-j)) / plan.grid_per_scale
-        pts = make_grid(domain, spacing)
-        qv = expand(g, m, j, plan.rule, f, domain, pts, plan.truncation_tol).values
-        errors.append(lp_distance(f.eval(pts), qv, plan.p, spacing, g.d))
-        scales.append(m.scale(j))
     mode = plan.mode if plan.mode is not None else _infer_mode(plan.rule)
     big_n, eps = _prediction_window(plan, mode)
     rate, case = predicted_rate(g.sf_order, big_n, eps, g.d, plan.p, mode)
+    levels = list(range(plan.j_min, plan.j_max + 1))
+    scales, errors = [], []
+    for j in levels:
+        pts, spacing = level_grid(plan, domain, j)
+        qv = expand(g, m, j, plan.rule, f, domain, pts, plan.truncation_tol).values
+        errors.append(lp_distance(f.eval(pts), qv, plan.p, spacing, g.d))
+        scales.append(m.scale(j))
     try:
         fit = fit_rate(scales, errors, levels=levels, skip=plan.fit_skip,
                        floor=plan.floor)

@@ -20,11 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import convergence_study, make_grid, study_domain
-from .calibrate import CalibrationError, solve_free_params
-from .config import ConfigError, ExperimentConfig, _json_number, parse_config
+from .analysis import convergence_study, level_grid, study_domain
+from .calibrate import CalibrationError
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    _check_params,
+    _json_number,
+    parse_config,
+)
 from .diffop import ball_moments
-from .dilation import operator_norm
 from .expansion import expand
 from .generators import named_families, named_generators, strang_fix_table
 from .multiindex import indices_below
@@ -99,14 +104,7 @@ def cmd_coeffs(args, out: Path) -> int:
 
 
 def cmd_calibrate(args, out: Path) -> int:
-    cfg = _load_config(args.config)
-    family = named_families.get(cfg.family)
-    if family is None:
-        raise ConfigError(
-            f"generator.family: {cfg.family} has no free parameters"
-        )
-    zero = family.make([0.0] * len(family.param_names))
-    result = solve_free_params(family, cfg.build_operator(), zero.sf_order)
+    result = _load_config(args.config).calibrate()
     residuals = [
         {"gamma": list(g), "value": _json_number(v)}
         for g, v in sorted(result.residuals.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -128,25 +126,15 @@ def cmd_calibrate(args, out: Path) -> int:
 
 
 def _flag_generator(args):
-    if args.generator in named_families:
-        family = named_families[args.generator]
-        if args.params is None:
-            raise ConfigError(
-                f"--params: required for {args.generator} "
-                f"({len(family.param_names)} values)"
-            )
+    values = args.params
+    if values is not None:
         try:
-            values = [float(v) for v in args.params.split(",")]
+            values = [float(v) for v in values.split(",")]
         except ValueError as e:
             raise ConfigError(f"--params: {e}") from e
-        if len(values) != len(family.param_names):
-            raise ConfigError(
-                f"--params: {args.generator} expects "
-                f"{len(family.param_names)} values"
-            )
-        return family.make(values)
-    if args.params is not None:
-        raise ConfigError(f"--params: {args.generator} takes no parameters")
+    params = _check_params(args.generator, values, "--params")
+    if args.generator in named_families:
+        return named_families[args.generator].make(params)
     return named_generators[args.generator](args.dim)
 
 
@@ -210,11 +198,13 @@ def cmd_expand(args, out: Path) -> int:
     if args.level < 0:
         raise ConfigError("--level: must be non-negative")
     plan, _ = cfg.build_plan()
-    g, m, j = plan.generator, plan.dilation, args.level
+    g, j = plan.generator, args.level
     domain = study_domain(plan)
-    spacing = operator_norm(m.power(-j)) / plan.grid_per_scale
-    pts = make_grid(domain, spacing)
-    vals = expand(g, m, j, plan.rule, plan.signal, domain, pts,
+    try:
+        pts, _ = level_grid(plan, domain, j)
+    except OverflowError as e:
+        raise ConfigError(f"--level: {j} is out of range ({e})") from e
+    vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, pts,
                   plan.truncation_tol).values
     header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
     rows = (
@@ -230,7 +220,10 @@ def cmd_expand(args, out: Path) -> int:
 def cmd_study(args, out: Path) -> int:
     cfg = _load_config(args.config)
     plan, calibration = cfg.build_plan()
-    report = convergence_study(plan)
+    try:
+        report = convergence_study(plan)
+    except ValueError as e:
+        raise ConfigError(f"study: {e}") from e
     csv_path = out / "study.csv"
     _write_csv(
         csv_path,

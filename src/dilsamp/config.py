@@ -33,20 +33,6 @@ from .expansion import DifferentialRule, ExactRule, FalsifiedRule
 from .generators import named_families, named_generators
 from .signals import Signal, gaussian, named_signals
 
-STUDY_DEFAULTS = {
-    "j_min": 1,
-    "j_max": 8,
-    "p": "inf",
-    "domain_halfwidth": None,
-    "grid_per_scale": 8,
-    "truncation_tol": 1e-10,
-    "quad_order": 16,
-    "fit_skip": 2,
-    "slope_tolerance": 0.25,
-    "seed": 0,
-}
-
-_FAMILY_DIM = {"bspline3_2d": 2, "bspline4_1d": 1}
 _KINKED_SIGNALS = ("laplace1d", "matern1d")
 
 
@@ -120,77 +106,125 @@ def _json_number(v):
     return [v.real, v.imag]
 
 
+def _p_label(value, path: str) -> str:
+    if value in (2, "2"):
+        return "2"
+    if value == "inf":
+        return "inf"
+    raise ConfigError(f'{path}: expected "2" or "inf"')
+
+
+# One check per study key, in reading order.
+_STUDY_CHECKS = {
+    "j_min": lambda v, path: _integer(v, path, minimum=0),
+    "j_max": lambda v, path: _integer(v, path, minimum=1),
+    "p": _p_label,
+    "domain_halfwidth":
+        lambda v, path: None if v is None else _real(v, path, positive=True),
+    "grid_per_scale": lambda v, path: _integer(v, path, minimum=2),
+    "truncation_tol": lambda v, path: _real(v, path, positive=True),
+    "quad_order": lambda v, path: _integer(v, path, minimum=2),
+    "fit_skip": lambda v, path: _integer(v, path, minimum=0),
+    "slope_tolerance": lambda v, path: _real(v, path, positive=True),
+    "seed": lambda v, path: _integer(v, path, minimum=0),
+}
+
+# Study keys that StudyPlan takes as they are; p becomes a float, and
+# quad_order and seed go to the quadrature of a falsified rule.
+_PLAN_KEYS = tuple(k for k in _STUDY_CHECKS if k != "p" and hasattr(StudyPlan, k))
+
+# The defaults of StudyPlan and QuadSpec, with p as its label.
+STUDY_DEFAULTS = {
+    **{k: getattr(StudyPlan, k) for k in _PLAN_KEYS},
+    "p": "inf",
+    "quad_order": QuadSpec.order,
+    "seed": QuadSpec.seed,
+}
+
+
+def _plain(obj):
+    """A JSON-native copy: objects rebuilt, tuples and lists as lists."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with constructors for each piece."""
+    """The resolved document: its six sections with every default filled in.
 
-    rows: tuple
-    family: str
-    params: object
-    operator_kind: str
-    operator_n: int | None
-    operator_h: float | None
-    signal_kind: str
-    signal_offset: float
-    rule_kind: str
-    rule_h: float | None
-    j_min: int
-    j_max: int
-    p_label: str
-    domain_halfwidth: float | None
-    grid_per_scale: int
-    truncation_tol: float
-    quad_order: int
-    fit_skip: int
-    slope_tolerance: float
-    seed: int
+    Values are checked and normalized: ``dilation.rows`` is a tuple of
+    integer tuples, ``generator.params`` is None, ``"calibrate"``, a tuple
+    or a dict of floats, reals are floats and ``study.p`` is the label
+    ``"2"`` or ``"inf"``.  ``operator``, ``signal`` and ``rule`` hold only
+    the keys their kind takes; ``study`` holds every key of
+    :data:`STUDY_DEFAULTS`.
+    """
+
+    dilation: dict
+    generator: dict
+    operator: dict
+    signal: dict
+    rule: dict
+    study: dict
 
     @property
     def d(self) -> int:
-        return len(self.rows)
+        return len(self.dilation["rows"])
 
     @property
     def p(self) -> float:
-        return math.inf if self.p_label == "inf" else float(self.p_label)
+        label = self.study["p"]
+        return math.inf if label == "inf" else float(label)
 
     def quad(self) -> QuadSpec:
-        return QuadSpec(order=self.quad_order, seed=self.seed)
+        return QuadSpec(order=self.study["quad_order"], seed=self.study["seed"])
 
     def build_dilation(self) -> Dilation:
         try:
-            return Dilation(self.rows)
+            return Dilation(self.dilation["rows"])
         except ValueError as e:
             raise ConfigError(f"dilation.rows: {e}") from e
 
     def build_operator(self) -> DiffOperator:
-        if self.operator_kind == "delta":
+        if self.operator["kind"] == "delta":
             return delta_operator(self.d)
-        return ball_operator(self.d, self.operator_n, self.operator_h)
+        return ball_operator(self.d, self.operator["N"], self.operator["h"])
 
     def build_signal(self) -> Signal:
-        if self.signal_kind == "gaussian":
+        if self.signal["kind"] == "gaussian":
             return gaussian(self.d)
-        return named_signals[self.signal_kind](self.signal_offset)
+        return named_signals[self.signal["kind"]](self.signal["offset"])
+
+    def calibrate(self) -> CalibrationResult:
+        """Solve the family's free parameters against the configured
+        operator, up to the order of the family's zero-parameter member."""
+        name = self.generator["family"]
+        family = named_families.get(name)
+        if family is None:
+            raise ConfigError(f"generator.family: {name} has no free parameters")
+        zero = family.make([0.0] * len(family.param_names))
+        return solve_free_params(family, self.build_operator(), zero.sf_order)
 
     def build_generator(self):
         """The configured generator and its calibration result, if any."""
-        if self.family in named_families:
-            family = named_families[self.family]
-            if self.params == "calibrate":
-                zero = family.make([0.0] * len(family.param_names))
-                result = solve_free_params(
-                    family, self.build_operator(), zero.sf_order
-                )
-                return family.make(result.params), result
-            return family.make(self.params), None
-        return named_generators[self.family](self.d), None
+        name, params = self.generator["family"], self.generator["params"]
+        if params == "calibrate":
+            result = self.calibrate()
+            return named_families[name].make(result.params), result
+        if name in named_families:
+            return named_families[name].make(params), None
+        return named_generators[name](self.d), None
 
     def build_rule(self):
-        if self.rule_kind == "exact":
+        kind = self.rule["kind"]
+        if kind == "exact":
             return ExactRule()
-        if self.rule_kind == "differential":
+        if kind == "differential":
             return DifferentialRule(self.build_operator())
-        return FalsifiedRule(self.rule_h, quad=self.quad())
+        return FalsifiedRule(self.rule["h"], quad=self.quad())
 
     def build_plan(self):
         """A ready-to-run study plan plus the calibration result, if any."""
@@ -202,60 +236,26 @@ class ExperimentConfig:
             signal=self.build_signal(),
             operator=self.build_operator(),
             p=self.p,
-            j_min=self.j_min,
-            j_max=self.j_max,
-            grid_per_scale=self.grid_per_scale,
-            fit_skip=self.fit_skip,
-            slope_tolerance=self.slope_tolerance,
-            domain_halfwidth=self.domain_halfwidth,
-            truncation_tol=self.truncation_tol,
+            **{k: self.study[k] for k in _PLAN_KEYS},
         )
         return plan, cal
 
     def echo(self, calibration: CalibrationResult | None = None,
              domain_halfwidth: float | None = None) -> dict:
-        """JSON-safe fully-resolved config for embedding in reports."""
+        """JSON-safe copy of the resolved document for embedding in reports.
+
+        ``calibration`` replaces ``"calibrate"`` with the solved values and
+        ``domain_halfwidth`` the study's default of None.
+        """
+        doc = _plain(vars(self))
         if calibration is not None:
-            params = [_json_number(calibration.params[n])
-                      for n in named_families[self.family].param_names]
-        elif isinstance(self.params, dict):
-            params = {k: _json_number(v) for k, v in self.params.items()}
-        elif isinstance(self.params, (tuple, list)):
-            params = [_json_number(v) for v in self.params]
-        else:
-            params = self.params
-        operator = {"kind": self.operator_kind}
-        if self.operator_kind == "ball":
-            operator.update(N=self.operator_n, h=self.operator_h)
-        signal = {"kind": self.signal_kind}
-        if self.signal_kind in _KINKED_SIGNALS:
-            signal["offset"] = self.signal_offset
-        rule = {"kind": self.rule_kind}
-        if self.rule_kind == "falsified":
-            rule["h"] = self.rule_h
-        halfwidth = (
-            domain_halfwidth if domain_halfwidth is not None
-            else self.domain_halfwidth
-        )
-        return {
-            "dilation": {"rows": [list(r) for r in self.rows]},
-            "generator": {"family": self.family, "params": params},
-            "operator": operator,
-            "signal": signal,
-            "rule": rule,
-            "study": {
-                "j_min": self.j_min,
-                "j_max": self.j_max,
-                "p": self.p_label,
-                "domain_halfwidth": halfwidth,
-                "grid_per_scale": self.grid_per_scale,
-                "truncation_tol": self.truncation_tol,
-                "quad_order": self.quad_order,
-                "fit_skip": self.fit_skip,
-                "slope_tolerance": self.slope_tolerance,
-                "seed": self.seed,
-            },
-        }
+            names = named_families[self.generator["family"]].param_names
+            doc["generator"]["params"] = [
+                _json_number(calibration.params[n]) for n in names
+            ]
+        if domain_halfwidth is not None:
+            doc["study"]["domain_halfwidth"] = domain_halfwidth
+        return doc
 
 
 def from_mapping(obj) -> ExperimentConfig:
@@ -266,8 +266,8 @@ def from_mapping(obj) -> ExperimentConfig:
     sig = _mapping(_take(doc, "config", "signal"), "signal")
     op = _mapping(_take(doc, "config", "operator", {"kind": "delta"}),
                   "operator")
-    rule = _mapping(_take(doc, "config", "rule", {"kind": "exact"}), "rule")
-    study = _mapping(_take(doc, "config", "study", {}), "study")
+    rl = _mapping(_take(doc, "config", "rule", {"kind": "exact"}), "rule")
+    st = _mapping(_take(doc, "config", "study", {}), "study")
     _reject_leftovers(doc, "config")
 
     rows = _matrix_rows(_take(dil, "dilation", "rows"), "dilation.rows")
@@ -278,127 +278,102 @@ def from_mapping(obj) -> ExperimentConfig:
                      tuple(sorted(named_generators)))
     params = _take(gen, "generator", "params", None)
     _reject_leftovers(gen, "generator")
-    params = _check_params(family, params, d)
+    fam = named_families.get(family)
+    if fam is not None and fam.d != d:
+        raise ConfigError(
+            f"generator.family: {family} needs a {fam.d}-d dilation"
+        )
+    params = _check_params(family, params)
 
     kind = _choice(_take(op, "operator", "kind", "delta"), "operator.kind",
                    ("delta", "ball"))
+    operator = {"kind": kind}
     if kind == "ball":
-        op_n = _integer(_take(op, "operator", "N"), "operator.N", minimum=0)
-        op_h = _real(_take(op, "operator", "h"), "operator.h", positive=True)
-    else:
-        op_n, op_h = None, None
+        operator["N"] = _integer(_take(op, "operator", "N"), "operator.N",
+                                 minimum=0)
+        operator["h"] = _real(_take(op, "operator", "h"), "operator.h",
+                              positive=True)
     _reject_leftovers(op, "operator")
 
     sig_kind = _choice(_take(sig, "signal", "kind"), "signal.kind",
                        tuple(sorted(named_signals)))
     offset = _take(sig, "signal", "offset", None)
     _reject_leftovers(sig, "signal")
+    signal = {"kind": sig_kind}
     if sig_kind in _KINKED_SIGNALS:
         if d != 1:
             raise ConfigError(f"signal.kind: {sig_kind} needs a 1-d dilation")
-        offset = 0.0 if offset is None else _real(offset, "signal.offset")
+        signal["offset"] = (
+            0.0 if offset is None else _real(offset, "signal.offset")
+        )
     elif offset is not None:
         raise ConfigError(f"signal.offset: {sig_kind} takes no offset")
-    else:
-        offset = 0.0
 
-    rule_kind = _choice(_take(rule, "rule", "kind", "exact"), "rule.kind",
+    rule_kind = _choice(_take(rl, "rule", "kind", "exact"), "rule.kind",
                         ("exact", "differential", "falsified"))
-    rule_h = _take(rule, "rule", "h", None)
-    _reject_leftovers(rule, "rule")
+    rule_h = _take(rl, "rule", "h", None)
+    _reject_leftovers(rl, "rule")
+    rule = {"kind": rule_kind}
     if rule_kind == "falsified":
         if rule_h is None:
             raise ConfigError("rule.h: required for the falsified rule")
-        rule_h = _real(rule_h, "rule.h", positive=True)
+        rule["h"] = _real(rule_h, "rule.h", positive=True)
         if kind != "ball":
             raise ConfigError(
                 "operator.kind: falsified studies need a ball operator context"
             )
-        if op_h != rule_h:
+        if operator["h"] != rule["h"]:
             raise ConfigError(
                 "operator.h: must match rule.h for falsified studies"
             )
     elif rule_h is not None:
         raise ConfigError(f"rule.h: the {rule_kind} rule takes no h")
 
-    def study_key(key, check, **kw):
-        v = _take(study, "study", key, STUDY_DEFAULTS[key])
-        if v is None and STUDY_DEFAULTS[key] is None:
-            return None
-        return check(v, f"study.{key}", **kw)
-
-    j_min = study_key("j_min", _integer, minimum=0)
-    j_max = study_key("j_max", _integer, minimum=1)
-    if j_max <= j_min:
+    study = {
+        key: check(_take(st, "study", key, STUDY_DEFAULTS[key]), f"study.{key}")
+        for key, check in _STUDY_CHECKS.items()
+    }
+    if study["j_max"] <= study["j_min"]:
         raise ConfigError("study.j_max: must exceed study.j_min")
-    p_label = _take(study, "study", "p", STUDY_DEFAULTS["p"])
-    if p_label in (2, "2"):
-        p_label = "2"
-    elif p_label == "inf":
-        p_label = "inf"
-    else:
-        raise ConfigError('study.p: expected "2" or "inf"')
-    halfwidth = study_key("domain_halfwidth", _real, positive=True)
-    grid_per_scale = study_key("grid_per_scale", _integer, minimum=2)
-    truncation_tol = study_key("truncation_tol", _real, positive=True)
-    quad_order = study_key("quad_order", _integer, minimum=2)
-    fit_skip = study_key("fit_skip", _integer, minimum=0)
-    slope_tolerance = study_key("slope_tolerance", _real, positive=True)
-    seed = study_key("seed", _integer, minimum=0)
-    _reject_leftovers(study, "study")
+    _reject_leftovers(st, "study")
 
     return ExperimentConfig(
-        rows=rows,
-        family=family,
-        params=params,
-        operator_kind=kind,
-        operator_n=op_n,
-        operator_h=op_h,
-        signal_kind=sig_kind,
-        signal_offset=offset,
-        rule_kind=rule_kind,
-        rule_h=rule_h,
-        j_min=j_min,
-        j_max=j_max,
-        p_label=p_label,
-        domain_halfwidth=halfwidth,
-        grid_per_scale=grid_per_scale,
-        truncation_tol=truncation_tol,
-        quad_order=quad_order,
-        fit_skip=fit_skip,
-        slope_tolerance=slope_tolerance,
-        seed=seed,
+        dilation={"rows": rows},
+        generator={"family": family, "params": params},
+        operator=operator,
+        signal=signal,
+        rule=rule,
+        study=study,
     )
 
 
-def _check_params(family: str, params, d: int):
-    want = _FAMILY_DIM.get(family)
-    if want is not None and want != d:
-        raise ConfigError(
-            f"generator.family: {family} needs a {want}-d dilation"
-        )
-    if family not in named_families:
+def _check_params(family: str, params, path: str = "generator.params"):
+    """``params`` for the named generator, checked and normalized.
+
+    None for a plain generator; for a family ``"calibrate"``, a tuple of
+    floats from a list, or a dict of floats keyed by parameter name.
+    """
+    fam = named_families.get(family)
+    if fam is None:
         if params is not None:
-            raise ConfigError(f"generator.params: {family} takes no parameters")
+            raise ConfigError(f"{path}: {family} takes no parameters")
         return None
-    names = named_families[family].param_names
+    names = fam.param_names
+    if params is None:
+        raise ConfigError(f"{path}: required for {family} ({len(names)} values)")
     if params == "calibrate":
         return "calibrate"
     if isinstance(params, list):
         if len(params) != len(names):
-            raise ConfigError(
-                f"generator.params: {family} expects {len(names)} values"
-            )
-        return tuple(_real(v, "generator.params") for v in params)
+            raise ConfigError(f"{path}: {family} expects {len(names)} values")
+        return tuple(_real(v, path) for v in params)
     if isinstance(params, dict):
         if set(params) != set(names):
             raise ConfigError(
-                f"generator.params: {family} expects keys {', '.join(names)}"
+                f"{path}: {family} expects keys {', '.join(names)}"
             )
-        return {k: _real(v, f"generator.params.{k}") for k, v in params.items()}
-    raise ConfigError(
-        'generator.params: expected a list, an object, or "calibrate"'
-    )
+        return {k: _real(v, f"{path}.{k}") for k, v in params.items()}
+    raise ConfigError(f'{path}: expected a list, an object, or "calibrate"')
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -58,10 +58,6 @@ class DiffOperator:
             raise ValueError("the zero-order coefficient must be nonzero")
         object.__setattr__(self, "coeffs", clean)
 
-    @property
-    def is_identity(self) -> bool:
-        return set(self.coeffs) == {(0,) * self.d}
-
 
 def delta_operator(d: int = 1) -> DiffOperator:
     """Point evaluation: the identity operator (plain sampling)."""

@@ -11,7 +11,7 @@ and studies can keep the kink off the sampling lattice via ``offset``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ class Signal:
     decay_eps: float
     T0: float
     kinks: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.eval(as_points(x, self.d))

@@ -20,6 +20,38 @@ CALIBRATE_DOC = {
     "signal": {"kind": "gaussian"},
 }
 
+# A valid document with no rate statement: ball averages of a kinked
+# signal need decay margin above 1, and laplace1d has margin 1.
+KINKED_FALSIFIED_DOC = {
+    "dilation": {"rows": [[2]]},
+    "generator": {"family": "bspline4_1d", "params": "calibrate"},
+    "operator": {"kind": "ball", "N": 3, "h": 0.5},
+    "signal": {"kind": "laplace1d", "offset": 1.0 / 3.0},
+    "rule": {"kind": "falsified", "h": 0.5},
+    "study": {"j_min": 1, "j_max": 4},
+}
+
+# STUDY_DOC with every default filled in, as report.json echoes it.
+STUDY_ECHO = {
+    "dilation": {"rows": [[2]]},
+    "generator": {"family": "hat", "params": None},
+    "operator": {"kind": "delta"},
+    "signal": {"kind": "gaussian"},
+    "rule": {"kind": "exact"},
+    "study": {
+        "j_min": 1,
+        "j_max": 5,
+        "p": "inf",
+        "domain_halfwidth": 4.2,
+        "grid_per_scale": 4,
+        "truncation_tol": 1e-10,
+        "quad_order": 16,
+        "fit_skip": 1,
+        "slope_tolerance": 0.25,
+        "seed": 0,
+    },
+}
+
 
 def write_doc(tmp_path, doc, name="experiment.json"):
     path = tmp_path / name
@@ -79,6 +111,21 @@ class TestStrangFix:
         doc = json.loads((out / "strang_fix.json").read_text())
         assert doc["order"] == 4
 
+    @pytest.mark.parametrize(
+        "generator, params, needle",
+        [
+            ("hat", "1", "--params: hat takes no parameters"),
+            ("bspline4_1d", "0,1", "--params: bspline4_1d expects 3 values"),
+            ("bspline4_1d", "0,x,0", "--params: could not convert"),
+        ],
+    )
+    def test_rejects_bad_params(self, tmp_path, capsys, generator, params,
+                                needle):
+        rc = main(["strang-fix", "--generator", generator, "--params", params,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {needle}")
+
 
 class TestCalibrate:
     def test_ball_context_artifact(self, tmp_path):
@@ -110,6 +157,14 @@ class TestExpand:
         assert len(lines) > 10
         x, re, im = (float(v) for v in lines[1].split(","))
         assert math.isfinite(x) and math.isfinite(re) and im == 0.0
+
+    def test_level_beyond_int64_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["expand", write_doc(tmp_path, STUDY_DOC), "--level", "70",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: --level: 70")
+        assert not (out / "expand.csv").exists()
 
 
 class TestStudy:
@@ -151,7 +206,34 @@ class TestStudy:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_kinked_falsified_study_exits_two_before_any_level(
+            self, tmp_path, capsys):
+        cfg = write_doc(tmp_path, KINKED_FALSIFIED_DOC)
+        out = tmp_path / "out"
+        rc = main(["study", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "decay margin" in err
+        assert not (out / "report.json").exists()
+        assert not (out / "study.csv").exists()
+        # the document itself is valid: expand and calibrate still run
+        assert main(["expand", cfg, "--level", "1", "--out", str(out)]) == 0
+        assert main(["calibrate", cfg, "--out", str(out)]) == 0
+
     def test_missing_document_exits_two(self, tmp_path):
         rc = main(["study", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+
+class TestArtifacts:
+    def test_study_and_expand_on_study_doc(self, tmp_path):
+        cfg = write_doc(tmp_path, STUDY_DOC)
+        out = tmp_path / "out"
+        assert main(["study", cfg, "--out", str(out)]) == 0
+        assert main(["expand", cfg, "--level", "2", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config_echo"] == STUDY_ECHO
+        lines = (out / "expand.csv").read_text().splitlines()
+        assert lines[0] == "x1,re,im"
+        assert len(lines) == 1 + 134

@@ -1,10 +1,12 @@
 """Experiment document validation: defaults, rejections, echo round-trips."""
 import math
+from dataclasses import fields
 
 import pytest
 
-from dilsamp import CalibrationResult
-from dilsamp.config import ConfigError, from_mapping, parse_config
+from dilsamp import CalibrationResult, StudyPlan
+from dilsamp._quadrature import QuadSpec
+from dilsamp.config import STUDY_DEFAULTS, ConfigError, from_mapping, parse_config
 
 
 def minimal(**sections):
@@ -30,22 +32,35 @@ FALSIFIED = {
 class TestDefaults:
     def test_minimal_document(self):
         cfg = from_mapping(minimal())
+        study = cfg.study
         assert cfg.d == 1
-        assert (cfg.j_min, cfg.j_max) == (1, 8)
-        assert cfg.p == math.inf and cfg.p_label == "inf"
-        assert cfg.operator_kind == "delta"
-        assert cfg.rule_kind == "exact"
-        assert cfg.grid_per_scale == 8
-        assert cfg.truncation_tol == 1e-10
-        assert cfg.quad_order == 16
-        assert cfg.fit_skip == 2
-        assert cfg.slope_tolerance == 0.25
-        assert cfg.seed == 0
-        assert cfg.params is None and cfg.signal_offset == 0.0
+        assert (study["j_min"], study["j_max"]) == (1, 8)
+        assert cfg.p == math.inf and study["p"] == "inf"
+        assert cfg.operator["kind"] == "delta"
+        assert cfg.rule["kind"] == "exact"
+        assert study["grid_per_scale"] == 8
+        assert study["truncation_tol"] == 1e-10
+        assert study["quad_order"] == 16
+        assert study["fit_skip"] == 2
+        assert study["slope_tolerance"] == 0.25
+        assert study["seed"] == 0
+        assert cfg.generator["params"] is None
+        assert cfg.signal == {"kind": "gaussian"}
+
+    def test_study_defaults_match_plan_and_quadrature(self):
+        plan = {f.name: f.default for f in fields(StudyPlan)}
+        quad = QuadSpec()
+        assert plan["p"] == math.inf
+        assert STUDY_DEFAULTS == {
+            **{k: plan[k] for k in STUDY_DEFAULTS if k in plan},
+            "p": "inf",
+            "quad_order": quad.order,
+            "seed": quad.seed,
+        }
 
     def test_numeric_p_normalizes(self):
         cfg = from_mapping(minimal(study={"p": 2}))
-        assert cfg.p_label == "2" and cfg.p == 2.0
+        assert cfg.study["p"] == "2" and cfg.p == 2.0
 
     def test_quad_spec_carries_order_and_seed(self):
         cfg = from_mapping(minimal(study={"quad_order": 24, "seed": 7}))
@@ -174,6 +189,33 @@ class TestEcho:
         cfg = from_mapping(minimal())
         assert from_mapping(cfg.echo()) == cfg
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            minimal(operator={"kind": "ball", "N": 2, "h": 0.5}),
+            minimal(signal={"kind": "laplace1d", "offset": 1.0 / 3.0}),
+            FALSIFIED,
+            minimal(generator={"family": "bspline4_1d", "params": [0, 0.5, 0]}),
+            minimal(generator={"family": "bspline4_1d",
+                               "params": {"b1": 0, "b2": 0.5, "b3": 0}}),
+            minimal(study={"p": 2}),
+            minimal(study={"domain_halfwidth": 3}),
+            {
+                "dilation": {"rows": [[1, -1], [1, 1]]},
+                "generator": {"family": "bspline3_2d", "params": [0.5, 0.5]},
+                "operator": {"kind": "ball", "N": 2, "h": 0.5},
+                "signal": {"kind": "gaussian"},
+                "rule": {"kind": "differential"},
+                "study": {"p": "2", "domain_halfwidth": 3.0, "seed": 4},
+            },
+        ],
+        ids=["ball", "kinked-offset", "falsified", "list-params",
+             "dict-params", "p2", "halfwidth", "quincunx-differential"],
+    )
+    def test_echo_round_trips(self, doc):
+        cfg = from_mapping(doc)
+        assert from_mapping(cfg.echo()) == cfg
+
     def test_echo_resolves_calibration(self):
         cfg = from_mapping(dict(FALSIFIED))
         _, cal = cfg.build_plan()
@@ -186,4 +228,4 @@ class TestEcho:
         assert echo["study"]["domain_halfwidth"] == 4.2
         # a resolved echo is itself a valid document
         resolved = from_mapping(echo)
-        assert resolved.params == tuple(params)
+        assert resolved.generator["params"] == tuple(params)
