@@ -29,6 +29,11 @@ def as_rows(x, d: int) -> np.ndarray:
     return np.asarray(as_points(x, d), dtype=float).reshape(-1, d)
 
 
+def map_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``rows @ a.T`` with each row reduced on its own, alike in any batch."""
+    return np.vecdot(rows[:, None, :], a)
+
+
 def as_index(alpha) -> tuple[int, ...]:
     """Coerce to a tuple multi-index and validate non-negativity."""
     t = tuple(int(a) for a in np.atleast_1d(alpha))
@@ -65,3 +70,32 @@ class Lattice:
         """The points as int64 rows ``(len, d)``, last axis fastest."""
         axes = [np.arange(a, a + n) for a, n in zip(self.origin, self.shape)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
+
+
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The tensor grid ``axes[0] x ... x axes[d-1]``; ``len`` counts its
+    points, and :meth:`points` or ``np.asarray`` gives them as float rows
+    ``(len, d)``, last axis fastest."""
+
+    axes: tuple
+
+    def __post_init__(self):
+        axes = tuple(np.array(a, dtype=float).ravel() for a in self.axes)
+        if not axes or min(a.size for a in axes) < 1:
+            raise ValueError("a grid needs at least one point on every axis")
+        object.__setattr__(self, "axes", axes)
+
+    @property
+    def d(self) -> int:
+        return len(self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(a.size for a in self.axes)
+
+    def points(self) -> np.ndarray:
+        rows = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        return rows.reshape(-1, self.d)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.points(), dtype=dtype)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._arrays import Grid
 from ._quadrature import QuadSpec
 from .diffop import DiffOperator
 from .dilation import Dilation, operator_norm
@@ -36,12 +37,13 @@ _ANCHOR = 1.0 / math.sqrt(2.0)
 _FLOOR = 1e-12
 
 
-def make_grid(domain: Box, spacing: float) -> np.ndarray:
+def make_grid(domain: Box, spacing: float) -> Grid:
     """Uniform grid on the box with an irrational anchor offset.
 
     Points are ``lo + (i + 1/sqrt(2)) * spacing`` per coordinate, so the
     cell count per axis is ``floor(length / spacing)`` and every point lies
-    strictly inside the box.
+    strictly inside the box.  The :class:`Grid` keeps the axes, so
+    :func:`evaluate` can take its per-axis path.
     """
     if spacing <= 0:
         raise ValueError("grid spacing must be positive")
@@ -51,8 +53,7 @@ def make_grid(domain: Box, spacing: float) -> np.ndarray:
         if n < 1:
             raise ValueError("spacing exceeds the box size")
         axes.append(lo + (np.arange(n) + _ANCHOR) * spacing)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
+    return Grid(axes)
 
 
 def lp_distance(fv, qv, p: float, spacing: float, d: int) -> float:
@@ -288,9 +289,9 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     levels = list(range(plan.j_min, plan.j_max + 1))
     scales, errors = [], []
     for j in levels:
-        pts, spacing = level_grid(plan, domain, j)
-        qv = expand(g, m, j, plan.rule, f, domain, pts, plan.truncation_tol).values
-        errors.append(lp_distance(f.eval(pts), qv, plan.p, spacing, g.d))
+        grid, spacing = level_grid(plan, domain, j)
+        qv = expand(g, m, j, plan.rule, f, domain, grid, plan.truncation_tol).values
+        errors.append(lp_distance(f.eval(np.asarray(grid)), qv, plan.p, spacing, g.d))
         scales.append(m.scale(j))
     try:
         fit = fit_rate(scales, errors, levels=levels, skip=plan.fit_skip,

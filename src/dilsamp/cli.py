@@ -133,13 +133,16 @@ def _flag_generator(args):
         except ValueError as e:
             raise ConfigError(f"--params: {e}") from e
     params = _check_params(args.generator, values, "--params")
-    if args.generator in named_families:
-        return named_families[args.generator].make(params)
-    return named_generators[args.generator](args.dim)
+    family = named_families.get(args.generator)
+    if family is None:
+        return named_generators[args.generator](args.dim or 1)
+    if args.dim not in (None, family.d):
+        raise ConfigError(f"--dim: {family.name} is {family.d}-d, got {args.dim}")
+    return family.make(params)
 
 
 def cmd_strang_fix(args, out: Path) -> int:
-    if args.dim < 1:
+    if args.dim is not None and args.dim < 1:
         raise ConfigError("--dim: must be at least 1")
     if args.nmax < 1:
         raise ConfigError("--nmax: must be at least 1")
@@ -201,11 +204,12 @@ def cmd_expand(args, out: Path) -> int:
     g, j = plan.generator, args.level
     domain = study_domain(plan)
     try:
-        pts, _ = level_grid(plan, domain, j)
+        grid, _ = level_grid(plan, domain, j)
     except OverflowError as e:
         raise ConfigError(f"--level: {j} is out of range ({e})") from e
-    vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, pts,
+    vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, grid,
                   plan.truncation_tol).values
+    pts = np.asarray(grid)
     header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
     rows = (
         [_fmt(c) for c in pt] + [_fmt(v.real), _fmt(v.imag)]
@@ -289,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lattice moment-condition residuals")
     p.add_argument("--generator", required=True,
                    choices=sorted(named_generators))
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=None)  # default 1, or the family's
     p.add_argument("--params", default=None,
                    help="comma-separated family parameters")
     p.add_argument("--nmax", type=int, default=6)

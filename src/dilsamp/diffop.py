@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._arrays import as_index, as_points, as_rows
+from ._arrays import as_index, as_points, as_rows, map_rows
 from .multiindex import factorial, indices_below, indices_of_order, monomial
 from .taylor import chain_rule_matrix
 
@@ -141,7 +141,7 @@ def apply_to_signal(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
     """
     ks = as_rows(ks, op.d)
     a = np.asarray(m.power(-j), dtype=float)
-    y = ks @ a.T
+    y = map_rows(ks, a)
     if f.deriv_order is not None and op.order > f.deriv_order:
         raise ValueError(
             f"operator order {op.order} exceeds signal smoothness {f.deriv_order}"
@@ -150,6 +150,7 @@ def apply_to_signal(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
     for p, (idx, w) in _order_weights(op, a).items():
         if not np.any(w != 0):
             continue
-        derivs = np.stack([np.asarray(f.derivative(al, y), dtype=complex) for al in idx])
-        out += w @ derivs
+        derivs = [np.asarray(f.derivative(al, y), dtype=complex) for al in idx]
+        # vecdot conjugates its first argument; conj(w) undoes that exactly
+        out += np.vecdot(w.conj(), np.stack(derivs, axis=-1))
     return out

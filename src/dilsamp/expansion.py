@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import Lattice, as_rows
+from ._arrays import Grid, Lattice, as_rows, map_rows
 from ._quadrature import QuadSpec, ball_rule
 from .diffop import DiffOperator, apply_to_signal
 from .dilation import Dilation
@@ -121,7 +121,9 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
     ``t = (x0 - base) / A``; only the bases with such an offset strictly
     inside ``(-h, h)`` are recomputed with the segment rule split there,
     the same strict test :func:`segment_rule` applies.  That correction
-    touches at most ``floor(2h) + 1`` bases per kink.
+    touches at most ``floor(2h) + 1`` bases per kink.  Each base's sum is
+    reduced on its own (``np.vecdot``), so its value does not depend on
+    the other bases in the call.
     """
     d = bases.shape[1]
     nodes, weights = ball_rule(d, h, quad)
@@ -132,7 +134,7 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
         chunk = bases[lo : lo + step]
         pts = chunk[:, None, :] + mapped[None, :, :]
         vals = np.asarray(f.eval(pts))
-        out[lo : lo + step] = vals @ weights
+        out[lo : lo + step] = np.vecdot(weights, vals)
     kinks = tuple(getattr(f, "kinks", ()) or ())
     if kinks and d == 1:
         scale = float(a[0, 0])
@@ -141,7 +143,7 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
         for i in np.flatnonzero(inside):
             split_nodes, split_weights = ball_rule(1, h, quad, breaks=breaks[i])
             pts = bases[i, 0] + split_nodes * scale
-            out[i] = np.asarray(f.eval(pts)) @ split_weights
+            out[i] = np.vecdot(split_weights, np.asarray(f.eval(pts)))
     return out
 
 
@@ -218,7 +220,7 @@ def coefficients(
         raise ValueError("lattice dimension does not match the dilation")
     ks = lattice.points()
     a = np.asarray(m.power(-j), dtype=float)
-    bases = ks @ a.T
+    bases = map_rows(ks, a)
     if isinstance(rule, ExactRule):
         vals = np.asarray(f.eval(bases), dtype=complex)
     elif isinstance(rule, DifferentialRule):
@@ -243,7 +245,7 @@ def deviation(
     """
     ks = as_rows(ks, op.d)
     a = np.asarray(m.power(-j), dtype=float)
-    avg = _pullback_average(f, ks @ a.T, a, h, quad)
+    avg = _pullback_average(f, map_rows(ks, a), a, h, quad)
     return avg - apply_to_signal(op, f, m, j, ks)
 
 
@@ -254,45 +256,88 @@ def deviation(
 def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.ndarray:
     """Evaluate ``sum_k c_k phi(M^j x - k)`` at the given points.
 
+    ``points`` is one point, rows ``(n, d)`` or a :class:`Grid` (values in
+    :meth:`Grid.points` order).  When the points form a tensor grid (a
+    ``Grid``, or any points in 1-d), ``phi`` has a compactly supported
+    ``g.factor`` and ``M^j`` is diagonal, the sum is separable and is taken
+    per axis: ``width`` taps along each axis of the coefficient box instead
+    of ``width**d`` translates per point.  That path agrees with the
+    general one to ``1e-14 * max|c_k|`` per point, and bit for bit in 1-d.
+
     Every lattice point whose generator translate is nonzero at some
     evaluation point must lie in the coefficient box
     (:class:`MissingCoefficientError` otherwise).  For unbounded generators
     the whole box is summed; build it from :func:`lattice_support` so the
     omitted tail is below the truncation tolerance.
     """
-    pts = as_rows(points, g.d)
-    if cs.lattice.d != g.d:
-        raise ValueError("coefficient box dimension does not match the generator")
+    if cs.lattice.d != g.d or (isinstance(points, Grid) and points.d != g.d):
+        raise ValueError("box or grid dimension does not match the generator")
     mj = np.asarray(m.power(j), dtype=float)
-    part = _evaluate_full if g.support_radius is None else _evaluate_compact
+    compact = g.support_radius is not None
+    if compact and g.factor is not None and np.array_equal(mj, np.diag(mj.diagonal())):
+        if g.d == 1 and not isinstance(points, Grid):
+            points = Grid(as_rows(points, 1).T)
+        if isinstance(points, Grid):
+            return _evaluate_axes(g, mj.diagonal(), points, cs)
+    pts = as_rows(points, g.d)
+    part = _evaluate_compact if compact else _evaluate_full
     out = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], _CHUNK):
         out[lo : lo + _CHUNK] = part(g, pts[lo : lo + _CHUNK] @ mj.T, cs)
     return out
 
 
-def _evaluate_compact(g, y, cs: Coefficients):
+def _taps(g, y):
+    """The translates that may reach ``y``: ``k0 + t`` for ``t < width``."""
     r = g.support_radius
     width = int(math.floor(2 * r + 2 * _EDGE)) + 1
-    k0 = np.ceil(y - r - _EDGE).astype(np.int64)
+    return np.ceil(y - r - _EDGE).astype(np.int64), width
+
+
+def _inside(phi, k, lo, hi, what="lattice point {}"):
+    """Where the tap's lattice points ``k`` lie in the box ``[lo, hi)``, or
+    None when the tap reaches no point; raises if one outside reaches one."""
+    live = phi != 0
+    if not np.any(live):
+        return None
+    inside = np.all((k >= lo) & (k < hi), axis=-1)
+    if np.any(live & ~inside):
+        missing = what.format(k[live & ~inside][0])
+        raise MissingCoefficientError(f"no coefficient for {missing}")
+    return inside
+
+
+def _evaluate_axes(g, scales, grid: Grid, cs: Coefficients):
+    """The tap loop of :func:`_evaluate_compact` along one axis of the
+    coefficient box at a time, with ``g.factor`` in place of ``phi``."""
+    vals = cs.values
+    for a, (x, s, lo) in enumerate(zip(grid.axes, scales, cs.lattice.origin)):
+        y = s * x
+        k0, width = _taps(g, y)
+        acc = np.zeros(vals.shape[:a] + y.shape + vals.shape[a + 1 :], dtype=complex)
+        for k in k0 + np.arange(width)[:, None]:
+            phi = np.asarray(g.factor(y - k))
+            inside = _inside(phi, k[:, None], lo, lo + vals.shape[a],
+                             f"lattice coordinate {{}} on axis {a}")
+            if inside is not None:
+                term = np.take(vals, np.where(inside, k - lo, 0), axis=a)
+                term *= np.where(inside, phi, 0).reshape((-1,) + (1,) * (grid.d - a - 1))
+                acc += term
+        vals = acc
+    return vals.ravel()
+
+
+def _evaluate_compact(g, y, cs: Coefficients):
+    k0, width = _taps(g, y)
     acc = np.zeros(y.shape[0], dtype=complex)
     origin = np.asarray(cs.lattice.origin)
-    kmax = origin + np.asarray(cs.lattice.shape) - 1
     for off in Lattice((0,) * g.d, (width,) * g.d).points():
         k = k0 + off
         phi = np.asarray(g.spatial(y - k))
-        live = phi != 0
-        if not np.any(live):
-            continue
-        inside = np.all((k >= origin) & (k <= kmax), axis=1)
-        bad = live & ~inside
-        if np.any(bad):
-            missing = k[bad.argmax()]
-            raise MissingCoefficientError(
-                f"no coefficient for lattice point {tuple(missing)}"
-            )
-        sel = tuple(np.where(inside[:, None], k - origin, 0).T)
-        acc += np.where(inside, cs.values[sel], 0.0) * phi
+        inside = _inside(phi, k, origin, origin + cs.values.shape)
+        if inside is not None:
+            sel = tuple(np.where(inside[:, None], k - origin, 0).T)
+            acc += np.where(inside, cs.values[sel], 0.0) * phi
     return acc
 
 
@@ -312,13 +357,13 @@ class ExpansionResult:
     """One evaluated expansion at one level.
 
     ``coefficients`` holds the :class:`Coefficients` on the
-    :func:`lattice_support` box, and ``points`` the evaluation points as
-    rows ``(n, d)``.
+    :func:`lattice_support` box, and ``points`` the evaluation points: the
+    :class:`Grid` when one was given, rows ``(n, d)`` otherwise.
     """
 
     level: int
     coefficients: Coefficients
-    points: np.ndarray
+    points: Union[Grid, np.ndarray]
     values: np.ndarray
 
 
@@ -335,7 +380,7 @@ def expand(
     """Convenience wrapper: lattice support, coefficients, evaluation."""
     lat = lattice_support(g, m, j, domain, truncation_tol)
     cs = coefficients(rule, f, m, j, lat)
-    pts = as_rows(points, g.d)
+    pts = points if isinstance(points, Grid) else as_rows(points, g.d)
     vals = evaluate(g, m, j, cs, pts)
     return ExpansionResult(j, cs, pts, vals)
 

@@ -49,7 +49,8 @@ class Generator:
     the declared moment-condition order (None for band-limited spectra,
     which satisfy the conditions to every order).  ``fourier_analytic``
     marks spectra that are smooth on all of frequency space; spectra with
-    lattice kinks only admit the order-1 value check.
+    lattice kinks only admit the order-1 value check.  ``factor`` is the 1-d
+    function with ``phi(x) = prod_i factor(x_i)``, or None if there is none.
     """
 
     name: str
@@ -63,6 +64,7 @@ class Generator:
     band_limited: bool = False
     interpolatory: bool = False
     params: dict = field(default_factory=dict)
+    factor: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,8 @@ def _triangle(s):
 
 def sinc_squared(d: int = 1) -> Generator:
     """Tensor squared sinc; triangular spectrum, interpolatory, order 1."""
-    spatial = _tensor(lambda x: np.sinc(x) ** 2 + 0.0j, d)
+    factor = lambda x: np.sinc(x) ** 2 + 0.0j
+    spatial = _tensor(factor, d)
     fourier = _tensor(_triangle, d)
     return Generator(
         name="sinc_squared",
@@ -198,6 +201,7 @@ def sinc_squared(d: int = 1) -> Generator:
         decay_const=1.0 / math.pi**2,
         fourier_analytic=False,
         interpolatory=True,
+        factor=factor,
     )
 
 
@@ -225,12 +229,14 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
         decay_const=2.0 / math.pi**2 * 4.0,
         fourier_analytic=False,
         band_limited=True,
+        factor=(lambda x: spatial(np.asarray(x)[..., None])) if d == 1 else None,
     )
 
 
 def hat(d: int = 1) -> Generator:
     """Tensor hat (order-2 B-spline); squared-sinc spectrum, order 2."""
-    spatial = _tensor(lambda x: bspline(2, x) + 0.0j, d)
+    factor = lambda x: bspline(2, x) + 0.0j
+    spatial = _tensor(factor, d)
     fourier = _tensor(lambda s: np.sinc(s) ** 2, d)
     return Generator(
         name="hat",
@@ -240,6 +246,7 @@ def hat(d: int = 1) -> Generator:
         support_radius=1.0,
         sf_order=2,
         interpolatory=True,
+        factor=factor,
     )
 
 
@@ -318,6 +325,7 @@ def bspline4_1d(b1: complex = 0.0, b2: complex = 0.0, b3: complex = 0.0) -> Gene
         support_radius=float(reach),
         sf_order=4,
         params={"b1": complex(b1), "b2": complex(b2), "b3": complex(b3)},
+        factor=shifted,
     )
 
 

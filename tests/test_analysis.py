@@ -26,7 +26,7 @@ from dilsamp import (
 
 class TestGrid:
     def test_irrational_anchor_avoids_lattice(self):
-        g = make_grid(Box((0.0,), (1.0,)), 0.25)
+        g = np.asarray(make_grid(Box((0.0,), (1.0,)), 0.25))
         assert g.shape == (4, 1)
         assert g[0, 0] == pytest.approx(0.25 / math.sqrt(2.0))
         assert np.all((g > 0.0) & (g < 1.0))
@@ -34,7 +34,7 @@ class TestGrid:
         assert np.allclose(np.diff(g[:, 0]), 0.25)
 
     def test_two_dimensional_product(self):
-        g = make_grid(Box.centered(1.0, 2), 0.5)
+        g = np.asarray(make_grid(Box.centered(1.0, 2), 0.5))
         assert g.shape == (16, 2)
         assert np.all(np.abs(g) < 1.0)
 

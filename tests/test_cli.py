@@ -127,6 +127,18 @@ class TestStrangFix:
         assert capsys.readouterr().err.startswith(f"config error: {needle}")
 
 
+    def test_family_dim_must_match(self, tmp_path, capsys):
+        args = ["strang-fix", "--generator", "bspline3_2d", "--params", "0.5,0.5",
+                "--nmax", "1"]
+        rc = main(args + ["--dim", "3", "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --dim: bspline3_2d is 2-d, got 3")
+        assert not (tmp_path / "bad" / "strang_fix.json").exists()
+        assert main(args + ["--dim", "2", "--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "strang_fix.json").exists()
+
+
 class TestCalibrate:
     def test_ball_context_artifact(self, tmp_path):
         out = tmp_path / "out"

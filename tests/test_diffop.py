@@ -178,13 +178,11 @@ _SHEAR = dilation([[3, 1], [0, 3]])
 ], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
         "deviation-1d", "apply_to_signal-2d"])
 def test_one_point_call_matches_its_row(call, rows):
-    # The same terms are summed either way, but NumPy reduces a lone row with
-    # a dot kernel and several rows with a matrix-vector kernel, whose
-    # real-valued form also sums a row by its place in a block of four; the
-    # order of a sum of O(1) terms may differ, so allow 4 ulps of 1.
+    # Each row's sum is reduced on its own, so a one-point call gives the
+    # many-point call's value bit for bit.
     many = call(rows)
     assert many.shape == (len(rows),)
     for i, row in enumerate(rows):
         one = call(row)
         assert one.shape == (1,)
-        assert abs(one[0] - many[i]) <= 4 * np.finfo(float).eps, f"row {i}"
+        assert one[0] == many[i], f"row {i}"

@@ -12,12 +12,15 @@ from dilsamp import (
     DifferentialRule,
     ExactRule,
     FalsifiedRule,
+    Grid,
     Lattice,
     MissingCoefficientError,
     ball_operator,
+    bspline4_1d,
     coefficients,
     delta_operator,
     deviation,
+    diagonal,
     dilation,
     dyadic,
     evaluate,
@@ -26,11 +29,15 @@ from dilsamp import (
     hat,
     laplace1d,
     lattice_support,
+    make_grid,
     matern1d,
+    operator_norm,
     polynomial,
     quincunx,
     sinc_squared,
+    triadic,
 )
+from dilsamp import expansion
 from dilsamp._quadrature import QuadSpec, ball_rule
 
 
@@ -62,6 +69,24 @@ class TestLattice:
     def test_rejects_mismatched_axes(self):
         with pytest.raises(ValueError, match="one entry per axis"):
             Lattice([0, 0], [3])
+
+
+class TestGrid:
+    def test_points_are_the_old_make_grid_rows(self):
+        domain, spacing = Box((-1.0, 0.0, 2.0), (1.0, 0.5, 2.75)), 0.25
+        grid = make_grid(domain, spacing)
+        # the rows make_grid built before it returned a Grid
+        axes = [lo + (np.arange(math.floor((hi - lo) / spacing)) + 1 / math.sqrt(2)) * spacing
+                for lo, hi in zip(domain.lo, domain.hi)]
+        rows = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert grid.d == 3 and rows.shape == (8 * 2 * 3, 3)
+        assert np.array_equal(grid.points(), rows)
+        assert len(grid) == len(rows)
+        assert np.array_equal(np.asarray(grid), rows)
+
+    def test_rejects_an_empty_axis(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            Grid(([0.0, 1.0], []))
 
 
 class TestLatticeSupport:
@@ -234,6 +259,71 @@ class TestEvaluation:
         assert np.array_equal(np.asarray(cs), cs.values)
         assert res.points.shape == (1, 1)
         assert res.values.shape == (1,)
+
+
+def _general(g, m, j, cs, grid):
+    """The general compact path of ``evaluate`` on the grid's rows."""
+    return expansion._evaluate_compact(
+        g, np.asarray(grid) @ np.asarray(m.power(j), dtype=float).T, cs)
+
+
+def _expansion_on_grid(g, m, j, halfwidth=1.5):
+    domain = Box.centered(halfwidth, g.d)
+    cs = coefficients(ExactRule(), gaussian(g.d), m, j, lattice_support(g, m, j, domain))
+    return cs, make_grid(domain, operator_norm(m.power(-j)) / 8)
+
+
+class TestPerAxisEvaluation:
+    # (generator, dilation, level): M^j is diagonal in every case
+    CASES = [
+        (hat(1), dyadic(1), 3),
+        (hat(1), dilation([[-2]]), 3),
+        (hat(1), triadic(1), 2),
+        # ball-calibrated at h = 0.5, and with imaginary odd-shift amplitudes
+        (bspline4_1d(0.0, 2 / 3 + 2 * 0.5**2 / 3, 0.0), dyadic(1), 3),
+        (bspline4_1d(0.2, 0.5, -0.1), triadic(1), 2),
+        (hat(2), dyadic(2), 3),
+        (hat(2), diagonal((2, 3)), 2),
+        (hat(3), dyadic(3), 1),
+        # the quincunx M squares to 2I, so even levels are diagonal
+        (hat(2), quincunx(), 4),
+    ]
+
+    @pytest.mark.parametrize("g,m,j", CASES, ids=[
+        "hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
+        "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even"])
+    def test_matches_the_general_path(self, g, m, j, monkeypatch):
+        cs, grid = _expansion_on_grid(g, m, j)
+        ref = _general(g, m, j, cs, grid)
+        # rows take the general path in d >= 2; in 1-d they form a one-axis
+        # grid, whose per-axis sum is the general path's arithmetic
+        assert np.array_equal(evaluate(g, m, j, cs, np.asarray(grid)), ref)
+        calls = []
+        monkeypatch.setattr(expansion, "_evaluate_compact",
+                            lambda *a: calls.append(a))
+        got = evaluate(g, m, j, cs, grid)
+        assert not calls
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(cs.values))
+        if g.d == 1:
+            assert np.array_equal(got, ref)
+
+    def test_odd_quincunx_level_takes_the_general_path(self, monkeypatch):
+        g, m, j = hat(2), quincunx(), 3
+        cs, grid = _expansion_on_grid(g, m, j)
+        monkeypatch.setattr(expansion, "_evaluate_axes", None)
+        assert np.array_equal(evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid))
+
+    def test_missing_coefficient_detected(self):
+        cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
+        # phi(x - (1, k2)) is nonzero at x = (0.3, 0.6), outside the box
+        missing = r"no coefficient for lattice coordinate \[1\] on axis 0"
+        with pytest.raises(MissingCoefficientError, match=missing):
+            evaluate(hat(2), dyadic(2), 0, cs, Grid(([0.3], [0.6])))
+
+    def test_grid_dimension_checked(self):
+        cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
+        with pytest.raises(ValueError, match="dimension"):
+            evaluate(hat(2), dyadic(2), 0, cs, Grid(([0.3],)))
 
 
 class TestDeviation:
