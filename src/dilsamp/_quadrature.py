@@ -1,11 +1,13 @@
-"""Quadrature rules for ball averages.
+"""Deterministic quadrature rules for ball averages.
 
-Deterministic rules in one and two dimensions (Gauss-Legendre on the
-segment, Gauss-Legendre in radius times a trapezoid rule in angle on the
-disk), fixed-seed Monte Carlo in higher dimensions.
+Gauss-Legendre on the segment, split at kinks; on the d-ball for every
+``d >= 2``, one spherical product rule (Stroud, 1971): Gauss-Legendre in
+the radius with ``r**(d-1)`` in the weights, the trapezoid rule in the
+azimuth, and Gauss-Gegenbauer (Golub-Welsch, 1969) in each polar angle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +17,13 @@ import numpy as np
 class QuadSpec:
     """Parameters of the ball-average quadrature.
 
-    ``order`` is the Gauss-Legendre point count (segment and radial),
-    ``angular`` the number of equispaced angles on the disk, ``mc_samples``
-    and ``seed`` drive the Monte Carlo rule used for dimension 3 and up.
+    ``order`` is the Gauss point count of the segment (per panel), of the
+    radius and of each polar angle; the azimuth takes ``2 * order``
+    equispaced angles.  Every rule is exact for polynomials of total
+    degree ``2 * order - d`` on the d-ball.
     """
 
     order: int = 16
-    angular: int = 32
-    mc_samples: int = 200_000
-    seed: int = 0
 
 
 def gauss_legendre(n: int, a: float, b: float):
@@ -31,6 +31,16 @@ def gauss_legendre(n: int, a: float, b: float):
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def gauss_gegenbauer(n: int, a: float):
+    """Nodes and weights on ``[-1, 1]`` for the weight ``(1 - t**2)**a``,
+    by Golub-Welsch on the weight's Jacobi matrix."""
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1)))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    return t, mass * v[0] ** 2
 
 
 def segment_rule(radius: float, quad: QuadSpec, breaks=()):
@@ -51,40 +61,28 @@ def segment_rule(radius: float, quad: QuadSpec, breaks=()):
     return nodes[:, None], weights
 
 
-def disk_rule(radius: float, quad: QuadSpec):
-    """Average-one rule on the disk of given radius: weights sum to 1."""
-    r, wr = gauss_legendre(quad.order, 0.0, radius)
-    theta = 2.0 * np.pi * np.arange(quad.angular) / quad.angular
-    wt = 2.0 * np.pi / quad.angular
-    nodes = np.stack(
-        [
-            np.outer(r, np.cos(theta)).ravel(),
-            np.outer(r, np.sin(theta)).ravel(),
-        ],
-        axis=-1,
-    )
-    weights = (np.outer(wr * r, np.full_like(theta, wt))).ravel()
-    return nodes, weights / (np.pi * radius**2)
-
-
-def ball_mc_rule(d: int, radius: float, quad: QuadSpec):
-    """Average-one Monte Carlo rule on the d-ball (fixed seed)."""
-    rng = np.random.default_rng(quad.seed)
-    n = quad.mc_samples
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.random(n) ** (1.0 / d)
-    nodes = dirs * radii[:, None]
-    weights = np.full(n, 1.0 / n)
-    return nodes, weights
-
-
 def ball_rule(d: int, radius: float, quad: QuadSpec, breaks=()):
-    """Dispatch an average-one rule on the d-ball of given radius."""
+    """Average-one rule on the d-ball of given radius: weights sum to 1.
+
+    ``d = 1`` is :func:`segment_rule`.  For ``d >= 2`` the directions
+    start as ``2 * order`` angles on the circle; the sphere in ``k``
+    dimensions is ``(sqrt(1 - t**2) u, t)`` for ``u`` on the sphere in
+    ``k - 1``, with measure ``(1 - t**2)**((k - 3) / 2) dt du``.
+    """
     if radius <= 0:
         raise ValueError("ball radius must be positive")
     if d == 1:
         return segment_rule(radius, quad, breaks)
-    if d == 2:
-        return disk_rule(radius, quad)
-    return ball_mc_rule(d, radius, quad)
+    n = 2 * quad.order
+    theta = 2.0 * np.pi * np.arange(n) / n
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    wdir = np.full_like(theta, 2.0 * np.pi / n)
+    for k in range(3, d + 1):
+        t, wt = gauss_gegenbauer(quad.order, (k - 3) / 2)
+        up = (np.sqrt(1.0 - t**2)[:, None, None] * dirs).reshape(-1, k - 1)
+        dirs = np.column_stack([up, np.repeat(t, len(dirs))])
+        wdir = np.outer(wt, wdir).ravel()
+    r, wr = gauss_legendre(quad.order, 0.0, radius)
+    nodes = (r[:, None, None] * dirs).reshape(-1, d)
+    weights = np.outer(wr * r ** (d - 1), wdir).ravel()
+    return nodes, weights / (math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d)

@@ -126,11 +126,10 @@ _STUDY_CHECKS = {
     "quad_order": lambda v, path: _integer(v, path, minimum=2),
     "fit_skip": lambda v, path: _integer(v, path, minimum=0),
     "slope_tolerance": lambda v, path: _real(v, path, positive=True),
-    "seed": lambda v, path: _integer(v, path, minimum=0),
 }
 
 # Study keys that StudyPlan takes as they are; p becomes a float, and
-# quad_order and seed go to the quadrature of a falsified rule.
+# quad_order goes to the quadrature of a falsified rule.
 _PLAN_KEYS = tuple(k for k in _STUDY_CHECKS if k != "p" and hasattr(StudyPlan, k))
 
 # The defaults of StudyPlan and QuadSpec, with p as its label.
@@ -138,7 +137,6 @@ STUDY_DEFAULTS = {
     **{k: getattr(StudyPlan, k) for k in _PLAN_KEYS},
     "p": "inf",
     "quad_order": QuadSpec.order,
-    "seed": QuadSpec.seed,
 }
 
 
@@ -180,7 +178,7 @@ class ExperimentConfig:
         return math.inf if label == "inf" else float(label)
 
     def quad(self) -> QuadSpec:
-        return QuadSpec(order=self.study["quad_order"], seed=self.study["seed"])
+        return QuadSpec(order=self.study["quad_order"])
 
     def build_dilation(self) -> Dilation:
         try:

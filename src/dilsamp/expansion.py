@@ -105,10 +105,10 @@ def ball_average(f, centers, radius: float, quad: QuadSpec = QuadSpec()) -> np.n
     """Averages of ``f`` over the balls of given centers and radius.
 
     ``centers`` is one point or rows ``(n, d)``; the result has one entry
-    per center.  Deterministic quadrature in dimensions 1 and 2
-    (Gauss-Legendre and a polar product rule), fixed-seed Monte Carlo
-    beyond.  In dimension 1 the segment rule is split at the signal's
-    declared kinks strictly inside a ball (see :func:`_pullback_average`).
+    per center.  The quadrature (:func:`ball_rule`) is deterministic and
+    exact for polynomials of degree ``2 * quad.order - d``; in dimension 1
+    it is split at the signal's declared kinks strictly inside a ball (see
+    :func:`_pullback_average`).
     """
     return _pullback_average(f, as_rows(centers, f.d), np.eye(f.d), radius, quad)
 
@@ -263,6 +263,7 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     per axis: ``width`` taps along each axis of the coefficient box instead
     of ``width**d`` translates per point.  That path agrees with the
     general one to ``1e-14 * max|c_k|`` per point, and bit for bit in 1-d.
+    Each point is mapped on its own, so a one-point call gives its row's bits.
 
     Every lattice point whose generator translate is nonzero at some
     evaluation point must lie in the coefficient box
@@ -283,7 +284,7 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     part = _evaluate_compact if compact else _evaluate_full
     out = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], _CHUNK):
-        out[lo : lo + _CHUNK] = part(g, pts[lo : lo + _CHUNK] @ mj.T, cs)
+        out[lo : lo + _CHUNK] = part(g, map_rows(pts[lo : lo + _CHUNK], mj), cs)
     return out
 
 

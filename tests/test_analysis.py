@@ -22,6 +22,7 @@ from dilsamp import (
     predicted_rate,
     study_domain,
 )
+from dilsamp._quadrature import QuadSpec
 
 
 class TestGrid:
@@ -208,3 +209,11 @@ class TestStudies:
                               0.5, j_min=1, j_max=5, domain_halfwidth=2.0)
         assert rep.predicted_rate == pytest.approx(2.0)
         assert 1.5 < rep.fitted_slope < 2.5
+
+    def test_deviation_study_3d_reaches_the_predicted_rate(self):
+        # the deterministic ball rule does not floor the deviation; the
+        # bound on the slope is criterion 12's
+        rep = deviation_study(gaussian(3), ball_operator(3, 3, 0.5), dyadic(3), 0.5,
+                              j_min=1, j_max=4, domain_halfwidth=0.75, quad=QuadSpec(order=6))
+        assert rep.predicted_rate == 4
+        assert rep.fitted_slope >= 3.7

@@ -48,7 +48,6 @@ STUDY_ECHO = {
         "quad_order": 16,
         "fit_skip": 1,
         "slope_tolerance": 0.25,
-        "seed": 0,
     },
 }
 

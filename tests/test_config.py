@@ -43,7 +43,6 @@ class TestDefaults:
         assert study["quad_order"] == 16
         assert study["fit_skip"] == 2
         assert study["slope_tolerance"] == 0.25
-        assert study["seed"] == 0
         assert cfg.generator["params"] is None
         assert cfg.signal == {"kind": "gaussian"}
 
@@ -55,17 +54,14 @@ class TestDefaults:
             **{k: plan[k] for k in STUDY_DEFAULTS if k in plan},
             "p": "inf",
             "quad_order": quad.order,
-            "seed": quad.seed,
         }
 
     def test_numeric_p_normalizes(self):
         cfg = from_mapping(minimal(study={"p": 2}))
         assert cfg.study["p"] == "2" and cfg.p == 2.0
 
-    def test_quad_spec_carries_order_and_seed(self):
-        cfg = from_mapping(minimal(study={"quad_order": 24, "seed": 7}))
-        q = cfg.quad()
-        assert (q.order, q.seed) == (24, 7)
+    def test_quad_spec_carries_order(self):
+        assert from_mapping(minimal(study={"quad_order": 24})).quad() == QuadSpec(order=24)
 
 
 class TestRejections:
@@ -75,6 +71,8 @@ class TestRejections:
             (lambda d: d.update(extra={}), "config.extra: unknown key"),
             (lambda d: d.pop("signal"), "config.signal: required"),
             (lambda d: d["study"].update(bogus=1), "study.bogus: unknown key"),
+            # the ball rule is deterministic in every dimension: no seed
+            (lambda d: d["study"].update(seed=0), "study.seed: unknown key"),
             (lambda d: d["dilation"].update(rows=[[2, 0]]), "dilation.rows[0]"),
             (lambda d: d["dilation"].update(rows=[[1.5]]), "expected an integer"),
             (lambda d: d["generator"].update(family="mystery"), "generator.family"),
@@ -206,7 +204,7 @@ class TestEcho:
                 "operator": {"kind": "ball", "N": 2, "h": 0.5},
                 "signal": {"kind": "gaussian"},
                 "rule": {"kind": "differential"},
-                "study": {"p": "2", "domain_halfwidth": 3.0, "seed": 4},
+                "study": {"p": "2", "domain_halfwidth": 3.0},
             },
         ],
         ids=["ball", "kinked-offset", "falsified", "list-params",

@@ -5,23 +5,30 @@ import numpy as np
 import pytest
 
 from dilsamp import (
+    Box,
     DiffOperator,
+    ExactRule,
     apply_to_signal,
     ball_average,
     ball_moments,
     ball_operator,
+    coefficients,
     delta_operator,
     deviation,
     dilation,
     dyadic,
+    evaluate,
     gaussian,
+    hat,
     laplace1d,
+    lattice_support,
     polynomial,
     quincunx,
     symbol,
     triadic,
 )
-from dilsamp._quadrature import QuadSpec, ball_rule, disk_rule, gauss_legendre, segment_rule
+from dilsamp._quadrature import QuadSpec, ball_rule, gauss_legendre, segment_rule
+from dilsamp.multiindex import factorial, indices_below
 
 PI = math.pi
 
@@ -33,10 +40,38 @@ class TestQuadratureRules:
 
     def test_rules_average_normalized(self):
         assert segment_rule(0.7, QuadSpec())[1].sum() == pytest.approx(1.0)
-        assert disk_rule(1.3, QuadSpec())[1].sum() == pytest.approx(1.0)
+        assert ball_rule(2, 1.3, QuadSpec())[1].sum() == pytest.approx(1.0)
+        order = QuadSpec().order
         pts, w = ball_rule(3, 1.0, QuadSpec())
-        assert pts.shape == (QuadSpec().mc_samples, 3)
+        assert pts.shape == (2 * order**3, 3)
         assert w.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d,order,degree", [(2, 16, 8), (3, 16, 8), (4, 8, 8), (3, 5, 7)])
+    def test_product_rule_matches_ball_moments(self, d, order, degree):
+        # exact up to degree 2 * order - d: the mean of t**beta over the
+        # ball is beta! a_beta; the odd ones vanish, compared at scale h**p
+        h = 0.7
+        pts, w = ball_rule(d, h, QuadSpec(order))
+        powers = pts.T[:, None, :] ** np.arange(degree + 1)[:, None]  # (axis, power, node)
+        moments = ball_moments(d, degree, h)
+        for beta in indices_below(degree + 1, d):
+            got = w @ np.prod(powers[range(d), beta], axis=0)
+            want = factorial(beta) * moments[beta]
+            scale = abs(want) if want else h ** sum(beta)
+            assert abs(got - want) <= 1e-13 * scale, beta
+
+    @pytest.mark.parametrize("radius", [0.25, 0.5, 1.3])
+    def test_disk_rule_is_the_polar_product(self, radius):
+        # the former 2-d rule: Gauss-Legendre radius times 32 angles
+        quad = QuadSpec()
+        r, wr = gauss_legendre(quad.order, 0.0, radius)
+        theta = 2.0 * np.pi * np.arange(32) / 32
+        nodes = np.stack(
+            [np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()], axis=-1)
+        weights = np.outer(wr * r, np.full_like(theta, 2.0 * np.pi / 32)).ravel()
+        got_nodes, got_weights = ball_rule(2, radius, quad)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got_weights, weights / (np.pi * radius**2))
 
     def test_segment_split_handles_kinks(self):
         # average of |x| over [-1, 1] is exactly 1/2 once split at the kink
@@ -68,11 +103,12 @@ class TestBallAverage:
         got = ball_average(laplace1d(0.0), [0.0], 1.0)[0]
         assert got == pytest.approx(1 - 1 / math.e, rel=1e-13)
 
-    def test_ball3_monte_carlo_average(self):
+    def test_ball3_average_of_square(self):
+        # (3 / 4 pi) int_{|x|<=1} x_1^2 dx = 1/5
         f = polynomial(3, {(2, 0, 0): 1.0})
         got = ball_average(f, [0.0, 0.0, 0.0], 1.0)[0]
-        assert got == pytest.approx(0.2, abs=5e-3)
-        # fixed seed: bitwise reproducible
+        assert got == pytest.approx(0.2, rel=1e-13)
+        # deterministic: bitwise reproducible
         assert got == ball_average(f, [0.0, 0.0, 0.0], 1.0)[0]
 
 
@@ -163,20 +199,26 @@ class TestApplyToSignal:
 _RNG = np.random.default_rng(5)
 _KS2 = _RNG.integers(-9, 10, size=(11, 2))
 _SHEAR = dilation([[3, 1], [0, 3]])
+# Exact coefficients of hat(2) under the shear at level 2: the entries of
+# M^2 are not powers of two, so each point must be mapped on its own.
+_SHEAR_CS = coefficients(
+    ExactRule(), gaussian(2), _SHEAR, 2, lattice_support(hat(2), _SHEAR, 2, Box.centered(1.0, 2)))
 
 
 @pytest.mark.parametrize("call,rows", [
     # 1-d centers around the kink at 1/3: some balls split, some not
     (lambda x: ball_average(laplace1d(1 / 3), x, 0.5), np.linspace(-0.9, 1.1, 11)[:, None]),
     (lambda x: ball_average(gaussian(2), x, 0.7), _RNG.uniform(-1, 1, size=(11, 2))),
-    # Monte Carlo in 3-d: 200,000 nodes, so every quadrature chunk is one row
+    # the 3-d product rule: 8,192 nodes per ball
     (lambda x: ball_average(gaussian(3), x, 0.6), _RNG.uniform(-1, 1, size=(3, 3))),
     (lambda x: deviation(gaussian(2), ball_operator(2, 2, 0.4), quincunx(), 3, x, 0.4), _KS2),
     (lambda x: deviation(gaussian(1), ball_operator(1, 3, 0.5), triadic(1), 2, x, 0.5),
      _KS2[:, :1]),
     (lambda x: apply_to_signal(ball_operator(2, 4, 0.5), gaussian(2), _SHEAR, 2, x), _KS2),
+    (lambda x: evaluate(hat(2), _SHEAR, 2, _SHEAR_CS, x),
+     np.random.default_rng(0).uniform(-1, 1, size=(200, 2))),
 ], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
-        "deviation-1d", "apply_to_signal-2d"])
+        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear"])
 def test_one_point_call_matches_its_row(call, rows):
     # Each row's sum is reduced on its own, so a one-point call gives the
     # many-point call's value bit for bit.

@@ -1,6 +1,10 @@
-"""The public names the demos and README import exist, without running them."""
+"""The public names the demos and README import exist, without running them,
+and the library runs on numpy alone."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,18 @@ def test_imports_from_dilsamp_are_exported(name, source):
 def test_every_exported_name_resolves():
     assert len(set(dilsamp.__all__)) == len(dilsamp.__all__)
     assert [n for n in dilsamp.__all__ if not hasattr(dilsamp, n)] == []
+
+
+def test_library_loads_no_scipy():
+    # import plus a 3-d ball average, in a fresh interpreter
+    code = (
+        "import sys, dilsamp\n"
+        "dilsamp.ball_average(dilsamp.gaussian(3), [0.0, 0.0, 0.0], 0.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
