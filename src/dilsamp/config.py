@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from ._quadrature import QuadSpec
@@ -65,6 +66,8 @@ def _reject_leftovers(sec: dict, path: str):
 def _real(value, path: str, positive: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # NaN fails every comparison
+        raise ConfigError(f"{path}: expected a finite number")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be positive")
     return float(value)

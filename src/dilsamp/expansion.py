@@ -35,6 +35,10 @@ from .dilation import Dilation
 from .generators import Generator
 
 _CHUNK = 1 << 17
+# Terms per tile of an unbounded generator's sum.  With tiles of 2**14 to
+# 2**17 terms glibc returned the temporaries and faulted them in again on
+# some spans, every tile; 2**13 did not on any span measured.
+_TILE = 1 << 13
 _EDGE = 1e-9
 
 
@@ -194,10 +198,11 @@ def lattice_support(
     For compactly supported generators this is a superset of every ``k``
     with ``supp phi(M^j . - k)`` meeting the domain (a thin boundary layer
     of vanishing terms may be included, which leaves the truncated sum
-    exact).  For unbounded generators the per-coordinate reach ``R`` is
-    chosen so each omitted term is below ``truncation_tol`` in magnitude:
-    the catalog decay ``|phi| <= decay_const / x**2`` per coordinate gives
-    ``R = sqrt(decay_const / truncation_tol)``.
+    exact).  For unbounded generators the reach per coordinate is
+    ``R = sqrt(decay_const / truncation_tol)``: by ``|phi| <= decay_const /
+    x**2``, each omitted translate has ``|phi| <= truncation_tol`` on the
+    domain.  That bounds neither its term ``c_k phi`` nor the omitted sum,
+    about ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
@@ -257,39 +262,57 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     """Evaluate ``sum_k c_k phi(M^j x - k)`` at the given points.
 
     ``points`` is one point, rows ``(n, d)`` or a :class:`Grid` (values in
-    :meth:`Grid.points` order).  When the points form a tensor grid (a
-    ``Grid``, or any points in 1-d), ``phi`` has a compactly supported
-    ``g.factor`` and ``M^j`` is diagonal, the sum is separable and is taken
-    per axis: ``width`` taps along each axis of the coefficient box instead
-    of ``width**d`` translates per point.  That path agrees with the
-    general one to ``1e-14 * max|c_k|`` per point, and bit for bit in 1-d.
-    Each point is mapped on its own, so a one-point call gives its row's bits.
+    :meth:`Grid.points` order).  Two kernels serve every generator: on a
+    tensor grid (a ``Grid``, or any points in 1-d), with ``g.factor`` set
+    and ``M^j`` diagonal, the sum runs along each axis of the coefficient
+    box; otherwise each point takes the ``d``-fold product of the taps.
+    The two agree to ``1e-14 * max|c_k|`` per point, bit for bit in 1-d,
+    and a one-point call gives its row's bits.
 
-    Every lattice point whose generator translate is nonzero at some
-    evaluation point must lie in the coefficient box
-    (:class:`MissingCoefficientError` otherwise).  For unbounded generators
-    the whole box is summed; build it from :func:`lattice_support` so the
-    omitted tail is below the truncation tolerance.
+    A compact generator taps the lattice points within its support radius
+    of each mapped point, one tap at a time; those it reaches must lie in
+    the box (:class:`MissingCoefficientError` otherwise).  An unbounded one
+    taps, per axis, the span of the nonzero coefficients, the same for
+    every point, and sums it in tiles of at most ``_TILE`` terms (points
+    times taps); the terms left out are zeros, so this is the whole
+    :func:`lattice_support` box up to summation order.
     """
     if cs.lattice.d != g.d or (isinstance(points, Grid) and points.d != g.d):
         raise ValueError("box or grid dimension does not match the generator")
     mj = np.asarray(m.power(j), dtype=float)
-    compact = g.support_radius is not None
-    if compact and g.factor is not None and np.array_equal(mj, np.diag(mj.diagonal())):
+    if g.support_radius is None:  # the nonzero span (one zero coefficient if none)
+        nz = np.argwhere(cs.values != 0) if cs.values.any() else np.zeros((1, g.d), int)
+        first, stop = nz.min(axis=0), nz.max(axis=0) + 1
+        cs = Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first),
+                          cs.values[tuple(map(slice, first, stop))])
+    if g.factor is not None and np.array_equal(mj, np.diag(mj.diagonal())):
         if g.d == 1 and not isinstance(points, Grid):
             points = Grid(as_rows(points, 1).T)
         if isinstance(points, Grid):
             return _evaluate_axes(g, mj.diagonal(), points, cs)
     pts = as_rows(points, g.d)
-    part = _evaluate_compact if compact else _evaluate_full
     out = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], _CHUNK):
-        out[lo : lo + _CHUNK] = part(g, map_rows(pts[lo : lo + _CHUNK], mj), cs)
+        y = map_rows(pts[lo : lo + _CHUNK], mj)
+        out[lo : lo + _CHUNK] = _evaluate_rows(g, y, cs)
+    return out
+
+
+def _span_sum(phi, y, ks, c):
+    """``sum_i c[..., 0, i] phi(y - ks[i])`` for each ``y``: ``phi`` is formed
+    in tiles of at most ``_TILE`` terms, and each ``y`` is reduced on its
+    own (``np.vecdot``, tap tiles in order)."""
+    c, width = np.conj(c), min(len(ks), _TILE)
+    step = _TILE // width
+    out = np.zeros(c.shape[:-2] + (len(y),), dtype=complex)
+    for lo, k in product(range(0, len(y), step), range(0, len(ks), width)):
+        tile = phi(y[lo : lo + step, None] - ks[k : k + width])
+        out[..., lo : lo + step] += np.vecdot(c[..., k : k + width], tile)
     return out
 
 
 def _taps(g, y):
-    """The translates that may reach ``y``: ``k0 + t`` for ``t < width``."""
+    """The translates that may reach ``y``: ``k0 + t`` for ``0 <= t < width``."""
     r = g.support_radius
     width = int(math.floor(2 * r + 2 * _EDGE)) + 1
     return np.ceil(y - r - _EDGE).astype(np.int64), width
@@ -309,14 +332,20 @@ def _inside(phi, k, lo, hi, what="lattice point {}"):
 
 
 def _evaluate_axes(g, scales, grid: Grid, cs: Coefficients):
-    """The tap loop of :func:`_evaluate_compact` along one axis of the
-    coefficient box at a time, with ``g.factor`` in place of ``phi``."""
+    """The sum of :func:`_evaluate_rows` along one axis of the coefficient
+    box at a time, with ``g.factor`` in place of ``phi``."""
     vals = cs.values
     for a, (x, s, lo) in enumerate(zip(grid.axes, scales, cs.lattice.origin)):
         y = s * x
+        if g.support_radius is None:
+            c = np.moveaxis(vals, a, -1)[..., None, :]
+            ks = lo + np.arange(vals.shape[a])
+            vals = np.moveaxis(_span_sum(g.factor, y, ks, c), -1, a)
+            continue
         k0, width = _taps(g, y)
         acc = np.zeros(vals.shape[:a] + y.shape + vals.shape[a + 1 :], dtype=complex)
-        for k in k0 + np.arange(width)[:, None]:
+        for t in range(width):
+            k = k0 + t
             phi = np.asarray(g.factor(y - k))
             inside = _inside(phi, k[:, None], lo, lo + vals.shape[a],
                              f"lattice coordinate {{}} on axis {a}")
@@ -328,28 +357,19 @@ def _evaluate_axes(g, scales, grid: Grid, cs: Coefficients):
     return vals.ravel()
 
 
-def _evaluate_compact(g, y, cs: Coefficients):
+def _evaluate_rows(g, y, cs: Coefficients):
+    if g.support_radius is None:
+        return _span_sum(g.spatial, y, cs.lattice.points(), cs.values.reshape(1, -1))
     k0, width = _taps(g, y)
     acc = np.zeros(y.shape[0], dtype=complex)
     origin = np.asarray(cs.lattice.origin)
-    for off in Lattice((0,) * g.d, (width,) * g.d).points():
+    for off in np.ndindex(*np.broadcast_to(width, g.d)):
         k = k0 + off
         phi = np.asarray(g.spatial(y - k))
         inside = _inside(phi, k, origin, origin + cs.values.shape)
         if inside is not None:
             sel = tuple(np.where(inside[:, None], k - origin, 0).T)
             acc += np.where(inside, cs.values[sel], 0.0) * phi
-    return acc
-
-
-def _evaluate_full(g, y, cs: Coefficients):
-    ks = cs.lattice.points()
-    acc = np.zeros(y.shape[0], dtype=complex)
-    step = max(1, _CHUNK // max(1, ks.shape[0]))
-    for lo in range(0, y.shape[0], step):
-        yc = y[lo : lo + step]
-        phi = np.asarray(g.spatial(yc[:, None, :] - ks[None, :, :]))
-        acc[lo : lo + step] = phi @ cs.values.ravel()
     return acc
 
 

@@ -231,6 +231,17 @@ class TestStudy:
         assert main(["expand", cfg, "--level", "1", "--out", str(out)]) == 0
         assert main(["calibrate", cfg, "--out", str(out)]) == 0
 
+    def test_non_finite_number_exits_two(self, tmp_path, capsys):
+        doc = dict(STUDY_DOC, study=dict(STUDY_DOC["study"], domain_halfwidth=math.inf))
+        cfg = write_doc(tmp_path, doc)
+        assert '"domain_halfwidth": Infinity' in (tmp_path / "experiment.json").read_text()
+        out = tmp_path / "out"
+        assert main(["study", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: study.domain_halfwidth: expected a finite")
+        assert not (out / "report.json").exists()
+        assert not (out / "study.csv").exists()
+
     def test_missing_document_exits_two(self, tmp_path):
         rc = main(["study", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "out")])

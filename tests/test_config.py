@@ -83,6 +83,21 @@ class TestRejections:
             (lambda d: d["study"].update(slope_tolerance=True), "expected a number"),
             (lambda d: d["study"].update(truncation_tol=-1e-10), "must be positive"),
             (lambda d: d["study"].update(grid_per_scale=1), "at least 2"),
+            # json.loads reads NaN and Infinity as floats
+            (lambda d: d["study"].update(domain_halfwidth=math.inf),
+             "study.domain_halfwidth: expected a finite number"),
+            (lambda d: d["study"].update(domain_halfwidth=math.nan),
+             "study.domain_halfwidth: expected a finite number"),
+            (lambda d: d["study"].update(slope_tolerance=math.nan),
+             "study.slope_tolerance: expected a finite number"),
+            (lambda d: d.update(operator={"kind": "ball", "N": 2, "h": math.nan},
+                                rule={"kind": "falsified", "h": math.nan}),
+             "operator.h: expected a finite number"),
+            (lambda d: d["signal"].update(kind="laplace1d", offset=-math.inf),
+             "signal.offset: expected a finite number"),
+            # an integer beyond the double range has no float value
+            (lambda d: d["study"].update(truncation_tol=10**400),
+             "study.truncation_tol: expected a finite number"),
         ],
     )
     def test_invalid_documents(self, mutate, needle):

@@ -24,6 +24,7 @@ from dilsamp import (
     lattice_support,
     polynomial,
     quincunx,
+    sinc_squared,
     symbol,
     triadic,
 )
@@ -203,6 +204,10 @@ _SHEAR = dilation([[3, 1], [0, 3]])
 # M^2 are not powers of two, so each point must be mapped on its own.
 _SHEAR_CS = coefficients(
     ExactRule(), gaussian(2), _SHEAR, 2, lattice_support(hat(2), _SHEAR, 2, Box.centered(1.0, 2)))
+# The unbounded generator sums the span of its nonzero coefficients in
+# chunks of points; the coarse tolerance keeps the box small.
+_SINC_CS = coefficients(ExactRule(), gaussian(2), _SHEAR, 1, lattice_support(
+    sinc_squared(2), _SHEAR, 1, Box.centered(1.0, 2), 1e-3))
 
 
 @pytest.mark.parametrize("call,rows", [
@@ -217,8 +222,10 @@ _SHEAR_CS = coefficients(
     (lambda x: apply_to_signal(ball_operator(2, 4, 0.5), gaussian(2), _SHEAR, 2, x), _KS2),
     (lambda x: evaluate(hat(2), _SHEAR, 2, _SHEAR_CS, x),
      np.random.default_rng(0).uniform(-1, 1, size=(200, 2))),
+    (lambda x: evaluate(sinc_squared(2), _SHEAR, 1, _SINC_CS, x),
+     np.random.default_rng(1).uniform(-1, 1, size=(200, 2))),
 ], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
-        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear"])
+        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear", "evaluate-2d-sinc"])
 def test_one_point_call_matches_its_row(call, rows):
     # Each row's sum is reduced on its own, so a one-point call gives the
     # many-point call's value bit for bit.

@@ -35,6 +35,7 @@ from dilsamp import (
     polynomial,
     quincunx,
     sinc_squared,
+    sinc_squared_twoscale,
     triadic,
 )
 from dilsamp import expansion
@@ -262,9 +263,9 @@ class TestEvaluation:
 
 
 def _general(g, m, j, cs, grid):
-    """The general compact path of ``evaluate`` on the grid's rows."""
-    return expansion._evaluate_compact(
-        g, np.asarray(grid) @ np.asarray(m.power(j), dtype=float).T, cs)
+    """The general path of ``evaluate`` on the grid's rows: without
+    ``g.factor`` no points form a tensor grid."""
+    return evaluate(dataclasses.replace(g, factor=None), m, j, cs, np.asarray(grid))
 
 
 def _expansion_on_grid(g, m, j, halfwidth=1.5):
@@ -287,11 +288,14 @@ class TestPerAxisEvaluation:
         (hat(3), dyadic(3), 1),
         # the quincunx M squares to 2I, so even levels are diagonal
         (hat(2), quincunx(), 4),
+        # unbounded: the taps span the nonzero coefficients
+        (sinc_squared(1), dyadic(1), 3),
     ]
 
     @pytest.mark.parametrize("g,m,j", CASES, ids=[
         "hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
-        "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even"])
+        "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even",
+        "sinc2-dyadic"])
     def test_matches_the_general_path(self, g, m, j, monkeypatch):
         cs, grid = _expansion_on_grid(g, m, j)
         ref = _general(g, m, j, cs, grid)
@@ -299,7 +303,7 @@ class TestPerAxisEvaluation:
         # grid, whose per-axis sum is the general path's arithmetic
         assert np.array_equal(evaluate(g, m, j, cs, np.asarray(grid)), ref)
         calls = []
-        monkeypatch.setattr(expansion, "_evaluate_compact",
+        monkeypatch.setattr(expansion, "_evaluate_rows",
                             lambda *a: calls.append(a))
         got = evaluate(g, m, j, cs, grid)
         assert not calls
@@ -324,6 +328,67 @@ class TestPerAxisEvaluation:
         cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
         with pytest.raises(ValueError, match="dimension"):
             evaluate(hat(2), dyadic(2), 0, cs, Grid(([0.3],)))
+
+
+def _whole_box(g, m, j, cs, points):
+    """The sum over every lattice point of the box, one row per point."""
+    y = np.asarray(points) @ np.asarray(m.power(j), dtype=float).T
+    ks = cs.lattice.points()
+    return g.spatial(y[:, None] - ks[None]) @ cs.values.ravel()
+
+
+class TestUnboundedEvaluation:
+    # (generator, dilation, level, signal, truncation_tol); the 2-d boxes
+    # are kept small by the coarse tolerance
+    CASES = [
+        (sinc_squared(1), dyadic(1), 2, gaussian(1), 1e-10),
+        (sinc_squared(1), dyadic(1), 1, laplace1d(0.3), 1e-10),
+        (sinc_squared(1), triadic(1), 2, gaussian(1), 1e-10),
+        (sinc_squared(1), triadic(1), 1, laplace1d(0.3), 1e-10),
+        (sinc_squared_twoscale(1), dyadic(1), 2, gaussian(1), 1e-10),
+        (sinc_squared(2), dyadic(2), 2, gaussian(2), 1e-3),
+        (sinc_squared_twoscale(2), dyadic(2), 2, gaussian(2), 1e-3),
+        (sinc_squared(2), quincunx(), 1, gaussian(2), 1e-3),
+    ]
+    GRIDS = {1: Grid([np.linspace(-1.4, 1.3, 9)]),
+             2: Grid([np.linspace(-1.4, 1.3, 9), np.linspace(-1.2, 1.45, 7)])}
+
+    @pytest.mark.parametrize("g,m,j,f,tol", CASES, ids=[
+        "sinc2-dyadic-gauss", "sinc2-dyadic-laplace", "sinc2-triadic-gauss",
+        "sinc2-triadic-laplace", "twoscale-dyadic", "sinc2-2d-dyadic",
+        "twoscale-2d-dyadic", "sinc2-2d-quincunx"])
+    def test_matches_the_whole_box_sum(self, g, m, j, f, tol):
+        lat = lattice_support(g, m, j, Box.centered(1.5, g.d), tol)
+        cs = coefficients(ExactRule(), f, m, j, lat)
+        grid = self.GRIDS[g.d]
+        ref = _whole_box(g, m, j, cs, grid)
+        # the span differs from the box only by exact zeros, so the sums
+        # differ by summation order: at most 3.4e-16 * max|c_k| here
+        bound = 2e-15 * np.max(np.abs(cs.values))
+        for pts in (grid, np.asarray(grid)):
+            assert np.max(np.abs(evaluate(g, m, j, cs, pts) - ref)) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_span_reaches_the_outermost_nonzero_coefficients(self, d):
+        # order-one coefficients on the edges of the span, zeros around it
+        vals = np.zeros((11,) * d, dtype=complex)
+        vals[(2,) + (3,) * (d - 1)] = 1.0
+        vals[(8,) + (5,) * (d - 1)] = -2.0
+        vals[(4,) + (9,) * (d - 1)] = 0.5j
+        g, m, grid = sinc_squared(d), dyadic(d), self.GRIDS[d]
+        cs = Coefficients(Lattice((-5,) * d, (11,) * d), vals)
+        ref = _whole_box(g, m, 1, cs, grid)
+        for pts in (grid, np.asarray(grid)):
+            assert np.max(np.abs(evaluate(g, m, 1, cs, pts) - ref)) <= 2e-15 * 2.0
+
+    def test_zero_coefficients_give_zero(self, monkeypatch):
+        g, m, grid = sinc_squared(2), dyadic(2), self.GRIDS[2]
+        cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))
+        # the grid takes the per-axis kernel and its rows the general one
+        for pts, other in ((grid, "_evaluate_rows"), (np.asarray(grid), "_evaluate_axes")):
+            with monkeypatch.context() as patch:
+                patch.setattr(expansion, other, None)
+                assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
 
 
 class TestDeviation:
