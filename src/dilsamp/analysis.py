@@ -251,12 +251,16 @@ def _prediction_window(plan: StudyPlan, mode: str):
 
 
 def study_domain(plan: StudyPlan) -> Box:
-    if plan.domain_halfwidth is not None:
-        t = plan.domain_halfwidth
-    else:
+    """The study box: ``domain_halfwidth``, or by default the signal reach
+    ``T0`` plus the generator reach; ``ValueError`` unless finite."""
+    t = plan.domain_halfwidth
+    if t is None:
         g = plan.generator
         reach = g.support_radius if g.support_radius is not None else 3.0
         t = plan.signal.T0 + reach
+    if not math.isfinite(t):
+        raise ValueError(f"domain_halfwidth: a study needs a finite box, got {t} "
+                         f"({plan.signal.name} has T0 = {plan.signal.T0})")
     return Box.centered(t, plan.generator.d)
 
 
@@ -291,7 +295,7 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     for j in levels:
         grid, spacing = level_grid(plan, domain, j)
         qv = expand(g, m, j, plan.rule, f, domain, grid, plan.truncation_tol).values
-        errors.append(lp_distance(f.eval(np.asarray(grid)), qv, plan.p, spacing, g.d))
+        errors.append(lp_distance(f.eval(grid), qv, plan.p, spacing, g.d))
         scales.append(m.scale(j))
     try:
         fit = fit_rate(scales, errors, levels=levels, skip=plan.fit_skip,

@@ -85,8 +85,6 @@ def cmd_coeffs(args, out: Path) -> int:
         raise ConfigError("--dim: must be at least 1")
     if args.order < 0:
         raise ConfigError("--order: must be non-negative")
-    if args.h <= 0:
-        raise ConfigError("--h: must be positive")
     table = ball_moments(args.dim, args.order, args.h)
     moments = [
         {"beta": list(beta), "value": table[beta]}
@@ -265,6 +263,17 @@ def cmd_study(args, out: Path) -> int:
 # parser
 
 
+def _finite_positive(text: str) -> float:
+    """The argparse type of the float flags: a finite number above zero."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilsamp",
@@ -280,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ball-moment coefficient table")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=_finite_positive, required=True)
     p.set_defaults(handler=cmd_coeffs)
 
     p = sub.add_parser("calibrate", parents=[common],
@@ -297,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None,
                    help="comma-separated family parameters")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_finite_positive, default=1e-7)
     p.set_defaults(handler=cmd_strang_fix)
 
     p = sub.add_parser("lemma10", parents=[common],
@@ -305,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_positive, default=1e-10)
     p.set_defaults(handler=cmd_lemma10)
 
     p = sub.add_parser("expand", parents=[common],

@@ -56,6 +56,8 @@ class Box:
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"box bounds must be finite, got lo={lo}, hi={hi}")
         if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("box must satisfy lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -117,21 +119,29 @@ def ball_average(f, centers, radius: float, quad: QuadSpec = QuadSpec()) -> np.n
     return _pullback_average(f, as_rows(centers, f.d), np.eye(f.d), radius, quad)
 
 
-def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadSpec):
+def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
     """Averages ``(1/V_h) integral_{|t|<=h} f(base + A t) dt`` for each base.
 
-    One vectorized pass applies the unsplit rule to every base, in chunks.
+    ``bases`` is rows ``(n, d)`` or a :class:`Grid` (values in
+    :meth:`Grid.points` order).  On a grid in ``d >= 2``, for a signal with
+    a per-axis ``factor``, the rule runs per axis (:func:`_average_axes`);
+    it agrees with the rows to ``1e-13 * max|c|``.  Otherwise one
+    vectorized pass applies the unsplit rule to every base, in chunks.
     In dimension 1 the signal's declared kinks then sit at the offsets
     ``t = (x0 - base) / A``; only the bases with such an offset strictly
     inside ``(-h, h)`` are recomputed with the segment rule split there,
     the same strict test :func:`segment_rule` applies.  That correction
-    touches at most ``floor(2h) + 1`` bases per kink.  Each base's sum is
+    touches at most ``floor(2h) + 1`` bases per kink.  Each row's sum is
     reduced on its own (``np.vecdot``), so its value does not depend on
     the other bases in the call.
     """
-    d = bases.shape[1]
+    d = a.shape[0]
     nodes, weights = ball_rule(d, h, quad)
     mapped = nodes @ a.T
+    if isinstance(bases, Grid):
+        if d >= 2 and getattr(f, "factor", None) is not None:
+            return _average_axes(f.factor, bases, mapped, weights)
+        bases = bases.points()
     out = np.empty(bases.shape[0], dtype=complex)
     step = max(1, _CHUNK // max(1, len(weights)))
     for lo in range(0, bases.shape[0], step):
@@ -149,6 +159,26 @@ def _pullback_average(f, bases: np.ndarray, a: np.ndarray, h: float, quad: QuadS
             pts = bases[i, 0] + split_nodes * scale
             out[i] = np.vecdot(split_weights, np.asarray(f.eval(pts)))
     return out
+
+
+def _average_axes(factor, bases: Grid, mapped: np.ndarray, weights: np.ndarray):
+    """The rule's sums ``sum_n w_n prod_i factor(b_i + mapped[n, i])`` on a
+    grid of bases: one table ``(L_i, N)`` of factor values per axis, then,
+    per tile of at most ``_CHUNK`` products, the weighted product of the
+    leading axes' rows times the last axis's table (one matmul)."""
+    tables = [factor(x[:, None] + mapped[:, i]) for i, x in enumerate(bases.axes)]
+    last = tables.pop().T
+    lead = tuple(len(x) for x in bases.axes[:-1])
+    rows = math.prod(lead)
+    out = np.empty((rows, last.shape[1]), dtype=complex)
+    step = max(1, _CHUNK // len(weights))
+    for lo in range(0, rows, step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, rows)), lead)
+        acc = weights * tables[0][idx[0]]
+        for t, i in zip(tables[1:], idx[1:]):
+            acc *= t[i]
+        out[lo : lo + step] = acc @ last
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +250,27 @@ def coefficients(
     """Coefficients of the given rule on a lattice box.
 
     The lattice, signal and operator dimensions must match the dilation.
+    When ``M^-j`` is diagonal the ball centers ``M^-j k`` form a tensor
+    grid, and ball averages of a signal with a per-axis ``factor`` in
+    ``d >= 2`` run per axis (:func:`_pullback_average`): within
+    ``1e-13 * max|c_k|`` of the rows' values.  Every other case averages
+    row by row.
     """
     if lattice.d != m.d:
         raise ValueError("lattice dimension does not match the dilation")
-    ks = lattice.points()
     a = np.asarray(m.power(-j), dtype=float)
-    bases = map_rows(ks, a)
     if isinstance(rule, ExactRule):
-        vals = np.asarray(f.eval(bases), dtype=complex)
+        vals = np.asarray(f.eval(map_rows(lattice.points(), a)), dtype=complex)
     elif isinstance(rule, DifferentialRule):
         if rule.operator.d != m.d:
             raise ValueError("operator dimension does not match the dilation")
-        vals = apply_to_signal(rule.operator, f, m, j, ks)
+        vals = apply_to_signal(rule.operator, f, m, j, lattice.points())
     elif isinstance(rule, FalsifiedRule):
+        if np.array_equal(a, np.diag(a.diagonal())):
+            bases = Grid([s * np.arange(o, o + n) for s, o, n in
+                          zip(a.diagonal(), lattice.origin, lattice.shape)])
+        else:
+            bases = map_rows(lattice.points(), a)
         vals = _pullback_average(f, bases, a, rule.h, rule.quad)
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")

@@ -1,4 +1,5 @@
 """Grids, discrete norms, rate fitting, predictions, and small studies."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,11 @@ from dilsamp import (
     laplace1d,
     lp_distance,
     make_grid,
+    polynomial,
     predicted_rate,
     study_domain,
 )
+from dilsamp import analysis
 from dilsamp._quadrature import QuadSpec
 
 
@@ -160,6 +163,27 @@ class TestStudies:
         assert study_domain(plan).hi == (2.5,)
         auto = StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1))
         assert study_domain(auto).hi == (pytest.approx(3.2 + 1.0),)
+
+    def test_unbounded_signal_needs_a_domain_halfwidth(self, monkeypatch):
+        plan = StudyPlan(hat(1), dyadic(1), ExactRule(), polynomial(1, {(2,): 1.0}))
+        monkeypatch.setattr(analysis, "level_grid", None)
+        with pytest.raises(ValueError, match="domain_halfwidth"):
+            convergence_study(plan)
+        with pytest.raises(ValueError, match="domain_halfwidth"):
+            convergence_study(dataclasses.replace(plan, domain_halfwidth=math.inf))
+
+    def test_2d_ball_averaged_study_is_deterministic(self):
+        # the per-axis ball averages reduce with BLAS; the same study must
+        # still repeat bit for bit, and stay close to the row-path
+        # coefficients, taken when the signal's factor is hidden
+        plan = StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), gaussian(2),
+                         operator=ball_operator(2, 2, 0.5), j_min=1, j_max=3,
+                         grid_per_scale=4, fit_skip=0)
+        first, second = convergence_study(plan), convergence_study(plan)
+        assert first.errors == second.errors
+        rows = convergence_study(dataclasses.replace(
+            plan, signal=dataclasses.replace(plan.signal, factor=None)))
+        assert np.allclose(first.errors, rows.errors, rtol=1e-12, atol=0)
 
     def test_second_order_study_end_to_end(self):
         plan = StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1),

@@ -77,6 +77,21 @@ class TestCoeffs:
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, artifact", [
+    (["coeffs", "--dim", "1", "--order", "2", "--h"], "coeffs.json"),
+    (["strang-fix", "--generator", "hat", "--tol"], "strang_fix.json"),
+    (["lemma10", "--dim", "1", "--trials", "1", "--tol"], "lemma10.json"),
+], ids=["coeffs-h", "strang-fix-tol", "lemma10-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
+def test_float_flags_must_be_finite_and_positive(tmp_path, capsys, args, artifact, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(args + [value, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "expected a finite positive number" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 class TestLemma10:
     def test_polynomial_recombination_passes(self, tmp_path):
         out = tmp_path / "out"

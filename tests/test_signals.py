@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dilsamp import gaussian, laplace1d, matern1d, named_signals, polynomial
+from dilsamp import (
+    Box,
+    Grid,
+    gaussian,
+    laplace1d,
+    make_grid,
+    matern1d,
+    named_signals,
+    polynomial,
+)
 
 PI = math.pi
 
@@ -48,6 +57,35 @@ class TestGaussian:
         assert g.kinks == ()
         # effective support: negligible outside |x| <= T0
         assert g(np.array([[g.T0, 0.0]]))[0] < 1e-12
+
+
+class TestGridEvaluation:
+    def test_one_axis_grid_gives_the_rows_bits(self):
+        grid = make_grid(Box.centered(4.2, 1), 0.01)
+        f = gaussian(1)
+        assert np.array_equal(f.eval(grid), f.eval(grid.points()))
+
+    @pytest.mark.parametrize("d,spacing", [(2, 0.05), (3, 0.2)])
+    def test_product_of_factors_matches_the_rows(self, d, spacing):
+        grid = make_grid(Box.centered(4.2, d), spacing)
+        f, pts = gaussian(d), grid.points()
+        got, ref = f.eval(grid), f.eval(pts)
+        # 4 ulps where the exponent u = pi |x|^2 is small; exp turns the
+        # rounding of u into a relative error of about u ulps, so the two
+        # forms drift apart like 1 + u (observed <= 1.23 (1 + u) ulps)
+        u = PI * np.sum(pts * pts, axis=1)
+        ulp = np.finfo(float).eps * np.abs(ref)
+        assert np.all(np.abs(got - ref) <= 4 * ulp * (1 + u))
+
+    def test_signal_without_factor_takes_the_rows(self):
+        grid = Grid((np.linspace(-1, 1, 7),))
+        f = laplace1d(0.3)
+        assert f.factor is None
+        assert np.array_equal(f.eval(grid), f.eval(grid.points()))
+
+    def test_grid_dimension_checked(self):
+        with pytest.raises(ValueError, match="dimension"):
+            gaussian(2).eval(Grid(([0.1],)))
 
 
 class TestLaplace:
