@@ -84,6 +84,8 @@ class Grid:
         axes = tuple(np.array(a, dtype=float).ravel() for a in self.axes)
         if not axes or min(a.size for a in axes) < 1:
             raise ValueError("a grid needs at least one point on every axis")
+        if not all(np.isfinite(a).all() for a in axes):
+            raise ValueError("grid axes must be finite")
         object.__setattr__(self, "axes", axes)
 
     @property

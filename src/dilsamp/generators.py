@@ -233,10 +233,16 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
     )
 
 
+def _hat1d(x):
+    """``bspline(2, x) + 0j`` bit for bit, in closed form: on ``[1, 2)`` the
+    truncated-power sum ``t - 2 (t - 1)`` is exactly ``2 - t``."""
+    t = np.asarray(x, dtype=float) + 1.0
+    return np.where((t > 0.0) & (t < 2.0), np.minimum(t, 2.0 - t), 0.0) + 0.0j
+
+
 def hat(d: int = 1) -> Generator:
     """Tensor hat (order-2 B-spline); squared-sinc spectrum, order 2."""
-    factor = lambda x: bspline(2, x) + 0.0j
-    spatial = _tensor(factor, d)
+    spatial = _tensor(_hat1d, d)
     fourier = _tensor(lambda s: np.sinc(s) ** 2, d)
     return Generator(
         name="hat",
@@ -246,7 +252,7 @@ def hat(d: int = 1) -> Generator:
         support_radius=1.0,
         sf_order=2,
         interpolatory=True,
-        factor=factor,
+        factor=_hat1d,
     )
 
 

@@ -32,14 +32,13 @@ class Signal:
     ``O(|xi|**-(decay_N + d + decay_eps))``; ``decay_eps = inf`` means every
     pair is admissible (super-polynomial decay).  ``factor`` is the 1-d
     function with ``f(x) = prod_i factor(x_i)``, or None if there is none;
-    the counterpart of :attr:`Generator.factor`.  ``eval`` takes rows or a
-    :class:`Grid` (values in :meth:`Grid.points` order), which a signal
-    with a ``factor`` evaluates per axis and any other through its rows.
+    the counterpart of :attr:`Generator.factor`.  ``pointwise`` evaluates
+    points ``(..., d)``; :meth:`eval` also takes a :class:`Grid`.
     """
 
     name: str
     d: int
-    eval: Callable
+    pointwise: Callable
     derivative: Callable
     deriv_order: Optional[int]
     decay_N: int
@@ -47,6 +46,18 @@ class Signal:
     T0: float
     kinks: tuple = ()
     factor: Optional[Callable] = None
+
+    def eval(self, x):
+        """Values at points ``(..., d)``, or on a :class:`Grid` in
+        :meth:`Grid.points` order: with a ``factor``, the outer product of
+        its values on the axes, otherwise ``pointwise`` on the grid's rows."""
+        if not isinstance(x, Grid):
+            return self.pointwise(x)
+        if x.d != self.d:
+            raise ValueError(f"grid of dimension {x.d}, expected {self.d}")
+        if self.factor is None:
+            return self.pointwise(x.points())
+        return reduce(np.multiply.outer, map(self.factor, x.axes)).ravel()
 
     def __call__(self, x):
         return self.eval(as_points(x, self.d))
@@ -70,10 +81,6 @@ def gaussian(d: int = 1) -> Signal:
         return np.exp(-np.pi * (t * t))
 
     def _eval(x):
-        if isinstance(x, Grid):  # the outer product, in Grid.points() order
-            if x.d != d:
-                raise ValueError(f"grid of dimension {x.d}, expected {d}")
-            return reduce(np.multiply.outer, map(_factor, x.axes)).ravel()
         pts = as_points(x, d)
         return np.exp(-np.pi * np.sum(pts * pts, axis=-1))
 
@@ -98,7 +105,7 @@ def gaussian(d: int = 1) -> Signal:
     return Signal(
         name="gaussian",
         d=d,
-        eval=_eval,
+        pointwise=_eval,
         derivative=_derivative,
         deriv_order=None,
         decay_N=0,
@@ -140,7 +147,7 @@ def laplace1d(offset: float = 0.0) -> Signal:
     return Signal(
         name="laplace1d",
         d=1,
-        eval=_eval,
+        pointwise=_eval,
         derivative=_derivative,
         deriv_order=0,
         decay_N=0,
@@ -186,7 +193,7 @@ def matern1d(offset: float = 0.0) -> Signal:
     return Signal(
         name="matern1d",
         d=1,
-        eval=_eval,
+        pointwise=_eval,
         derivative=_derivative,
         deriv_order=2,
         decay_N=2,
@@ -224,7 +231,7 @@ def polynomial(d: int, coeffs: dict) -> Signal:
     return Signal(
         name="polynomial",
         d=d,
-        eval=_eval,
+        pointwise=_eval,
         derivative=_derivative,
         deriv_order=None,
         decay_N=0,

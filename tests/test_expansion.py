@@ -97,6 +97,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="at least one point"):
             Grid(([0.0, 1.0], []))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_axis(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(([0.0, bad], [0.5]))
+
 
 class TestLatticeSupport:
     def test_covers_every_contributing_shift(self):
@@ -385,6 +390,71 @@ class TestPerAxisEvaluation:
         cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
         with pytest.raises(ValueError, match="dimension"):
             evaluate(hat(2), dyadic(2), 0, cs, Grid(([0.3],)))
+
+
+_SHEAR = dilation([[3, 1], [0, 3]])
+
+
+class TestFactoredTaps:
+    # (dilation, level): M^j is not diagonal, so the general kernel runs
+    CASES = [(quincunx(), 1), (quincunx(), 3), (_SHEAR, 2)]
+
+    @pytest.mark.parametrize("m,j", CASES, ids=["quincunx-1", "quincunx-3", "shear-2"])
+    def test_factor_tables_give_the_spatial_bits(self, m, j):
+        g = hat(2)
+        cs, grid = _expansion_on_grid(g, m, j)
+        rows = np.random.default_rng(j).uniform(-1.5, 1.5, size=(500, 2))
+        # without g.spatial the taps come from the factor tables alone
+        factored = dataclasses.replace(g, spatial=None)
+        for pts in (rows, grid):
+            ref = evaluate(dataclasses.replace(g, factor=None), m, j, cs, pts)
+            assert np.array_equal(evaluate(factored, m, j, cs, pts), ref)
+
+    def test_missing_coefficient_detected(self):
+        cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
+        # M x = (0.3, 0.6): phi(M x - (0, 1)) is nonzero, and (0, 1) is
+        # outside the box
+        x = np.asarray(quincunx().power(-1), dtype=float) @ [0.3, 0.6]
+        with pytest.raises(MissingCoefficientError,
+                           match=r"no coefficient for lattice point \[0 1\]"):
+            evaluate(hat(2), quincunx(), 1, cs, [x])
+
+
+class TestPointChecks:
+    ONE = Coefficients(Lattice([0], [1]), [1.0])
+    TWO = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
+    # (generator, dilation, coefficients): the per-axis kernel, the general
+    # kernel, and an unbounded generator on each
+    CASES = [(hat(1), dyadic(1), ONE), (hat(2), quincunx(), TWO),
+             (sinc_squared(1), dyadic(1), ONE), (sinc_squared(2), quincunx(), TWO)]
+    IDS = ["per-axis", "general", "unbounded-per-axis", "unbounded-general"]
+
+    @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, g, m, cs, bad):
+        pts = [[0.25] * g.d, [bad] + [0.0] * (g.d - 1)]
+        with pytest.raises(ValueError, match="must be finite"):
+            evaluate(g, m, 1, cs, pts)
+        with pytest.raises(ValueError, match="must be finite"):
+            # the coarse tolerance keeps an unbounded generator's box small
+            expand(g, m, 1, ExactRule(), gaussian(g.d), Box.centered(2, g.d), pts, 1e-3)
+
+    @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
+    def test_points_mapping_past_two_to_the_62_rejected(self, g, m, cs):
+        pts = [[1e30] + [0.0] * (g.d - 1)]
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            evaluate(g, m, 1, cs, pts)
+        # a grid axis maps past the bound on the per-axis kernel too
+        grid = Grid([[2.0**61]] + [[0.0]] * (g.d - 1))
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            evaluate(g, dyadic(g.d), 1, cs, grid)
+
+    def test_points_within_the_bound_reach_the_taps(self):
+        # |M| max|x| is 2**62 here, but each point maps to |y| = 2**61,
+        # so the rows are mapped and the taps run
+        pts = [[2.0**61, 0.0], [0.0, 2.0**61]]
+        with pytest.raises(MissingCoefficientError):
+            evaluate(hat(2), quincunx(), 1, self.TWO, pts)
 
 
 def _whole_box(g, m, j, cs, points):

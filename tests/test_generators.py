@@ -58,6 +58,16 @@ class TestBsplineValues:
         total = sum(bspline(m, x - k) for k in shifts)
         assert np.allclose(total, 1.0, atol=1e-13)
 
+    def test_hat_factor_is_the_order_two_spline_bit_for_bit(self):
+        one, two = np.nextafter(1.0, [0.0, 2.0]), np.nextafter(-1.0, [0.0, -2.0])
+        x = np.concatenate([
+            np.random.default_rng(3).uniform(-3, 3, 10_000),
+            [0.0, -0.0, 1.0, -1.0, 2.0, -2.0], one, two, [np.nan, np.inf, -np.inf]])
+        with np.errstate(invalid="ignore"):  # the truncated powers of inf
+            ref = bspline(2, x) + 0.0j
+        got = hat(1).factor(x)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_fourier_is_sinc_power(self):
         xi = np.array([0.5])
         assert bspline_fourier(2, xi)[0] == pytest.approx((2 / PI) ** 2)

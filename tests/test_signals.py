@@ -1,4 +1,5 @@
 """Signal catalog: derivative oracles, kink guards, decay metadata."""
+import dataclasses
 import math
 
 import numpy as np
@@ -83,9 +84,22 @@ class TestGridEvaluation:
         assert f.factor is None
         assert np.array_equal(f.eval(grid), f.eval(grid.points()))
 
+    def test_factor_alone_chooses_the_grid_path(self):
+        grid = make_grid(Box.centered(4.2, 2), 0.05)
+        f = gaussian(2)
+        rows = dataclasses.replace(f, factor=None)
+        got, pts = rows.eval(grid), grid.points()
+        assert np.array_equal(got, f.pointwise(pts))
+        # within the product form's documented bound
+        u = PI * np.sum(pts * pts, axis=1)
+        ulp = np.finfo(float).eps * np.abs(got)
+        assert np.all(np.abs(f.eval(grid) - got) <= 4 * ulp * (1 + u))
+        assert rows(np.array([[0.3, -0.2]]))[0] == f.eval(np.array([[0.3, -0.2]]))[0]
+
     def test_grid_dimension_checked(self):
-        with pytest.raises(ValueError, match="dimension"):
-            gaussian(2).eval(Grid(([0.1],)))
+        for f in (gaussian(2), laplace1d(0.3)):
+            with pytest.raises(ValueError, match="dimension"):
+                f.eval(Grid(([0.1], [0.2]) if f.d == 1 else ([0.1],)))
 
 
 class TestLaplace:
