@@ -195,8 +195,11 @@ def _average_axes(factor, bases: Grid, mapped: np.ndarray, weights: np.ndarray):
 def _image_box(m: Dilation, j: int, domain: Box, reach: float) -> Lattice:
     """The integer box around ``M^j domain`` widened by ``reach``."""
     y = domain.corners() @ np.asarray(m.power(j), dtype=float).T
-    lo = np.ceil(y.min(axis=0) - reach - _EDGE).astype(np.int64)
-    hi = np.floor(y.max(axis=0) + reach + _EDGE).astype(np.int64)
+    lo = np.ceil(y.min(axis=0) - reach - _EDGE)
+    hi = np.floor(y.max(axis=0) + reach + _EDGE)
+    if not np.all((-_REACH < lo) & (hi < _REACH)):
+        raise ValueError("the lattice box reaches |k| >= 2**62, where indices are inexact")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     return Lattice(lo, hi - lo + 1)
 
 
@@ -308,17 +311,18 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
 
     ``points`` is one point, rows ``(n, d)`` or a :class:`Grid` (values in
     :meth:`Grid.points` order).  Two kernels serve every generator: on a
-    tensor grid (a ``Grid``, or any points in 1-d), with ``g.factor`` set
-    and ``M^j`` diagonal, the sum runs along each axis of the coefficient
-    box; otherwise each point takes the ``d``-fold product of the taps.
-    The two agree to ``1e-14 * max|c_k|`` per point, bit for bit in 1-d,
-    and a one-point call gives its row's bits.
+    tensor grid (a ``Grid``, or any points in 1-d) with ``M^j`` diagonal,
+    each of ``g.terms`` is summed along each axis of the coefficient box
+    in turn, and the terms are added in order; otherwise each point takes
+    the ``d``-fold product of the taps.  The two agree to
+    ``1e-14 * max|c_k|`` per point, and a one-point call gives its row's
+    bits.
 
     A compact generator taps the lattice points within its support radius
     of each mapped point, one tap at a time; those it reaches must lie in
-    the box (:class:`MissingCoefficientError` otherwise).  With
-    ``g.factor`` set, the general kernel forms each tap's value from
-    per-axis tables of ``factor`` values, multiplied in axis order as
+    the box (:class:`MissingCoefficientError` otherwise).  The general
+    kernel forms each tap's value from per-axis tables of each term's
+    factors, multiplied in axis order and summed in term order as
     ``g.spatial`` does, so both give the same bits.  An unbounded generator
     taps, per axis, the span of the nonzero coefficients, the same for
     every point, and sums it in tiles of at most ``_TILE`` terms (points
@@ -329,19 +333,13 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     coordinate, so that lattice indices are exact integers
     (``ValueError`` before any tap otherwise).
     """
-    if cs.lattice.d != g.d or (isinstance(points, Grid) and points.d != g.d):
-        raise ValueError("box or grid dimension does not match the generator")
+    if cs.lattice.d != g.d:
+        raise ValueError("box dimension does not match the generator")
+    points = _checked_points(points, g.d)
     mj = np.asarray(m.power(j), dtype=float)
-    if not isinstance(points, Grid):
-        points = as_rows(points, g.d)
-        if not np.isfinite(points).all():
-            raise ValueError("evaluation points must be finite")
-    if g.support_radius is None:  # the nonzero span (one zero coefficient if none)
-        nz = np.argwhere(cs.values != 0) if cs.values.any() else np.zeros((1, g.d), int)
-        first, stop = nz.min(axis=0), nz.max(axis=0) + 1
-        cs = Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first),
-                          cs.values[tuple(map(slice, first, stop))])
-    if g.factor is not None and np.array_equal(mj, np.diag(mj.diagonal())):
+    if g.support_radius is None:
+        cs = _nonzero_span(cs)
+    if np.array_equal(mj, np.diag(mj.diagonal())):
         if g.d == 1 and not isinstance(points, Grid):
             points = Grid(points.T)
         if isinstance(points, Grid):
@@ -358,6 +356,27 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     for lo in range(0, pts.shape[0], _ROWS):
         out[lo : lo + _ROWS] = _evaluate_rows(g, map_rows(pts[lo : lo + _ROWS], mj), cs)
     return out
+
+
+def _nonzero_span(cs: Coefficients) -> Coefficients:
+    """The smallest box of the nonzero coefficients (one zero if none)."""
+    vals = cs.values
+    nz = np.argwhere(vals != 0) if vals.any() else np.zeros((1, vals.ndim), int)
+    first, stop = nz.min(axis=0), nz.max(axis=0) + 1
+    return Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first),
+                        vals[tuple(map(slice, first, stop))])
+
+
+def _checked_points(points, d: int):
+    """A ``d``-dimensional :class:`Grid`, or the points as finite rows."""
+    if isinstance(points, Grid):
+        if points.d != d:
+            raise ValueError("grid dimension does not match the generator")
+        return points
+    rows = as_rows(points, d)
+    if not np.isfinite(rows).all():
+        raise ValueError("evaluation points must be finite")
+    return rows
 
 
 def _check_reach(y):
@@ -402,20 +421,24 @@ def _live(phi, inside, k, what):
 
 def _evaluate_axes(g, axes, cs: Coefficients):
     """The sum of :func:`_evaluate_rows` along one axis of the coefficient
-    box at a time, with ``g.factor`` in place of ``phi``; ``axes`` are the
-    mapped grid axes."""
+    box at a time, once per term of ``g`` with its factors in place of
+    ``phi``, the terms added in order; ``axes`` are the mapped grid axes."""
+    return reduce(np.add, (_term_axes(g, factors, axes, cs) for factors in g.terms))
+
+
+def _term_axes(g, factors, axes, cs: Coefficients):
     vals = cs.values
-    for a, (y, lo) in enumerate(zip(axes, cs.lattice.origin)):
+    for a, (factor, y, lo) in enumerate(zip(factors, axes, cs.lattice.origin)):
         if g.support_radius is None:
             c = np.moveaxis(vals, a, -1)[..., None, :]
             ks = lo + np.arange(vals.shape[a])
-            vals = np.moveaxis(_span_sum(g.factor, y, ks, c), -1, a)
+            vals = np.moveaxis(_span_sum(factor, y, ks, c), -1, a)
             continue
         k0, width = _taps(g, y)
         acc = np.zeros(vals.shape[:a] + y.shape + vals.shape[a + 1 :], dtype=complex)
         for t in range(width):
             k = k0 + t
-            phi = np.asarray(g.factor(y - k))
+            phi = np.asarray(factor(y - k))
             inside = (k >= lo) & (k < lo + vals.shape[a])
             if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
                 term = np.take(vals, np.where(inside, k - lo, 0), axis=a)
@@ -430,23 +453,21 @@ def _evaluate_rows(g, y, cs: Coefficients):
         return _span_sum(g.spatial, y, cs.lattice.points(), cs.values.reshape(1, -1))
     k0, width = _taps(g, y)
     # per axis, one row per tap t for the coordinates k0 + t: whether they
-    # lie in the box, their flat offsets into the coefficients, and factor
-    # values
+    # lie in the box, their flat offsets into the coefficients, and, per
+    # term, the factor values
     shape = cs.values.shape
-    inside, offset, table = [], [], []
+    inside, offset, tables = [], [], [[] for _ in g.terms]
     for a, (lo, n) in enumerate(zip(cs.lattice.origin, shape)):
         k = k0[:, a] + np.arange(width)[:, None]
         inside.append((k >= lo) & (k < lo + n))
         offset.append(np.where(inside[a], k - lo, 0) * math.prod(shape[a + 1 :]))
-        if g.factor is not None:
-            table.append(np.asarray(g.factor(y[:, a] - k)))
+        for table, term in zip(tables, g.terms):
+            table.append(np.asarray(term[a](y[:, a] - k)))
     flat, acc = cs.values.ravel(), np.zeros(y.shape[0], dtype=complex)
     for off in np.ndindex(*np.broadcast_to(width, g.d)):
         pick = lambda rows: [r[t] for r, t in zip(rows, off)]
-        if g.factor is None:
-            phi = np.asarray(g.spatial(y - (k0 + off)))
-        else:  # in axis order, as g.spatial multiplies
-            phi = reduce(np.multiply, pick(table))
+        # in axis order and term order, as g.spatial multiplies and adds
+        phi = reduce(np.add, (reduce(np.multiply, pick(table)) for table in tables))
         ins = reduce(np.logical_and, pick(inside))
         if _live(phi, ins, lambda: k0 + off, "lattice point {}"):
             acc += np.where(ins, flat[sum(pick(offset))], 0.0) * phi
@@ -478,10 +499,11 @@ def expand(
     points,
     truncation_tol: float = 1e-10,
 ) -> ExpansionResult:
-    """Convenience wrapper: lattice support, coefficients, evaluation."""
+    """Convenience wrapper: point checks, lattice support, coefficients,
+    evaluation."""
+    pts = _checked_points(points, g.d)
     lat = lattice_support(g, m, j, domain, truncation_tol)
     cs = coefficients(rule, f, m, j, lat)
-    pts = points if isinstance(points, Grid) else as_rows(points, g.d)
     vals = evaluate(g, m, j, cs, pts)
     return ExpansionResult(j, cs, pts, vals)
 

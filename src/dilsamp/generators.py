@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import reduce
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,20 +46,21 @@ from .multiindex import indices_of_order
 class Generator:
     """A space/frequency pair with the metadata the expansion code needs.
 
+    ``terms`` is ``phi`` as a sum of rank-1 terms, each a tuple of ``d`` 1-d
+    functions (:meth:`spatial`); a tensor generator has one.
     ``support_radius`` is the sup-norm halfwidth of the support (None for
     generators with unbounded support; then ``decay_const`` bounds
     ``|phi|`` per coordinate by ``decay_const / x_i**2``).  ``sf_order`` is
     the declared moment-condition order (None for band-limited spectra,
     which satisfy the conditions to every order).  ``fourier_analytic``
     marks spectra that are smooth on all of frequency space; spectra with
-    lattice kinks only admit the order-1 value check.  ``factor`` is the 1-d
-    function with ``phi(x) = prod_i factor(x_i)``, or None if there is none.
+    lattice kinks only admit the order-1 value check.
     """
 
     name: str
     d: int
     fourier: Callable
-    spatial: Callable
+    terms: tuple
     support_radius: Optional[float]
     sf_order: Optional[int]
     decay_const: float = 0.0
@@ -64,32 +68,32 @@ class Generator:
     band_limited: bool = False
     interpolatory: bool = False
     params: dict = field(default_factory=dict)
-    factor: Optional[Callable] = None
+
+    def __post_init__(self):
+        if not self.terms or any(len(t) != self.d for t in self.terms):
+            raise ValueError(f"{self.name}: each term needs one factor per axis")
+
+    def spatial(self, x):
+        """``phi`` at points ``(..., d)``: each term's factors multiplied in
+        axis order, the terms summed in order."""
+        x = np.asarray(x, dtype=float)
+        return reduce(np.add, (reduce(np.multiply, (f(x[..., i]) for i, f in enumerate(t)))
+                               for t in self.terms))
 
 
 # ---------------------------------------------------------------------------
-# B-splines
+# B-splines, and trigonometric numerators realized as their shifts
 
 
 def bspline(m: int, x):
     """Centered cardinal B-spline of order ``m`` (support ``[-m/2, m/2]``).
 
     ``m = 1`` is the indicator of the centered unit interval; each further
-    order convolves by it once more.  Evaluated by the truncated-power
-    formula, exact up to round-off for the orders used here.
+    order convolves by it once more.  Evaluated in pp-form (:func:`_spline_sum`).
     """
     if m < 1:
         raise ValueError("B-spline order must be at least 1")
-    t = np.asarray(x, dtype=float) + m / 2.0
-    out = np.zeros_like(t)
-    if m == 1:
-        return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
-    for k in range(m + 1):
-        u = t - k
-        out += (-1.0) ** k * math.comb(m, k) * np.where(u > 0.0, u, 0.0) ** (m - 1)
-    out /= math.factorial(m - 1)
-    # the alternating sum cancels only to round-off past the support
-    return np.where((t > 0.0) & (t < m), out, 0.0)
+    return _spline_sum(m, {0.0: 1.0})(x).real
 
 
 def bspline_fourier(m: int, xi):
@@ -97,34 +101,15 @@ def bspline_fourier(m: int, xi):
     return np.sinc(np.asarray(xi, dtype=float)) ** m
 
 
-# ---------------------------------------------------------------------------
-# trigonometric numerators realized as B-spline shifts
-
-
-@dataclass(frozen=True)
-class ShiftTerm:
-    shift: float
-    amplitude: complex
-
-
-def sin_power_shifts(m: int, powers: dict) -> tuple[ShiftTerm, ...]:
+def sin_power_shifts(m: int, powers: dict) -> dict:
     """Realize ``sum_s c_s sin(pi xi)**(m+s) / (pi xi)**m`` in space.
 
-    Parameters
-    ----------
-    m : int
-        B-spline order carrying the denominator.
-    powers : mapping
-        ``s -> c_s`` for extra sine powers ``s >= 0``.
-
-    Returns
-    -------
-    tuple of :class:`ShiftTerm`
-        Terms of ``sum_j a_j B_m(x - h_j)`` with half-integer shifts.
-        Writing each sine as a difference of complex exponentials gives
-        ``sin(pi xi)**s = (2i)**-s sum_r binom(s, r) (-1)**r
-        exp(i pi xi (s - 2r))`` and the factor ``exp(i pi xi (s - 2r))``
-        moves the spline by ``-(s - 2r) / 2``.
+    ``powers`` maps extra sine powers ``s >= 0`` to ``c_s``, and the result
+    ``{h: a_h}`` gives ``sum_h a_h B_m(x - h)`` over half-integer shifts
+    (nonzero amplitudes, by shift).  Writing each sine as a difference of
+    complex exponentials gives ``sin(pi xi)**s = (2i)**-s sum_r binom(s, r)
+    (-1)**r exp(i pi xi (s - 2r))``, and the factor ``exp(i pi xi (s - 2r))``
+    moves the spline by ``-(s - 2r) / 2``.
     """
     acc: dict[float, complex] = {}
     for s, c in powers.items():
@@ -133,35 +118,58 @@ def sin_power_shifts(m: int, powers: dict) -> tuple[ShiftTerm, ...]:
             raise ValueError("sine powers must be non-negative")
         base = complex(c) * (2j) ** (-s)
         for r in range(s + 1):
-            amp = base * math.comb(s, r) * (-1.0) ** r
             h = -(s - 2 * r) / 2.0
-            acc[h] = acc.get(h, 0.0 + 0.0j) + amp
-    terms = tuple(
-        ShiftTerm(h, a) for h, a in sorted(acc.items()) if a != 0.0 + 0.0j
-    )
-    return terms
+            acc[h] = acc.get(h, 0.0 + 0.0j) + base * math.comb(s, r) * (-1.0) ** r
+    return {h: a for h, a in sorted(acc.items()) if a != 0.0 + 0.0j}
 
 
-def _shift_spatial(m: int, terms: tuple[ShiftTerm, ...]):
+def _spline_pieces(m: int) -> np.ndarray:
+    """``B_m`` on its ``2 m`` half-unit pieces, in exact rationals: row ``i``
+    holds the coefficients of ``u**r``, ``r = 0..m-1``, where ``u = t - i/2``
+    with ``t = x + m/2``.  Each truncated power ``(t - k)_+**(m-1)`` of
+    ``B_m = sum_k (-1)**k binom(m, k) (t - k)_+**(m-1) / (m-1)!`` is zero on
+    the piece or expanded binomially in ``u`` (de Boor, *A Practical Guide
+    to Splines*, ch. X)."""
+    rows = np.zeros((2 * m, m), dtype=object)
+    for i, k in product(range(2 * m), range(m + 1)):
+        s = Fraction(i, 2) - k
+        if s >= 0:
+            w = Fraction((-1) ** k * math.comb(m, k), math.factorial(m - 1))
+            rows[i] += [w * math.comb(m - 1, r) * s ** (m - 1 - r) for r in range(m)]
+    return rows
+
+
+def _spline_sum(m: int, shifts: dict) -> Callable:
+    """``x -> sum_h a_h B_m(x - h)`` in pp-form, for ``shifts = {h: a_h}``.
+
+    With half-integer shifts the sum is one polynomial of degree ``m - 1``
+    on each half-unit piece, its coefficients summed exactly from
+    :func:`_spline_pieces` and rounded once.  A value is one Horner
+    evaluation in the offset from its piece's left end; points off the
+    pieces, NaN, +-inf and an empty sum give 0.
+    """
+    shifts = shifts or {0.0: 0.0}
+    low = min(shifts)
+    n = int(2 * (max(shifts) - low)) + 2 * m
+    pieces, re, im = _spline_pieces(m), np.zeros((n, m), object), np.zeros((n, m), object)
+    for h, a in shifts.items():
+        p, a = int(2 * (h - low)), complex(a)
+        re[p : p + 2 * m] += Fraction(a.real) * pieces
+        im[p : p + 2 * m] += Fraction(a.imag) * pieces
+    # row r holds every piece's coefficient of u**(m-1-r), for Horner's rule
+    coef = (re.astype(float) + 1j * im.astype(float)).T[::-1].copy()
+    first = low - m / 2.0
+
     def ev(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for t in terms:
-            out += t.amplitude * bspline(m, x - t.shift)
-        return out
-
-    return ev
-
-
-def _shift_fourier(m: int, powers: dict):
-    def ev(xi):
-        xi = np.asarray(xi, dtype=float)
-        s4 = np.sinc(xi) ** m
-        u = np.pi * xi
-        num = np.zeros(xi.shape, dtype=complex)
-        for s, c in powers.items():
-            num += complex(c) * np.sin(u) ** int(s)
-        return s4 * num
+        q = x - first
+        inside = (q >= 0.0) & (q < 0.5 * n)
+        p = np.floor(2.0 * np.where(inside, q, 0.0)).astype(np.intp)
+        u = np.where(inside, x, first) - (first + 0.5 * p)
+        out = coef[0][p]
+        for c in coef[1:]:
+            out = out * u + c[p]
+        return np.where(inside, out, 0.0)
 
     return ev
 
@@ -171,49 +179,38 @@ def _shift_fourier(m: int, powers: dict):
 
 
 def _tensor(fn1d, d):
-    def ev(z):
-        z = np.asarray(z)
-        out = fn1d(z[..., 0])
-        for i in range(1, d):
-            out = out * fn1d(z[..., i])
-        return out
-
-    return ev
+    return lambda z: reduce(np.multiply, (fn1d(np.asarray(z)[..., i]) for i in range(d)))
 
 
 def _triangle(s):
-    s = np.asarray(s, dtype=float)
-    return np.maximum(0.0, 1.0 - np.abs(s))
+    return np.maximum(0.0, 1.0 - np.abs(np.asarray(s, dtype=float)))
 
 
 def sinc_squared(d: int = 1) -> Generator:
     """Tensor squared sinc; triangular spectrum, interpolatory, order 1."""
     factor = lambda x: np.sinc(x) ** 2 + 0.0j
-    spatial = _tensor(factor, d)
     fourier = _tensor(_triangle, d)
     return Generator(
         name="sinc_squared",
         d=d,
         fourier=lambda xi: fourier(np.asarray(xi, dtype=float)) + 0.0j,
-        spatial=spatial,
+        terms=((factor,) * d,),
         support_radius=None,
         sf_order=1,
         decay_const=1.0 / math.pi**2,
         fourier_analytic=False,
         interpolatory=True,
-        factor=factor,
     )
 
 
 def sinc_squared_twoscale(d: int = 1) -> Generator:
-    """Two-scale difference of squared sincs; spectrum flat near 0 and
-    supported in the unit cube (band limited)."""
-    psi = _tensor(lambda x: np.sinc(x) ** 2, d)
+    """Two-scale difference of squared sincs, ``2**(1-d) prod psi(x_i/2) -
+    4**-d prod psi(x_i/4)`` with ``psi = sinc**2`` (each weight folded into
+    the first axis); spectrum flat near 0 and supported in the unit cube."""
     psi_hat = _tensor(_triangle, d)
 
-    def spatial(x):
-        x = np.asarray(x, dtype=float)
-        return (2.0 ** (1 - d)) * psi(x / 2.0) - (4.0 ** (-d)) * psi(x / 4.0) + 0.0j
+    def psi(scale, weight=1.0):
+        return lambda x: weight * np.sinc(np.asarray(x, dtype=float) / scale) ** 2 + 0.0j
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
@@ -223,36 +220,34 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
         name="sinc_squared_twoscale",
         d=d,
         fourier=fourier,
-        spatial=spatial,
+        terms=((psi(2.0, 2.0 ** (1 - d)),) + (psi(2.0),) * (d - 1),
+               (psi(4.0, -(4.0 ** -d)),) + (psi(4.0),) * (d - 1)),
         support_radius=None,
         sf_order=None,
         decay_const=2.0 / math.pi**2 * 4.0,
         fourier_analytic=False,
         band_limited=True,
-        factor=(lambda x: spatial(np.asarray(x)[..., None])) if d == 1 else None,
     )
 
 
 def _hat1d(x):
-    """``bspline(2, x) + 0j`` bit for bit, in closed form: on ``[1, 2)`` the
-    truncated-power sum ``t - 2 (t - 1)`` is exactly ``2 - t``."""
+    """``bspline(2, x) + 0j`` in closed form: ``min(t, 2 - t)`` on the
+    support, with ``t = x + 1``."""
     t = np.asarray(x, dtype=float) + 1.0
     return np.where((t > 0.0) & (t < 2.0), np.minimum(t, 2.0 - t), 0.0) + 0.0j
 
 
 def hat(d: int = 1) -> Generator:
     """Tensor hat (order-2 B-spline); squared-sinc spectrum, order 2."""
-    spatial = _tensor(_hat1d, d)
     fourier = _tensor(lambda s: np.sinc(s) ** 2, d)
     return Generator(
         name="hat",
         d=d,
         fourier=lambda xi: fourier(np.asarray(xi, dtype=float)) + 0.0j,
-        spatial=spatial,
+        terms=((_hat1d,) * d,),
         support_radius=1.0,
         sf_order=2,
         interpolatory=True,
-        factor=_hat1d,
     )
 
 
@@ -263,36 +258,25 @@ def bspline3_2d(b1: float = 0.5, b2: float = 0.5) -> Generator:
     + b2 sin(pi xi2)**2)``; its value at the origin is 1, first-order
     derivatives vanish there, and the pure second derivatives are
     ``pi**2 (2 b1 - 1)`` and ``pi**2 (2 b2 - 1)``.  Moment conditions hold
-    to order 3 on the lattice for any parameter values.
+    to order 3 on the lattice for any parameter values.  In space it is
+    ``(B3 + S1)(x1) B3(x2) + B3(x1) S2(x2)``, where ``S_i`` realizes
+    ``b_i sin(pi xi)**2 sinc(xi)**3``.
     """
-    shifted1 = _shift_spatial(3, sin_power_shifts(3, {2: float(b1)}))
-    shifted2 = _shift_spatial(3, sin_power_shifts(3, {2: float(b2)}))
-
-    def spatial(x):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        base1 = bspline(3, x1) + 0.0j
-        base2 = bspline(3, x2) + 0.0j
-        return base1 * base2 + shifted1(x1) * base2 + base1 * shifted2(x2)
+    base = _spline_sum(3, {0.0: 1.0})
+    first = _spline_sum(3, sin_power_shifts(3, {0: 1.0, 2: float(b1)}))
+    second = _spline_sum(3, sin_power_shifts(3, {2: float(b2)}))
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
-        s1 = np.sinc(xi[..., 0]) ** 3
-        s2 = np.sinc(xi[..., 1]) ** 3
-        u1 = np.pi * xi[..., 0]
-        u2 = np.pi * xi[..., 1]
-        return (
-            s1
-            * s2
-            * (1.0 + float(b1) * np.sin(u1) ** 2 + float(b2) * np.sin(u2) ** 2)
-            + 0.0j
-        )
+        u1, u2 = np.pi * xi[..., 0], np.pi * xi[..., 1]
+        bump = 1.0 + float(b1) * np.sin(u1) ** 2 + float(b2) * np.sin(u2) ** 2
+        return np.sinc(xi[..., 0]) ** 3 * np.sinc(xi[..., 1]) ** 3 * bump + 0.0j
 
     return Generator(
         name="bspline3_2d",
         d=2,
         fourier=fourier,
-        spatial=spatial,
+        terms=((first, base), (base, second)),
         support_radius=2.5,
         sf_order=3,
         params={"b1": float(b1), "b2": float(b2)},
@@ -309,29 +293,21 @@ def bspline4_1d(b1: complex = 0.0, b2: complex = 0.0, b3: complex = 0.0) -> Gene
     hold to order 4 on the lattice for any parameter values.
     """
     powers = {0: 1.0, 1: complex(b1), 2: complex(b2), 3: complex(b3)}
-    shift_powers = {s: c for s, c in powers.items() if s > 0 and c != 0}
-    terms = (ShiftTerm(0.0, 1.0 + 0.0j),) + sin_power_shifts(4, shift_powers)
-    reach = max(abs(t.shift) for t in terms) + 2.0
-    shifted = _shift_spatial(4, terms)
-
-    def spatial(x):
-        return shifted(np.asarray(x, dtype=float)[..., 0])
-
-    f_1d = _shift_fourier(4, powers)
+    shifts = sin_power_shifts(4, powers)
 
     def fourier(xi):
-        xi = np.asarray(xi)
-        return f_1d(xi[..., 0])
+        xi = np.asarray(xi, dtype=float)[..., 0]
+        num = sum(complex(c) * np.sin(np.pi * xi) ** s for s, c in powers.items())
+        return np.sinc(xi) ** 4 * num
 
     return Generator(
         name="bspline4_1d",
         d=1,
         fourier=fourier,
-        spatial=spatial,
-        support_radius=float(reach),
+        terms=((_spline_sum(4, shifts),),),
+        support_radius=max(map(abs, shifts)) + 2.0,
         sf_order=4,
         params={"b1": complex(b1), "b2": complex(b2), "b3": complex(b3)},
-        factor=shifted,
     )
 
 

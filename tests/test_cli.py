@@ -232,6 +232,14 @@ class TestStudy:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_tiny_truncation_tolerance_exits_two(self, tmp_path, capsys):
+        # the reach sqrt(decay_const / tol) of sinc_squared passes 2**62
+        doc = dict(STUDY_DOC, generator={"family": "sinc_squared"},
+                   study={"j_min": 1, "j_max": 2, "truncation_tol": 1e-40})
+        rc = main(["study", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "2**62" in capsys.readouterr().err
+
     def test_kinked_falsified_study_exits_two_before_any_level(
             self, tmp_path, capsys):
         cfg = write_doc(tmp_path, KINKED_FALSIFIED_DOC)

@@ -16,6 +16,7 @@ from dilsamp import (
     Lattice,
     MissingCoefficientError,
     ball_operator,
+    bspline3_2d,
     bspline4_1d,
     coefficients,
     delta_operator,
@@ -115,6 +116,15 @@ class TestLatticeSupport:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             lattice_support(hat(2), dyadic(1), 1, Box.centered(1.0, 1))
+
+    @pytest.mark.parametrize("g,domain,tol", [
+        # the reach sqrt(decay_const / tol) is 3.2e19
+        (sinc_squared(1), Box.centered(1, 1), 1e-40),
+        (hat(1), Box.centered(1e19, 1), 1e-10),
+    ], ids=["tiny-tolerance", "huge-domain"])
+    def test_box_past_two_to_the_62_rejected(self, g, domain, tol):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            lattice_support(g, dyadic(1), 1, domain, tol)
 
     def test_truncated_sum_is_exact_for_compact_support(self):
         g = hat(1)
@@ -324,15 +334,21 @@ class TestEvaluation:
         assert res.values.shape == (1,)
 
 
-def _general(g, m, j, cs, grid):
-    """The general path of ``evaluate`` on the grid's rows: without
-    ``g.factor`` no points form a tensor grid."""
-    return evaluate(dataclasses.replace(g, factor=None), m, j, cs, np.asarray(grid))
+def _general(g, m, j, cs, points):
+    """The general kernel on the points' rows, called directly: ``evaluate``
+    takes the per-axis kernel in 1-d and on a grid under a diagonal ``M^j``.
+    An unbounded generator taps the nonzero span, as in ``evaluate``."""
+    y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
+    if g.support_radius is None:
+        cs = expansion._nonzero_span(cs)
+    return expansion._evaluate_rows(g, y, cs)
 
 
 def _expansion_on_grid(g, m, j, halfwidth=1.5):
     domain = Box.centered(halfwidth, g.d)
-    cs = coefficients(ExactRule(), gaussian(g.d), m, j, lattice_support(g, m, j, domain))
+    # the coarse tolerance keeps an unbounded generator's 2-d box small
+    lattice = lattice_support(g, m, j, domain, 1e-10 if g.d == 1 else 1e-2)
+    cs = coefficients(ExactRule(), gaussian(g.d), m, j, lattice)
     return cs, make_grid(domain, operator_norm(m.power(-j)) / 8)
 
 
@@ -352,12 +368,15 @@ class TestPerAxisEvaluation:
         (hat(2), quincunx(), 4),
         # unbounded: the taps span the nonzero coefficients
         (sinc_squared(1), dyadic(1), 3),
+        # two terms each, compact and unbounded
+        (bspline3_2d(0.5, 0.5), dyadic(2), 2),
+        (sinc_squared_twoscale(2), dyadic(2), 1),
     ]
 
     @pytest.mark.parametrize("g,m,j", CASES, ids=[
         "hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
         "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even",
-        "sinc2-dyadic"])
+        "sinc2-dyadic", "bspline3-dyadic", "twoscale2-dyadic"])
     def test_matches_the_general_path(self, g, m, j, monkeypatch):
         cs, grid = _expansion_on_grid(g, m, j)
         ref = _general(g, m, j, cs, grid)
@@ -395,20 +414,32 @@ class TestPerAxisEvaluation:
 _SHEAR = dilation([[3, 1], [0, 3]])
 
 
+def _spatial_taps(g, m, j, cs, points):
+    """The general kernel's sum with each tap's value from ``g.spatial``."""
+    y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
+    k0, width = expansion._taps(g, y)
+    origin, acc = np.asarray(cs.lattice.origin), np.zeros(len(y), dtype=complex)
+    for off in np.ndindex(*(width,) * g.d):
+        k = k0 + off
+        inside = np.all((k >= origin) & (k < origin + cs.values.shape), axis=1)
+        c = cs.values[tuple(np.where(inside[:, None], k - origin, 0).T)]
+        acc += np.where(inside, c, 0.0) * g.spatial(y - k)
+    return acc
+
+
 class TestFactoredTaps:
     # (dilation, level): M^j is not diagonal, so the general kernel runs
     CASES = [(quincunx(), 1), (quincunx(), 3), (_SHEAR, 2)]
 
     @pytest.mark.parametrize("m,j", CASES, ids=["quincunx-1", "quincunx-3", "shear-2"])
     def test_factor_tables_give_the_spatial_bits(self, m, j):
-        g = hat(2)
-        cs, grid = _expansion_on_grid(g, m, j)
         rows = np.random.default_rng(j).uniform(-1.5, 1.5, size=(500, 2))
-        # without g.spatial the taps come from the factor tables alone
-        factored = dataclasses.replace(g, spatial=None)
-        for pts in (rows, grid):
-            ref = evaluate(dataclasses.replace(g, factor=None), m, j, cs, pts)
-            assert np.array_equal(evaluate(factored, m, j, cs, pts), ref)
+        for g in (hat(2), bspline3_2d(0.3, 0.8)):
+            cs, grid = _expansion_on_grid(g, m, j)
+            for pts in (rows, grid):
+                ref = _spatial_taps(g, m, j, cs, pts)
+                assert np.array_equal(_general(g, m, j, cs, pts), ref)
+                assert np.array_equal(evaluate(g, m, j, cs, pts), ref)
 
     def test_missing_coefficient_detected(self):
         cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
@@ -438,6 +469,16 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="must be finite"):
             # the coarse tolerance keeps an unbounded generator's box small
             expand(g, m, 1, ExactRule(), gaussian(g.d), Box.centered(2, g.d), pts, 1e-3)
+
+    def test_expand_checks_the_points_before_the_lattice_box(self, monkeypatch):
+        # at the default tolerance this box would hold about 4e9 coefficients
+        def unreachable(*args):
+            raise AssertionError("lattice_support ran before the point check")
+
+        monkeypatch.setattr(expansion, "lattice_support", unreachable)
+        with pytest.raises(ValueError, match="must be finite"):
+            expand(sinc_squared(2), quincunx(), 1, ExactRule(), gaussian(2),
+                   Box.centered(2, 2), [[np.nan, 0.0]])
 
     @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
     def test_points_mapping_past_two_to_the_62_rejected(self, g, m, cs):

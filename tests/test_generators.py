@@ -1,4 +1,5 @@
 """Generator catalog: spline values, transforms, flatness, Strang-Fix scans."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,35 @@ from dilsamp import (
     strang_fix_table,
 )
 from dilsamp._quadrature import gauss_legendre
+from dilsamp.generators import sin_power_shifts
 
 PI = math.pi
+
+
+def _truncated_power(m: int, x):
+    """Oracle: the centered ``B_m`` by the truncated-power formula."""
+    t = np.asarray(x, dtype=float) + m / 2.0
+    out = np.zeros_like(t)
+    if m == 1:
+        return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
+    for k in range(m + 1):
+        u = t - k
+        out += (-1.0) ** k * math.comb(m, k) * np.where(u > 0.0, u, 0.0) ** (m - 1)
+    out /= math.factorial(m - 1)
+    # the alternating sum cancels only to round-off past the support
+    return np.where((t > 0.0) & (t < m), out, 0.0)
+
+
+def _shift_spatial(m: int, shifts):
+    """Oracle: ``sum_h a_h B_m(x - h)``, one truncated-power sum per shift."""
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=complex)
+        for h, a in shifts:
+            out += a * _truncated_power(m, x - h)
+        return out
+
+    return ev
 
 
 def _quad_transform(g, xi: float, radius: float, panel: float = 0.5) -> complex:
@@ -64,8 +92,8 @@ class TestBsplineValues:
             np.random.default_rng(3).uniform(-3, 3, 10_000),
             [0.0, -0.0, 1.0, -1.0, 2.0, -2.0], one, two, [np.nan, np.inf, -np.inf]])
         with np.errstate(invalid="ignore"):  # the truncated powers of inf
-            ref = bspline(2, x) + 0.0j
-        got = hat(1).factor(x)
+            ref = _truncated_power(2, x) + 0.0j
+        got = hat(1).terms[0][0](x)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_fourier_is_sinc_power(self):
@@ -73,6 +101,61 @@ class TestBsplineValues:
         assert bspline_fourier(2, xi)[0] == pytest.approx((2 / PI) ** 2)
         assert bspline_fourier(4, xi)[0] == pytest.approx((2 / PI) ** 4)
         assert bspline_fourier(3, np.array([0.0]))[0] == pytest.approx(1.0)
+
+
+class TestPiecewisePolynomialForm:
+    X = np.concatenate([np.random.default_rng(5).uniform(-5, 5, 20_000),
+                        np.arange(-20, 21) / 4.0])
+
+    def _assert_close(self, got, ref):
+        # observed: at most 4.5e-15 of the largest value
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bspline_matches_the_truncated_powers(self, m):
+        self._assert_close(bspline(m, self.X), _truncated_power(m, self.X))
+
+    def test_quartic_family_matches_its_shifted_sum(self):
+        b1, b2, b3 = 0.2, 0.5, -0.1
+        shifts = sin_power_shifts(4, {1: b1, 2: b2, 3: b3})
+        shifts = [(0.0, 1.0 + 0.0j)] + list(shifts.items())
+        ref = _shift_spatial(4, shifts)(self.X)
+        self._assert_close(bspline4_1d(b1, b2, b3).spatial(self.X[:, None]), ref)
+
+    def test_bicubic_family_matches_its_shifted_sums(self):
+        b1, b2 = 0.3, 0.8
+        x = np.random.default_rng(6).uniform(-3, 3, size=(20_000, 2))
+        x1, x2 = x[:, 0], x[:, 1]
+        base1, base2 = _truncated_power(3, x1) + 0.0j, _truncated_power(3, x2) + 0.0j
+        shifted1 = _shift_spatial(3, sin_power_shifts(3, {2: b1}).items())
+        shifted2 = _shift_spatial(3, sin_power_shifts(3, {2: b2}).items())
+        ref = base1 * base2 + shifted1(x1) * base2 + base1 * shifted2(x2)
+        self._assert_close(bspline3_2d(b1, b2).spatial(x), ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_support_edges_and_non_finite_points_give_zero(self, m):
+        edge = m / 2.0
+        x = [edge, np.nextafter(edge, 9.0), np.nextafter(-edge, -9.0), 1e300, -1e300,
+             np.nan, np.inf, -np.inf] + ([-edge] if m > 1 else [])
+        assert np.array_equal(bspline(m, x), np.zeros(len(x)))
+        if m == 1:  # the indicator's left end is closed
+            assert bspline(1, -0.5) == 1.0
+
+    def test_family_support_edges_and_non_finite_points_give_zero(self):
+        g = bspline4_1d(0.2, 0.5, -0.1)
+        r = g.support_radius
+        x = np.array([r, -r, np.nextafter(r, 9.0), np.nan, np.inf, -np.inf])
+        assert np.array_equal(g.spatial(x[:, None]), np.zeros(len(x)))
+        pts = [[2.5, 0.1], [-2.5, 0.3], [0.2, 2.5], [0.1, -2.5], [np.nan, 0.0],
+               [0.0, np.inf], [-np.inf, 0.0]]
+        assert np.array_equal(bspline3_2d(0.3, 0.8).spatial(pts), np.zeros(len(pts)))
+
+    def test_each_term_has_one_factor_per_axis(self):
+        assert [len(g.terms) for g in (hat(2), sinc_squared(3), bspline4_1d(0.1),
+                                       bspline3_2d(0.3, 0.8), sinc_squared_twoscale(2))
+                ] == [1, 1, 1, 2, 2]
+        with pytest.raises(ValueError, match="one factor per axis"):
+            dataclasses.replace(hat(2), terms=((hat(1).terms[0][0],),))
 
 
 class TestTransformConsistency:
