@@ -21,7 +21,7 @@ from dilsamp import (
     StudyPlan,
     ball_average,
     ball_operator,
-    bspline4_family,
+    bspline4_1d,
     convergence_study,
     delta_operator,
     deviation_study,
@@ -83,9 +83,7 @@ print(f"\nhat kernel with ball-averaged samples: slope "
 # moment operator is just the plain average, and its window caps an
 # order-4 kernel at min(4, 1 + 1) = 2.
 
-fam = bspline4_family()
-cal = solve_free_params(fam, delta_operator(1), 4)
-quartic = fam.make([cal.params[k] for k in fam.param_names])
+quartic = solve_free_params(bspline4_1d, delta_operator(1), 4).generator
 rep = convergence_study(StudyPlan(
     generator=quartic,
     dilation=dyadic(1),
@@ -104,8 +102,7 @@ print(f"order-4 kernel under an order-1 average: slope "
 # Calibrating the kernel against the moment operator itself recovers the
 # full order 4 from averaged samples (see calibrate_quartic_kernel.py).
 
-cal = solve_free_params(fam, ball_operator(1, 3, 0.5), 4)
-matched = fam.make([cal.params[k] for k in fam.param_names])
+matched = solve_free_params(bspline4_1d, ball_operator(1, 3, 0.5), 4).generator
 rep = convergence_study(StudyPlan(
     generator=matched,
     dilation=dyadic(1),

@@ -21,21 +21,19 @@ import numpy as np
 from dilsamp import (
     ball_moments,
     ball_operator,
-    bspline4_family,
+    bspline4_1d,
     delta_operator,
     flatness_residuals,
     solve_free_params,
     strang_fix_order,
 )
 
-fam = bspline4_family()
-
 ###############################################################################
 # Without calibration the spectrum is not flat: the plain quartic spline
 # (all parameters zero) fails the second-order condition at the origin,
 # so its expansions converge at order 2 despite the order-4 lattice zeros.
 
-plain = fam.make([0.0, 0.0, 0.0])
+plain = bspline4_1d(0.0, 0.0, 0.0)
 res_plain = flatness_residuals(plain, delta_operator(1), 4)
 print("plain quartic spline")
 print(f"  lattice zero order : {strang_fix_order(plain, 6)}")
@@ -46,7 +44,7 @@ for gamma, value in res_plain.items():
 # Calibrating against the point operator (exact samples) lands on
 # (b1, b2, b3) = (0, 2/3, 0) and drives every residual below 1e-9.
 
-cal = solve_free_params(fam, delta_operator(1), 4)
+cal = solve_free_params(bspline4_1d, delta_operator(1), 4)
 print("\ncalibrated for exact samples")
 for name, value in cal.params.items():
     print(f"  {name} = {value:+.12f}")
@@ -63,7 +61,7 @@ op = ball_operator(1, 3, h)
 print(f"\nball moments at radius h = {h}:")
 for beta, value in ball_moments(1, 3, h).items():
     print(f"  a_{beta} = {value:.6f}")
-cal_ball = solve_free_params(fam, op, 4)
+cal_ball = solve_free_params(bspline4_1d, op, 4)
 print("calibrated for ball averages")
 for name, value in cal_ball.params.items():
     print(f"  {name} = {value:+.12f}")
@@ -75,7 +73,7 @@ print(f"  b2 shift from the point answer: {cal_ball.params['b2'] - 2.0 / 3.0:.6f
 # wrong parameter sign back through the flatness conditions leaves an
 # order-one residual instead of 1e-9.
 
-wrong = fam.make([0.0, -(2.0 / 3.0) * (1.0 + h * h), 0.0])
+wrong = bspline4_1d(0.0, -(2.0 / 3.0) * (1.0 + h * h), 0.0)
 worst = max(abs(v) for v in flatness_residuals(wrong, op, 4).values())
 print(f"\nflipped-sign b2 leaves residual {worst:.3f}; the solver's answer"
       f" leaves {cal_ball.max_residual:.1e}")

@@ -18,7 +18,7 @@ import numpy as np
 from dilsamp import (
     ExactRule,
     StudyPlan,
-    bspline4_family,
+    bspline4_1d,
     convergence_study,
     delta_operator,
     dyadic,
@@ -60,9 +60,7 @@ show("hat kernel, smooth signal", rep)
 # Calibrating the quartic family against the point operator lifts the
 # order to 4 (see calibrate_quartic_kernel.py for the mechanism).
 
-fam = bspline4_family()
-cal = solve_free_params(fam, delta_operator(1), 4)
-quartic = fam.make([cal.params[k] for k in fam.param_names])
+quartic = solve_free_params(bspline4_1d, delta_operator(1), 4).generator
 rep = convergence_study(StudyPlan(
     generator=quartic,
     dilation=dyadic(1),

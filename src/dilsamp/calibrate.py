@@ -18,12 +18,13 @@ calibrated generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ._finitediff import fd_partial
 from .diffop import DiffOperator, symbol
-from .generators import Generator, GeneratorFamily
+from .generators import Generator
 from .multiindex import indices_below
 
 _DROP_TOL = 1e-10
@@ -36,7 +37,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Solved parameters with their verification residuals."""
+    """Solved parameters, the generator they make, and its verification
+    residuals."""
 
     family: str
     target_order: int
@@ -44,21 +46,17 @@ class CalibrationResult:
     residuals: dict
     max_residual: float
     dropped: tuple
+    generator: Generator
 
 
-def _flatness_fn(g: Generator, op: DiffOperator):
+def flatness_residuals(g: Generator, op: DiffOperator, n: int) -> dict:
+    """Values ``D^gamma (1 - phi_hat conj(symbol))(0)`` for ``[gamma] < n``."""
     if g.d != op.d:
         raise ValueError("generator and operator dimensions differ")
 
     def fn(xi):
         return 1.0 - np.asarray(g.fourier(xi)) * np.conj(symbol(op, xi))
 
-    return fn
-
-
-def flatness_residuals(g: Generator, op: DiffOperator, n: int) -> dict:
-    """Values ``D^gamma (1 - phi_hat conj(symbol))(0)`` for ``[gamma] < n``."""
-    fn = _flatness_fn(g, op)
     zero = np.zeros(g.d)
     return {
         gamma: fd_partial(fn, zero, gamma, scale=1.0)
@@ -67,13 +65,17 @@ def flatness_residuals(g: Generator, op: DiffOperator, n: int) -> dict:
 
 
 def solve_free_params(
-    family: GeneratorFamily,
+    factory: Callable[..., Generator],
     op: DiffOperator,
     n: int,
     drop_tol: float = _DROP_TOL,
     residual_tol: float = _RESIDUAL_TOL,
 ) -> CalibrationResult:
     """Solve the order-``n`` flatness conditions for the family parameters.
+
+    ``factory`` is a family: the keys of its default generator's ``params``
+    are the free parameters, passed as keywords.  The result carries the
+    calibrated generator whose residuals were verified.
 
     Raises :class:`CalibrationError` when the verified residuals of the
     solved generator are not below ``residual_tol``; the offending
@@ -83,18 +85,23 @@ def solve_free_params(
     """
     if n < 1:
         raise ValueError("target order must be at least 1")
-    gammas = indices_below(n, family.d)
-    npar = len(family.param_names)
-    zero_g = family.make([0.0] * npar)
+    names = tuple(factory().params)
+    npar = len(names)
+
+    def make(vals):
+        return factory(**dict(zip(names, vals)))
+
+    zero_g = make([0.0] * npar)
+    gammas = indices_below(n, zero_g.d)
     base = flatness_residuals(zero_g, op, n)
     cols = []
     for i in range(npar):
         unit = [0.0] * npar
         unit[i] = 1.0
-        res_i = flatness_residuals(family.make(unit), op, n)
+        res_i = flatness_residuals(make(unit), op, n)
         cols.append({g: res_i[g] - base[g] for g in gammas})
 
-    rows, rhs, kept, dropped = [], [], [], []
+    rows, rhs, dropped = [], [], []
     for gamma in gammas:
         row = np.array([cols[i][gamma] for i in range(npar)], dtype=complex)
         b = -complex(base[gamma])
@@ -103,7 +110,6 @@ def solve_free_params(
             continue
         rows.append(row)
         rhs.append(b)
-        kept.append(gamma)
 
     if rows:
         a = np.asarray(rows)
@@ -113,21 +119,21 @@ def solve_free_params(
         sol = np.zeros(npar, dtype=complex)
 
     vals = [v.real if abs(v.imag) < drop_tol else v for v in sol]
-    params = dict(zip(family.param_names, vals))
-    calibrated = family.make(vals)
+    calibrated = make(vals)
     residuals = flatness_residuals(calibrated, op, n)
     worst = max(abs(v) for v in residuals.values())
     if worst >= residual_tol:
         offending = [g for g, v in residuals.items() if abs(v) >= residual_tol]
         raise CalibrationError(
             f"flatness residuals {worst:.3e} at {offending} for "
-            f"family {family.name}, target order {n}"
+            f"family {zero_g.name}, target order {n}"
         )
     return CalibrationResult(
-        family=family.name,
+        family=zero_g.name,
         target_order=n,
-        params=params,
+        params=dict(zip(names, vals)),
         residuals=residuals,
         max_residual=worst,
         dropped=tuple(dropped),
+        generator=calibrated,
     )

@@ -25,13 +25,14 @@ from .calibrate import CalibrationError
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _build_generator,
     _check_params,
     _json_number,
     parse_config,
 )
 from .diffop import ball_moments
 from .expansion import expand
-from .generators import named_families, named_generators, strang_fix_table
+from .generators import named_generators, strang_fix_table
 from .multiindex import indices_below
 from .signals import polynomial
 from .taylor import verify_taylor_recombination
@@ -131,12 +132,10 @@ def _flag_generator(args):
         except ValueError as e:
             raise ConfigError(f"--params: {e}") from e
     params = _check_params(args.generator, values, "--params")
-    family = named_families.get(args.generator)
-    if family is None:
-        return named_generators[args.generator](args.dim or 1)
-    if args.dim not in (None, family.d):
-        raise ConfigError(f"--dim: {family.name} is {family.d}-d, got {args.dim}")
-    return family.make(params)
+    d = (args.dim or 1) if params is None else named_generators[args.generator]().d
+    if args.dim not in (None, d):
+        raise ConfigError(f"--dim: {args.generator} is {d}-d, got {args.dim}")
+    return _build_generator(args.generator, params, d)
 
 
 def cmd_strang_fix(args, out: Path) -> int:
@@ -203,10 +202,12 @@ def cmd_expand(args, out: Path) -> int:
     domain = study_domain(plan)
     try:
         grid, _ = level_grid(plan, domain, j)
+        vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, grid,
+                      plan.truncation_tol).values
     except OverflowError as e:
         raise ConfigError(f"--level: {j} is out of range ({e})") from e
-    vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, grid,
-                  plan.truncation_tol).values
+    except ValueError as e:
+        raise ConfigError(f"expand: {e}") from e
     pts = np.asarray(grid)
     header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
     rows = (
@@ -224,7 +225,7 @@ def cmd_study(args, out: Path) -> int:
     plan, calibration = cfg.build_plan()
     try:
         report = convergence_study(plan)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"study: {e}") from e
     csv_path = out / "study.csv"
     _write_csv(

@@ -31,7 +31,7 @@ from .calibrate import CalibrationResult, solve_free_params
 from .diffop import DiffOperator, ball_operator, delta_operator
 from .dilation import Dilation
 from .expansion import DifferentialRule, ExactRule, FalsifiedRule
-from .generators import named_families, named_generators
+from .generators import named_generators
 from .signals import Signal, gaussian, named_signals
 
 _KINKED_SIGNALS = ("laplace1d", "matern1d")
@@ -201,23 +201,20 @@ class ExperimentConfig:
 
     def calibrate(self) -> CalibrationResult:
         """Solve the family's free parameters against the configured
-        operator, up to the order of the family's zero-parameter member."""
+        operator, up to the family's declared order."""
         name = self.generator["family"]
-        family = named_families.get(name)
-        if family is None:
+        factory = named_generators[name]
+        if not factory().params:
             raise ConfigError(f"generator.family: {name} has no free parameters")
-        zero = family.make([0.0] * len(family.param_names))
-        return solve_free_params(family, self.build_operator(), zero.sf_order)
+        return solve_free_params(factory, self.build_operator(), factory().sf_order)
 
     def build_generator(self):
         """The configured generator and its calibration result, if any."""
         name, params = self.generator["family"], self.generator["params"]
         if params == "calibrate":
             result = self.calibrate()
-            return named_families[name].make(result.params), result
-        if name in named_families:
-            return named_families[name].make(params), None
-        return named_generators[name](self.d), None
+            return result.generator, result
+        return _build_generator(name, params, self.d), None
 
     def build_rule(self):
         kind = self.rule["kind"]
@@ -250,9 +247,8 @@ class ExperimentConfig:
         """
         doc = _plain(vars(self))
         if calibration is not None:
-            names = named_families[self.generator["family"]].param_names
             doc["generator"]["params"] = [
-                _json_number(calibration.params[n]) for n in names
+                _json_number(v) for v in calibration.params.values()
             ]
         if domain_halfwidth is not None:
             doc["study"]["domain_halfwidth"] = domain_halfwidth
@@ -279,10 +275,10 @@ def from_mapping(obj) -> ExperimentConfig:
                      tuple(sorted(named_generators)))
     params = _take(gen, "generator", "params", None)
     _reject_leftovers(gen, "generator")
-    fam = named_families.get(family)
-    if fam is not None and fam.d != d:
+    default = named_generators[family]()
+    if default.params and default.d != d:
         raise ConfigError(
-            f"generator.family: {family} needs a {fam.d}-d dilation"
+            f"generator.family: {family} needs a {default.d}-d dilation"
         )
     params = _check_params(family, params)
 
@@ -354,12 +350,11 @@ def _check_params(family: str, params, path: str = "generator.params"):
     None for a plain generator; for a family ``"calibrate"``, a tuple of
     floats from a list, or a dict of floats keyed by parameter name.
     """
-    fam = named_families.get(family)
-    if fam is None:
+    names = tuple(named_generators[family]().params)
+    if not names:
         if params is not None:
             raise ConfigError(f"{path}: {family} takes no parameters")
         return None
-    names = fam.param_names
     if params is None:
         raise ConfigError(f"{path}: required for {family} ({len(names)} values)")
     if params == "calibrate":
@@ -375,6 +370,16 @@ def _check_params(family: str, params, path: str = "generator.params"):
             )
         return {k: _real(v, f"{path}.{k}") for k, v in params.items()}
     raise ConfigError(f'{path}: expected a list, an object, or "calibrate"')
+
+
+def _build_generator(name: str, params, d: int):
+    """The named generator: a family's member from ``params`` checked by
+    :func:`_check_params`, or a generator without parameters in ``d``
+    dimensions."""
+    factory = named_generators[name]
+    if params is None:
+        return factory(d)
+    return factory(**params) if isinstance(params, dict) else factory(*params)
 
 
 def parse_config(text: str) -> ExperimentConfig:

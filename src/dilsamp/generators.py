@@ -21,10 +21,11 @@ The catalog contains
 * ``bspline4_1d``: three-parameter line family built from shifted
   fourth-order B-splines; calibrated instances reach order 4.
 
-The parametric families are exposed both as factories and as
-:class:`GeneratorFamily` objects for the calibration solver.  Amplitudes of
-odd shift terms are imaginary, so spatial values are complex in general;
-every catalog spectrum is real at the origin with value 1.
+A family is its factory: its free parameters are the keys of its default
+generator's ``params``, in order, passed as keywords; a factory without
+them takes the dimension.  Amplitudes of odd shift terms are imaginary, so
+spatial values are complex in general; every catalog spectrum is real at
+the origin with value 1.
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ class Generator:
     """A space/frequency pair with the metadata the expansion code needs.
 
     ``terms`` is ``phi`` as a sum of rank-1 terms, each a tuple of ``d`` 1-d
-    functions (:meth:`spatial`); a tensor generator has one.
+    functions (:meth:`spatial`); a tensor generator has one, and so does
+    every 1-d generator, whose terms are folded into one factor.
     ``support_radius`` is the sup-norm halfwidth of the support (None for
     generators with unbounded support; then ``decay_const`` bounds
     ``|phi|`` per coordinate by ``decay_const / x_i**2``).  ``sf_order`` is
@@ -72,6 +74,10 @@ class Generator:
     def __post_init__(self):
         if not self.terms or any(len(t) != self.d for t in self.terms):
             raise ValueError(f"{self.name}: each term needs one factor per axis")
+        if self.d == 1 and len(self.terms) > 1:
+            parts = [f for (f,) in self.terms]
+            object.__setattr__(self, "terms",
+                               ((lambda x: reduce(np.add, (f(x) for f in parts)),),))
 
     def spatial(self, x):
         """``phi`` at points ``(..., d)``: each term's factors multiplied in
@@ -311,59 +317,12 @@ def bspline4_1d(b1: complex = 0.0, b2: complex = 0.0, b3: complex = 0.0) -> Gene
     )
 
 
-# ---------------------------------------------------------------------------
-# parametric families for calibration
-
-
-@dataclass(frozen=True)
-class GeneratorFamily:
-    """A named factory with an ordered free-parameter list.
-
-    The spectrum must depend affinely on the parameters; the calibration
-    solver relies on that to assemble its linear system from evaluations at
-    the zero and unit parameter vectors.
-    """
-
-    name: str
-    d: int
-    param_names: tuple
-    factory: Callable
-
-    def make(self, params) -> Generator:
-        if isinstance(params, dict):
-            vals = [params[n] for n in self.param_names]
-        else:
-            vals = list(params)
-        if len(vals) != len(self.param_names):
-            raise ValueError(
-                f"family {self.name} expects {len(self.param_names)} parameters"
-            )
-        return self.factory(*vals)
-
-
-def bspline3_family() -> GeneratorFamily:
-    return GeneratorFamily(
-        name="bspline3_2d", d=2, param_names=("b1", "b2"), factory=bspline3_2d
-    )
-
-
-def bspline4_family() -> GeneratorFamily:
-    return GeneratorFamily(
-        name="bspline4_1d", d=1, param_names=("b1", "b2", "b3"), factory=bspline4_1d
-    )
-
-
 named_generators = {
     "sinc_squared": sinc_squared,
     "sinc_squared_twoscale": sinc_squared_twoscale,
     "hat": hat,
     "bspline3_2d": bspline3_2d,
     "bspline4_1d": bspline4_1d,
-}
-
-named_families = {
-    "bspline3_2d": bspline3_family(),
-    "bspline4_1d": bspline4_family(),
 }
 
 

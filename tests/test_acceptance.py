@@ -19,8 +19,8 @@ from dilsamp import (
     ball_moments,
     ball_operator,
     bspline,
-    bspline3_family,
-    bspline4_family,
+    bspline3_2d,
+    bspline4_1d,
     coefficients,
     convergence_study,
     delta_operator,
@@ -48,19 +48,17 @@ from dilsamp import (
 
 @pytest.fixture(scope="module")
 def quartic_point_calibration():
-    return solve_free_params(bspline4_family(), delta_operator(1), 4)
+    return solve_free_params(bspline4_1d, delta_operator(1), 4)
 
 
 @pytest.fixture(scope="module")
 def quartic_point_generator(quartic_point_calibration):
-    fam = bspline4_family()
-    vals = [quartic_point_calibration.params[k] for k in fam.param_names]
-    return fam.make(vals)
+    return quartic_point_calibration.generator
 
 
 @pytest.fixture(scope="module")
 def quartic_ball_calibration():
-    return solve_free_params(bspline4_family(), ball_operator(1, 3, 0.5), 4)
+    return solve_free_params(bspline4_1d, ball_operator(1, 3, 0.5), 4)
 
 
 def _random_poly(rng, d, degree):
@@ -129,7 +127,7 @@ def test_criterion_04_calibration_round_trip(
 ):
     # Point context: the zero-moment operator is where the closed-form
     # b1 = (1 - 4*a20)/2 and the flatness system agree (a20 = 0 there).
-    bicubic = solve_free_params(bspline3_family(), delta_operator(2), 3)
+    bicubic = solve_free_params(bspline3_2d, delta_operator(2), 3)
     printed_at_delta = 0.5 * (1.0 - 4.0 * 0.0)
     round_trip = abs(bicubic.params["b1"] - printed_at_delta)
     quartic = quartic_point_calibration
@@ -141,11 +139,10 @@ def test_criterion_04_calibration_round_trip(
     # and stays flat; the competing closed form 0.4375 does not.
     h = 0.5
     op = ball_operator(2, 2, h)
-    fam = bspline3_family()
-    solved = solve_free_params(fam, op, 3)
+    solved = solve_free_params(bspline3_2d, op, 3)
     printed = 0.5 * (1.0 - 4.0 * h * h / 8.0)
     bad = max(
-        abs(v) for v in flatness_residuals(fam.make([printed, printed]), op, 3).values()
+        abs(v) for v in flatness_residuals(bspline3_2d(printed, printed), op, 3).values()
     )
     ok = (
         round_trip <= 1e-9
@@ -243,9 +240,8 @@ def test_criterion_08_ball_average_order_four_adjudicates_sign(
 ):
     h = 0.5
     cal = quartic_ball_calibration
-    fam = bspline4_family()
     sign_gap = abs(cal.params["b2"] - (2.0 / 3.0 + 2.0 * h * h / 3.0))
-    good = fam.make([cal.params[k] for k in fam.param_names])
+    good = cal.generator
     plan = dict(
         dilation=dyadic(1),
         rule=FalsifiedRule(h),
@@ -259,7 +255,7 @@ def test_criterion_08_ball_average_order_four_adjudicates_sign(
     rep_good = convergence_study(StudyPlan(generator=good, **plan))
     # The competing sign b2 = -(2/3)(1 + h^2) breaks the order-2 flatness
     # condition, so its study must fall short of order 4.
-    flipped = fam.make([0.0, -(2.0 / 3.0) * (1.0 + h * h), 0.0])
+    flipped = bspline4_1d(0.0, -(2.0 / 3.0) * (1.0 + h * h), 0.0)
     rep_bad = convergence_study(StudyPlan(generator=flipped, **plan))
     ok = (
         sign_gap <= 1e-9

@@ -5,9 +5,7 @@ from dilsamp import (
     CalibrationError,
     ball_operator,
     bspline3_2d,
-    bspline3_family,
     bspline4_1d,
-    bspline4_family,
     delta_operator,
     flatness_residuals,
     solve_free_params,
@@ -16,7 +14,7 @@ from dilsamp import (
 
 class TestQuarticFamily:
     def test_point_context_reaches_order_four(self):
-        res = solve_free_params(bspline4_family(), delta_operator(1), 4)
+        res = solve_free_params(bspline4_1d, delta_operator(1), 4)
         assert res.target_order == 4
         assert abs(res.params["b1"]) < 1e-9
         assert res.params["b2"] == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -28,7 +26,7 @@ class TestQuarticFamily:
     def test_ball_context_shifts_the_even_parameter(self):
         # flattening phi_hat times the ball symbol moves b2 by 2 h^2 / 3
         h = 0.5
-        res = solve_free_params(bspline4_family(), ball_operator(1, 3, h), 4)
+        res = solve_free_params(bspline4_1d, ball_operator(1, 3, h), 4)
         assert res.params["b2"] == pytest.approx(2.0 / 3.0 + 2.0 * h**2 / 3.0, abs=1e-9)
         assert abs(res.params["b1"]) < 1e-9
         assert abs(res.params["b3"]) < 1e-9
@@ -36,12 +34,12 @@ class TestQuarticFamily:
 
     def test_unreachable_order_raises(self):
         with pytest.raises(CalibrationError, match="target order 5"):
-            solve_free_params(bspline4_family(), delta_operator(1), 5)
+            solve_free_params(bspline4_1d, delta_operator(1), 5)
 
 
 class TestBicubicFamily:
     def test_point_context(self):
-        res = solve_free_params(bspline3_family(), delta_operator(2), 3)
+        res = solve_free_params(bspline3_2d, delta_operator(2), 3)
         assert res.params["b1"] == pytest.approx(0.5, abs=1e-9)
         assert res.params["b2"] == pytest.approx(0.5, abs=1e-9)
         assert res.max_residual < 1e-8
@@ -49,7 +47,7 @@ class TestBicubicFamily:
     def test_ball_context_solution_is_half_of_one_plus_h_squared(self):
         # with a20 = h^2/8 the flat parameter is (1 + 8 a20) / 2 = (1 + h^2) / 2
         h = 0.5
-        res = solve_free_params(bspline3_family(), ball_operator(2, 2, h), 3)
+        res = solve_free_params(bspline3_2d, ball_operator(2, 2, h), 3)
         want = 0.5 * (1.0 + h * h)
         assert res.params["b1"] == pytest.approx(want, abs=1e-9)
         assert res.params["b2"] == pytest.approx(want, abs=1e-9)
@@ -78,3 +76,27 @@ class TestFlatnessResiduals:
         g = bspline4_1d(0.3, 0.1, 0.0)
         res = flatness_residuals(g, delta_operator(1), 4)
         assert abs(res[(1,)]) > 0.5
+
+
+class TestCalibratedGenerator:
+    @pytest.mark.parametrize("factory,op,n", [
+        (bspline4_1d, delta_operator(1), 4),
+        (bspline4_1d, ball_operator(1, 3, 0.5), 4),
+        (bspline3_2d, delta_operator(2), 3),
+    ], ids=["quartic-point", "quartic-ball", "bicubic-point"])
+    def test_result_carries_the_verified_generator(self, factory, op, n):
+        cal = solve_free_params(factory, op, n)
+        assert cal.generator.name == cal.family == factory().name
+        assert cal.generator.params == cal.params
+        assert flatness_residuals(cal.generator, op, n) == cal.residuals
+
+    def test_factory_is_called_with_keywords(self):
+        # the free parameters are the default generator's params keys, so a
+        # factory taking them in another positional order solves the same
+        def reversed_quartic(b3=0.0, b2=0.0, b1=0.0):
+            return bspline4_1d(b1, b2, b3)
+
+        want = solve_free_params(bspline4_1d, ball_operator(1, 3, 0.5), 4)
+        got = solve_free_params(reversed_quartic, ball_operator(1, 3, 0.5), 4)
+        assert got.params == want.params
+        assert got.residuals == want.residuals

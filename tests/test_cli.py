@@ -192,6 +192,18 @@ class TestExpand:
         assert capsys.readouterr().err.startswith("config error: --level: 70")
         assert not (out / "expand.csv").exists()
 
+    def test_lattice_box_past_two_to_the_62_exits_two(self, tmp_path, capsys):
+        # the reach sqrt(decay_const / tol) of sinc_squared passes 2**62
+        doc = dict(STUDY_DOC, generator={"family": "sinc_squared"},
+                   study={"truncation_tol": 1e-40})
+        out = tmp_path / "out"
+        rc = main(["expand", write_doc(tmp_path, doc), "--level", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2**62" in err
+        assert not (out / "expand.csv").exists()
+
 
 class TestStudy:
     def test_passing_study(self, tmp_path):
@@ -239,6 +251,15 @@ class TestStudy:
         rc = main(["study", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "2**62" in capsys.readouterr().err
+
+    def test_level_beyond_int64_exits_two(self, tmp_path, capsys):
+        doc = dict(STUDY_DOC, study={"j_min": 63, "j_max": 64})
+        out = tmp_path / "out"
+        rc = main(["study", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: study:")
+        assert not (out / "study.csv").exists()
+        assert not (out / "report.json").exists()
 
     def test_kinked_falsified_study_exits_two_before_any_level(
             self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from dilsamp import CalibrationResult, StudyPlan
+from dilsamp import CalibrationResult, StudyPlan, bspline4_1d
 from dilsamp._quadrature import QuadSpec
 from dilsamp.config import STUDY_DEFAULTS, ConfigError, from_mapping, parse_config
 
@@ -182,6 +182,19 @@ class TestBuilders:
         assert plan.operator.order == 3
         assert plan.rule.h == 0.5
         assert plan.j_max == 7
+
+    def test_calibrated_document_builds_the_calibrations_generator(self):
+        plan, cal = from_mapping(dict(FALSIFIED)).build_plan()
+        assert plan.generator is cal.generator
+        assert plan.generator.name == "bspline4_1d"
+        assert plan.generator.params == cal.params
+
+    def test_list_and_dict_params_build_the_same_member(self):
+        want = bspline4_1d(0.1, 0.5, -0.2).params
+        for params in ([0.1, 0.5, -0.2], {"b3": -0.2, "b1": 0.1, "b2": 0.5}):
+            cfg = from_mapping(minimal(generator={"family": "bspline4_1d", "params": params}))
+            g, cal = cfg.build_generator()
+            assert g.params == want and cal is None
 
     def test_offset_reaches_the_signal(self):
         doc = minimal(signal={"kind": "matern1d", "offset": 1.0 / 3.0})

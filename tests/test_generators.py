@@ -12,7 +12,6 @@ from dilsamp import (
     bspline_fourier,
     fourier_derivative,
     hat,
-    named_families,
     named_generators,
     sinc_squared,
     sinc_squared_twoscale,
@@ -152,10 +151,23 @@ class TestPiecewisePolynomialForm:
 
     def test_each_term_has_one_factor_per_axis(self):
         assert [len(g.terms) for g in (hat(2), sinc_squared(3), bspline4_1d(0.1),
-                                       bspline3_2d(0.3, 0.8), sinc_squared_twoscale(2))
-                ] == [1, 1, 1, 2, 2]
+                                       bspline3_2d(0.3, 0.8), sinc_squared_twoscale(2),
+                                       sinc_squared_twoscale(1))
+                ] == [1, 1, 1, 2, 2, 1]
         with pytest.raises(ValueError, match="one factor per axis"):
             dataclasses.replace(hat(2), terms=((hat(1).terms[0][0],),))
+
+    def test_one_dimensional_terms_fold_into_one_factor_bit_for_bit(self):
+        # sinc_squared_twoscale(1) = psi(x/2) - psi(x/4) / 4, psi = sinc**2,
+        # its two terms added in order by one factor
+        x = np.linspace(-40.0, 40.0, 4001)
+        parts = np.sinc(x / 2.0) ** 2 + 0.0j, -0.25 * np.sinc(x / 4.0) ** 2 + 0.0j
+        g = sinc_squared_twoscale(1)
+        assert len(g.terms) == 1
+        assert np.array_equal(g.spatial(x[:, None]), parts[0] + parts[1])
+        h = dataclasses.replace(hat(1), terms=((np.cos,), (np.sin,), (np.cos,)))
+        assert len(h.terms) == 1
+        assert np.array_equal(h.spatial(x[:, None]), np.cos(x) + np.sin(x) + np.cos(x))
 
 
 class TestTransformConsistency:
@@ -264,8 +276,10 @@ def test_catalogs():
         "sinc_squared",
         "sinc_squared_twoscale",
     }
-    assert set(named_families) == {"bspline3_2d", "bspline4_1d"}
-    fam = named_families["bspline4_1d"]
-    assert fam.param_names == ("b1", "b2", "b3")
-    g = fam.make({"b1": 0.0, "b2": 2.0 / 3.0, "b3": 0.0})
+    # a family is a factory whose default generator has params
+    families = {name for name, factory in named_generators.items() if factory().params}
+    assert families == {"bspline3_2d", "bspline4_1d"}
+    assert tuple(bspline4_1d().params) == ("b1", "b2", "b3")
+    assert tuple(bspline3_2d().params) == ("b1", "b2")
+    g = named_generators["bspline4_1d"](**{"b1": 0.0, "b2": 2.0 / 3.0, "b3": 0.0})
     assert g.params["b2"] == pytest.approx(2.0 / 3.0)
