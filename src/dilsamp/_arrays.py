@@ -30,8 +30,19 @@ def as_rows(x, d: int) -> np.ndarray:
 
 
 def map_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``rows @ a.T`` with each row reduced on its own, alike in any batch."""
-    return np.vecdot(rows[:, None, :], a)
+    """``rows @ a.T`` as float rows, each output column formed as the
+    column-wise products ``rows[:, j] * a[i, j]`` summed left to right, so
+    a row's bits do not depend on the other rows.  Where every product is
+    exact (the dyadic and quincunx powers) this gives ``np.vecdot``'s bits;
+    for general real matrices the last bit can differ from it, since
+    ``vecdot`` may fuse a multiply and an add."""
+    out = np.empty((rows.shape[0], a.shape[0]))
+    for i, ai in enumerate(a):
+        col = out[:, i]
+        np.multiply(rows[:, 0], ai[0], out=col)
+        for j in range(1, a.shape[1]):
+            col += rows[:, j] * ai[j]
+    return out
 
 
 def as_index(alpha) -> tuple[int, ...]:

@@ -36,15 +36,20 @@ from .dilation import Dilation
 from .generators import Generator
 
 _CHUNK = 1 << 17
-# Terms per tile of an unbounded generator's sum.  With tiles of 2**14 to
-# 2**17 terms glibc returned the temporaries and faulted them in again on
-# some spans, every tile; 2**13 did not on any span measured.
+# Terms per tile of an unbounded generator's sum.  The general kernel makes
+# temporaries per tile: with tiles of 2**14 to 2**17 terms glibc returned
+# them and faulted them in again on some spans, every tile; 2**13 did not on
+# any span measured.  The per-axis kernel reuses one buffer.
 _TILE = 1 << 13
 # Points per chunk of the general kernel, which keeps per-axis tables of
 # width x chunk entries; on a shared 2-vCPU host 2**15 ran quincunx level 7
 # in 0.13 s, 2**17 in 0.22 s.
 _ROWS = 1 << 15
 _EDGE = 1e-9
+# Closer than this to a lattice coordinate, an unbounded generator's tap is
+# phi(0): phi(y - k) is within 3.3e-18 * sum|w_i| of it there, and
+# 1 / (y - k)**2 could overflow nearer 0.
+_NEAR = 1e-9
 # Mapped coordinates stay below this, so that lattice indices are exact int64.
 _REACH = 2.0**62
 
@@ -238,10 +243,12 @@ def lattice_support(
     For compactly supported generators this is a superset of every ``k``
     with ``supp phi(M^j . - k)`` meeting the domain (a thin boundary layer
     of vanishing terms may be included, which leaves the truncated sum
-    exact).  For unbounded generators the reach per coordinate is
-    ``R = sqrt(decay_const / truncation_tol)``: by ``|phi| <= decay_const /
-    x**2``, each omitted translate has ``|phi| <= truncation_tol`` on the
-    domain.  That bounds neither its term ``c_k phi`` nor the omitted sum,
+    exact).  An unbounded generator's factors are ``N(x) / x**2`` with a
+    bounded numerator ``N`` of period ``L`` (``SquaredSincs``; where
+    ``|x| < 1e-9``, 0 included, :func:`evaluate` takes the value at 0), and
+    its reach per coordinate is ``R = sqrt(decay_const / truncation_tol)``:
+    by ``|phi| <= decay_const / x**2``, each omitted translate has
+    ``|phi| <= truncation_tol`` on the domain.  That bounds neither its term ``c_k phi`` nor the omitted sum,
     about ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
     """
     if domain.d != g.d:
@@ -323,11 +330,20 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     the box (:class:`MissingCoefficientError` otherwise).  The general
     kernel forms each tap's value from per-axis tables of each term's
     factors, multiplied in axis order and summed in term order as
-    ``g.spatial`` does, so both give the same bits.  An unbounded generator
-    taps, per axis, the span of the nonzero coefficients, the same for
-    every point, and sums it in tiles of at most ``_TILE`` terms (points
-    times taps); the terms left out are zeros, so this is the whole
-    :func:`lattice_support` box up to summation order.
+    ``g.spatial`` does, so both give the same bits.
+
+    An unbounded generator taps the span of the nonzero coefficients, the
+    same for every point; the terms left out are zeros.  Its factors are
+    ``N(x) / x**2`` with ``N`` of period ``L`` (``SquaredSincs``:
+    ``L = 1`` for ``sinc_squared``, 4 for ``sinc_squared_twoscale``).  The
+    per-axis kernel, which serves 1-d rows too, forms ``N`` once per point
+    and residue class of ``k`` modulo ``L`` and each term as ``c_k /
+    (y - k)**2``; where ``|y - k| < 1e-9`` (0 included) the term is
+    ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i| * |c_k|``.  The
+    general kernel in ``d >= 2`` forms ``g.spatial`` over the span.  Both
+    sum in tiles of at most ``_TILE`` terms (points times taps), and both
+    stay within ``2e-15 * max|c_k|`` of the whole :func:`lattice_support`
+    box's sum in the tests.
 
     Points must be finite, and ``|M^j x|`` below ``2**62`` in every
     coordinate, so that lattice indices are exact integers
@@ -386,16 +402,62 @@ def _check_reach(y):
                          "where lattice indices stay exact")
 
 
-def _span_sum(phi, y, ks, c):
-    """``sum_i c[..., 0, i] phi(y - ks[i])`` for each ``y``: ``phi`` is formed
-    in tiles of at most ``_TILE`` terms, and each ``y`` is reduced on its
-    own (``np.vecdot``, tap tiles in order)."""
-    c, width = np.conj(c), min(len(ks), _TILE)
+def _span_sum(factor, y, ks, c):
+    """``sum_i c[..., 0, i] factor(y - ks[i])`` for each ``y``, where ``ks``
+    are consecutive lattice coordinates and ``factor`` is a
+    ``SquaredSincs``, ``N(x) / x**2`` with ``N`` of period ``L``.
+
+    ``N(y - k)`` depends on ``k`` only modulo ``L``, so the sum is
+    ``sum_{s < L} N(y - ks[s]) sum_{i = s mod L} c_i / (y - ks[i])**2``:
+    ``N`` is formed once per point and residue class, from the exactly
+    reduced ``y - rint(y)``, and each term is one reciprocal square,
+    written into a reused buffer of at most ``_TILE`` terms (points times
+    taps).  Each ``y`` is reduced on its own (``np.vecdot``, tiles in
+    order).  Where ``|y - k| < _NEAR`` (1e-9; 0 included) the term is
+    ``c_k phi(0)`` instead, so nothing is infinite.
+    """
+    period, n = factor.period, np.rint(y)
+    r, n = y - n, n.astype(np.int64)
+    on = np.flatnonzero((np.abs(r) < _NEAR) & (ks[0] <= n) & (n <= ks[-1]))
+    at = n[on] - ks[0]
+    parts = np.stack((c.real, c.imag))
+    width = min(-(-len(ks) // period), _TILE)
     step = _TILE // width
-    out = np.zeros(c.shape[:-2] + (len(y),), dtype=complex)
+    buf = np.empty((min(step, len(y)), width))
+    out = np.zeros(c.shape[:-2] + y.shape, dtype=complex)
+    for s in range(min(period, len(ks))):
+        # this class's taps nearer than _NEAR: rows, ascending, and columns
+        rows, cols = on[at % period == s], at[at % period == s] // period
+        kc, cc = ks[s::period], parts[..., s::period]
+        acc = np.zeros((2,) + out.shape)
+        for lo, k in product(range(0, len(y), step), range(0, len(kc), width)):
+            t = buf[: len(y) - lo, : len(kc) - k]
+            np.subtract(y[lo : lo + step, None], kc[k : k + width], out=t)
+            if rows.size:
+                # 1 / inf**2 is 0: the term is added after the loop
+                a, b = np.searchsorted(rows, (lo, lo + step))
+                i = cols[a:b] - k
+                hit = (i >= 0) & (i < width)
+                t[rows[a:b][hit] - lo, i[hit]] = np.inf
+            np.square(t, out=t)
+            np.divide(1.0, t, out=t)
+            acc[..., lo : lo + step] += np.vecdot(cc[..., k : k + width], t)
+        out += factor.numerator(r + (n - ks[s]) % period) * (acc[0] + 1j * acc[1])
+    out[..., on] += factor(0.0) * c[..., 0, at]
+    return out
+
+
+def _spatial_sum(g, y, cs: Coefficients):
+    """``sum_k c_k phi(y - k)`` over the box for each row ``y``: ``g.spatial``
+    is formed in tiles of at most ``_TILE`` terms, and each row is reduced
+    on its own (``np.vecdot``, tiles in order)."""
+    ks, c = cs.lattice.points(), np.conj(cs.values.ravel())
+    width = min(len(ks), _TILE)
+    step = _TILE // width
+    out = np.zeros(len(y), dtype=complex)
     for lo, k in product(range(0, len(y), step), range(0, len(ks), width)):
-        tile = phi(y[lo : lo + step, None] - ks[k : k + width])
-        out[..., lo : lo + step] += np.vecdot(c[..., k : k + width], tile)
+        tile = g.spatial(y[lo : lo + step, None] - ks[k : k + width])
+        out[lo : lo + step] += np.vecdot(c[k : k + width], tile)
     return out
 
 
@@ -450,7 +512,9 @@ def _term_axes(g, factors, axes, cs: Coefficients):
 
 def _evaluate_rows(g, y, cs: Coefficients):
     if g.support_radius is None:
-        return _span_sum(g.spatial, y, cs.lattice.points(), cs.values.reshape(1, -1))
+        if g.d == 1:
+            return _evaluate_axes(g, [y[:, 0]], cs)
+        return _spatial_sum(g, y, cs)
     k0, width = _taps(g, y)
     # per axis, one row per tap t for the coordinates k0 + t: whether they
     # lie in the box, their flat offsets into the coefficients, and, per

@@ -51,8 +51,10 @@ class Generator:
     functions (:meth:`spatial`); a tensor generator has one, and so does
     every 1-d generator, whose terms are folded into one factor.
     ``support_radius`` is the sup-norm halfwidth of the support (None for
-    generators with unbounded support; then ``decay_const`` bounds
-    ``|phi|`` per coordinate by ``decay_const / x_i**2``).  ``sf_order`` is
+    generators with unbounded support; then every factor is a
+    :class:`SquaredSincs`, a 1-d fold merges their pairs, and
+    ``decay_const`` bounds ``|phi|`` per coordinate by
+    ``decay_const / x_i**2``).  ``sf_order`` is
     the declared moment-condition order (None for band-limited spectra,
     which satisfy the conditions to every order).  ``fourier_analytic``
     marks spectra that are smooth on all of frequency space; spectra with
@@ -74,10 +76,17 @@ class Generator:
     def __post_init__(self):
         if not self.terms or any(len(t) != self.d for t in self.terms):
             raise ValueError(f"{self.name}: each term needs one factor per axis")
+        unbounded = self.support_radius is None
+        if unbounded and not all(isinstance(f, SquaredSincs) for t in self.terms for f in t):
+            raise ValueError(f"{self.name}: an unbounded generator's factors "
+                             "must be SquaredSincs")
         if self.d == 1 and len(self.terms) > 1:
             parts = [f for (f,) in self.terms]
-            object.__setattr__(self, "terms",
-                               ((lambda x: reduce(np.add, (f(x) for f in parts)),),))
+            if unbounded:
+                merged = SquaredSincs(sum((f.pairs for f in parts), ()))
+            else:
+                merged = lambda x: reduce(np.add, (f(x) for f in parts))
+            object.__setattr__(self, "terms", ((merged,),))
 
     def spatial(self, x):
         """``phi`` at points ``(..., d)``: each term's factors multiplied in
@@ -85,6 +94,41 @@ class Generator:
         x = np.asarray(x, dtype=float)
         return reduce(np.add, (reduce(np.multiply, (f(x[..., i]) for i, f in enumerate(t)))
                                for t in self.terms))
+
+
+@dataclass(frozen=True)
+class SquaredSincs:
+    """The 1-d factor ``x -> sum_i w_i sinc(x / a_i)**2`` of an unbounded
+    generator, complex-valued, for ``pairs = ((w_i, a_i), ...)`` with
+    positive integer scales ``a_i``.
+
+    It is ``N(x) / x**2`` with the numerator ``N(x) = sum_i w_i a_i**2
+    sin(pi x / a_i)**2 / pi**2`` (:meth:`numerator`), whose period is
+    ``L = lcm(a_i)`` (:attr:`period`); its value at 0 is ``sum_i w_i``.
+    """
+
+    pairs: tuple
+
+    def __post_init__(self):
+        pairs = tuple((float(w), float(a)) for w, a in self.pairs)
+        if not pairs or any(not (a >= 1 and a.is_integer()) for _, a in pairs):
+            raise ValueError("squared sincs need positive integer scales")
+        object.__setattr__(self, "pairs", pairs)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return reduce(np.add, (w * np.sinc(x / a) ** 2 for w, a in self.pairs)) + 0.0j
+
+    @property
+    def period(self) -> int:
+        return math.lcm(*(int(a) for _, a in self.pairs))
+
+    def numerator(self, x):
+        """``N(x)``, real; accurate where ``x`` is small, as the reduced
+        arguments of the span sum are."""
+        x = np.asarray(x, dtype=float)
+        return reduce(np.add, (w * a * a / math.pi**2 * np.sin(np.pi * x / a) ** 2
+                               for w, a in self.pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +238,7 @@ def _triangle(s):
 
 def sinc_squared(d: int = 1) -> Generator:
     """Tensor squared sinc; triangular spectrum, interpolatory, order 1."""
-    factor = lambda x: np.sinc(x) ** 2 + 0.0j
+    factor = SquaredSincs(((1.0, 1.0),))
     fourier = _tensor(_triangle, d)
     return Generator(
         name="sinc_squared",
@@ -216,7 +260,7 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
     psi_hat = _tensor(_triangle, d)
 
     def psi(scale, weight=1.0):
-        return lambda x: weight * np.sinc(np.asarray(x, dtype=float) / scale) ** 2 + 0.0j
+        return SquaredSincs(((weight, scale),))
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)

@@ -549,6 +549,56 @@ class TestUnboundedEvaluation:
         for pts in (grid, np.asarray(grid)):
             assert np.max(np.abs(evaluate(g, m, 1, cs, pts) - ref)) <= 2e-15 * 2.0
 
+    @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared(2), sinc_squared_twoscale(1)],
+                             ids=["sinc2-1d", "sinc2-2d", "twoscale-1d"])
+    def test_points_on_the_lattice(self, g):
+        # every point is some M^-j k, so y - k is 0 for one tap per axis
+        m, j = dyadic(g.d), 2
+        lat = lattice_support(g, m, j, Box.centered(1.5, g.d), 1e-10 if g.d == 1 else 1e-3)
+        cs = coefficients(ExactRule(), gaussian(g.d), m, j, lat)
+        ks = np.arange(-6, 7)
+        grid = Grid([ks / 4.0] * g.d)
+        ref = _whole_box(g, m, j, cs, grid)
+        for pts in (grid, np.asarray(grid)):
+            got = evaluate(g, m, j, cs, pts)
+            assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(cs.values))
+        if g.interpolatory:
+            # Q_j f = f on M^-j Z^d: the per-axis kernel gives the samples
+            idx = [ks - o for o in lat.origin]
+            assert np.array_equal(evaluate(g, m, j, cs, grid), cs.values[np.ix_(*idx)].ravel())
+
+    @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared_twoscale(1)],
+                             ids=["sinc2", "twoscale"])
+    @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-156, 1e-200])
+    def test_points_next_to_the_lattice(self, g, gap):
+        # |y - k| = gap: 1e-8 is summed as a reciprocal square, the others
+        # take phi(0), where (y - k)**2 would be subnormal (1e-156) or 0
+        m, j = dyadic(1), 2
+        cs = coefficients(ExactRule(), gaussian(1), m, j,
+                          lattice_support(g, m, j, Box.centered(1.5, 1)))
+        ks = np.arange(-6.0, 7.0)
+        pts = np.concatenate([ks + gap, ks - gap]) / 4.0
+        got = evaluate(g, m, j, cs, pts)
+        ref = _whole_box(g, m, j, cs, pts[:, None])
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(cs.values))
+
+    @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared_twoscale(1),
+                                   sinc_squared_twoscale(2)],
+                             ids=["sinc2-1d", "twoscale-1d", "twoscale-2d"])
+    def test_complex_coefficients_on_a_box_off_the_period(self, g):
+        # the box starts at -7 (and -10), not a multiple of the period 4,
+        # so no residue class starts at the box's first column
+        rng = np.random.default_rng(13)
+        shape = (23, 19)[: g.d]
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        cs = Coefficients(Lattice((-7, -10)[: g.d], shape), vals)
+        m = dyadic(g.d)
+        # random points and lattice points M^-1 k
+        grid = Grid([np.concatenate([rng.uniform(-6.0, 6.0, 9), [-1.5, 0.5, 2.0]])] * g.d)
+        ref = _whole_box(g, m, 1, cs, grid)
+        for pts in (grid, np.asarray(grid)):
+            assert np.max(np.abs(evaluate(g, m, 1, cs, pts) - ref)) <= 2e-15 * np.max(np.abs(vals))
+
     def test_zero_coefficients_give_zero(self, monkeypatch):
         g, m, grid = sinc_squared(2), dyadic(2), self.GRIDS[2]
         cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dilsamp import (
+    SquaredSincs,
     bspline,
     bspline3_2d,
     bspline4_1d,
@@ -266,6 +267,35 @@ class TestFlatSpectrum:
         assert g.fourier(np.array([[0.1]]))[0] == pytest.approx(1.0)
         for xi in (0.6, 1.0, 2.0):
             assert abs(g.fourier(np.array([[xi]]))[0]) < 1e-15
+
+
+class TestSquaredSincs:
+    def test_numerator_over_the_square_is_the_factor(self):
+        x = np.linspace(-30.0, 30.0, 6000)  # no point is 0
+        for g in (sinc_squared(1), sinc_squared_twoscale(1), sinc_squared_twoscale(2)):
+            for f in (f for t in g.terms for f in t):
+                assert np.allclose(f.numerator(x) / x**2, f(x).real, rtol=1e-12, atol=1e-17)
+                assert np.allclose(f.numerator(x + f.period), f.numerator(x),
+                                   rtol=0.0, atol=1e-14)
+                assert f(0.0) == sum(w for w, _ in f.pairs)
+
+    def test_periods_and_the_folded_pairs(self):
+        assert sinc_squared(1).terms[0][0].period == 1
+        twoscale = sinc_squared_twoscale(1).terms[0][0]
+        assert twoscale.pairs == ((1.0, 2.0), (-0.25, 4.0))
+        assert twoscale.period == 4
+        assert [f.period for t in sinc_squared_twoscale(2).terms for f in t] == [2, 2, 4, 4]
+
+    @pytest.mark.parametrize("scale", [0.0, 1.5, -2.0, np.nan, np.inf])
+    def test_scales_must_be_positive_integers(self, scale):
+        with pytest.raises(ValueError, match="positive integer scales"):
+            SquaredSincs(((1.0, scale),))
+
+    def test_unbounded_generators_need_squared_sincs(self):
+        with pytest.raises(ValueError, match="must be SquaredSincs"):
+            dataclasses.replace(sinc_squared(1), terms=((lambda x: np.sinc(x) ** 2,),))
+        with pytest.raises(ValueError, match="must be SquaredSincs"):
+            dataclasses.replace(sinc_squared(2), terms=((sinc_squared(1).terms[0][0], np.cos),))
 
 
 def test_catalogs():
