@@ -29,14 +29,16 @@ def as_rows(x, d: int) -> np.ndarray:
     return np.asarray(as_points(x, d), dtype=float).reshape(-1, d)
 
 
-def map_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+def map_rows(rows: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
     """``rows @ a.T`` as float rows, each output column formed as the
     column-wise products ``rows[:, j] * a[i, j]`` summed left to right, so
     a row's bits do not depend on the other rows.  Where every product is
     exact (the dyadic and quincunx powers) this gives ``np.vecdot``'s bits;
     for general real matrices the last bit can differ from it, since
-    ``vecdot`` may fuse a multiply and an add."""
-    out = np.empty((rows.shape[0], a.shape[0]))
+    ``vecdot`` may fuse a multiply and an add.  ``out``, if given, receives
+    the rows."""
+    if out is None:
+        out = np.empty((rows.shape[0], a.shape[0]))
     for i, ai in enumerate(a):
         col = out[:, i]
         np.multiply(rows[:, 0], ai[0], out=col)
@@ -109,6 +111,21 @@ class Grid:
     def points(self) -> np.ndarray:
         rows = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
         return rows.reshape(-1, self.d)
+
+    def slab_rows(self, size: int) -> int:
+        """Rows along axis 0 per slab of at most ``size`` points (at least
+        one row, at most all of them)."""
+        n = self.axes[0].size
+        return max(1, min(n, size * n // len(self)))
+
+    def slabs(self, rows: int):
+        """The sub-grids of ``rows`` whole rows along axis 0 (the last may
+        have fewer), in order: ``(start, stop, sub-grid)``, with
+        ``start:stop`` its rows of axis 0."""
+        n = self.axes[0].size
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            yield lo, hi, Grid((self.axes[0][lo:hi],) + self.axes[1:])
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.points(), dtype=dtype)

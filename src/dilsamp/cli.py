@@ -31,7 +31,7 @@ from .config import (
     parse_config,
 )
 from .diffop import ball_moments
-from .expansion import expand
+from .expansion import coefficients, evaluate_slabs, lattice_support
 from .generators import named_generators, strang_fix_table
 from .multiindex import indices_below
 from .signals import polynomial
@@ -58,9 +58,18 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(cells) for cells in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and the rows (lists of cells) line by line, into a
+    file renamed to ``path`` once complete: a failing row leaves no file."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w") as fh:
+            fh.write(header + "\n")
+            for cells in rows:
+                fh.write(",".join(cells) + "\n")
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path)
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -198,25 +207,26 @@ def cmd_expand(args, out: Path) -> int:
     if args.level < 0:
         raise ConfigError("--level: must be non-negative")
     plan, _ = cfg.build_plan()
-    g, j = plan.generator, args.level
+    g, m, j = plan.generator, plan.dilation, args.level
     domain = study_domain(plan)
+    path = out / "expand.csv"
+    header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
     try:
         grid, _ = level_grid(plan, domain, j)
-        vals = expand(g, plan.dilation, j, plan.rule, plan.signal, domain, grid,
-                      plan.truncation_tol).values
+        lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
+        slabs = evaluate_slabs(g, m, j, coefficients(plan.rule, plan.signal, m, j, lattice),
+                               grid)
+        # slab by slab: neither the grid's rows nor its values are held whole
+        _write_csv(path, header, (
+            [_fmt(c) for c in pt] + [_fmt(v.real), _fmt(v.imag)]
+            for part, vals in slabs
+            for pt, v in zip(part.points(), vals)
+        ))
     except OverflowError as e:
         raise ConfigError(f"--level: {j} is out of range ({e})") from e
     except ValueError as e:
         raise ConfigError(f"expand: {e}") from e
-    pts = np.asarray(grid)
-    header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
-    rows = (
-        [_fmt(c) for c in pt] + [_fmt(v.real), _fmt(v.imag)]
-        for pt, v in zip(pts, vals)
-    )
-    path = out / "expand.csv"
-    _write_csv(path, header, rows)
-    print(f"wrote {path} ({len(pts)} points at level {j})")
+    print(f"wrote {path} ({len(grid)} points at level {j})")
     return 0
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Union
 
@@ -248,8 +247,9 @@ def lattice_support(
     ``|x| < 1e-9``, 0 included, :func:`evaluate` takes the value at 0), and
     its reach per coordinate is ``R = sqrt(decay_const / truncation_tol)``:
     by ``|phi| <= decay_const / x**2``, each omitted translate has
-    ``|phi| <= truncation_tol`` on the domain.  That bounds neither its term ``c_k phi`` nor the omitted sum,
-    about ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
+    ``|phi| <= truncation_tol`` on the domain.  That bounds neither its
+    term ``c_k phi`` nor the omitted sum, about
+    ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
@@ -323,7 +323,8 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     in turn, and the terms are added in order; otherwise each point takes
     the ``d``-fold product of the taps.  The two agree to
     ``1e-14 * max|c_k|`` per point, and a one-point call gives its row's
-    bits.
+    bits.  Both run slab by slab (:func:`evaluate_slabs`), and each
+    point's value does not depend on the slab it falls in.
 
     A compact generator taps the lattice points within its support radius
     of each mapped point, one tap at a time; those it reaches must lie in
@@ -349,29 +350,73 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     coordinate, so that lattice indices are exact integers
     (``ValueError`` before any tap otherwise).
     """
+    points = _checked(g, cs, points)
+    out = np.empty(len(points), dtype=complex)
+    at = 0
+    for _, vals in _slabs(g, m, j, cs, points):
+        out[at : at + len(vals)] = vals
+        at += len(vals)
+    return out
+
+
+def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
+    """:func:`evaluate` one slab at a time: yields ``(part, values)`` in order.
+
+    A slab of a :class:`Grid` is a sub-grid of whole rows along axis 0,
+    about ``_ROWS`` (2**15) points (at least one row); of rows ``(n, d)``,
+    at most ``_ROWS`` rows.  ``values`` are the slab's values, with
+    :func:`evaluate`'s bits, in a buffer the next slab overwrites.  What
+    depends only on the level is done once, before the first slab: the
+    span of an unbounded generator's coefficients, the per-axis kernel's
+    taps on every axis, and the general kernel's workspace, which every
+    slab reuses.  So the memory beyond the coefficient box is about that
+    of one slab.
+    """
+    points = _checked(g, cs, points)
+    yield from _slabs(g, m, j, cs, points)
+
+
+def _checked(g, cs: Coefficients, points):
     if cs.lattice.d != g.d:
         raise ValueError("box dimension does not match the generator")
-    points = _checked_points(points, g.d)
+    return _checked_points(points, g.d)
+
+
+def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
+    d = g.d
     mj = np.asarray(m.power(j), dtype=float)
     if g.support_radius is None:
         cs = _nonzero_span(cs)
     if np.array_equal(mj, np.diag(mj.diagonal())):
-        if g.d == 1 and not isinstance(points, Grid):
+        if d == 1 and not isinstance(points, Grid):
             points = Grid(points.T)
         if isinstance(points, Grid):
             axes = [s * x for s, x in zip(mj.diagonal(), points.axes)]
             for y in axes:
                 _check_reach(y)
-            return _evaluate_axes(g, axes, cs)
-    pts = as_rows(points, g.d)
-    # |M^j| max|x| bounds every mapped coordinate; map the rows only past it
-    if np.any(np.abs(mj) @ np.maximum(-pts.min(axis=0), pts.max(axis=0)) >= _REACH):
-        for lo in range(0, pts.shape[0], _ROWS):
-            _check_reach(map_rows(pts[lo : lo + _ROWS], mj))
-    out = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], _ROWS):
-        out[lo : lo + _ROWS] = _evaluate_rows(g, map_rows(pts[lo : lo + _ROWS], mj), cs)
-    return out
+            rows = points.slab_rows(_ROWS)
+            kernel = _axes_kernel(g, axes, cs, rows)
+            for lo, hi, part in points.slabs(rows):
+                yield part, kernel(lo, hi)
+            return
+    if isinstance(points, Grid):
+        rows = points.slab_rows(_ROWS)
+        y = np.empty((rows * (len(points) // points.axes[0].size), d))
+        parts = lambda: (part for *_, part in points.slabs(rows))
+        mapped = lambda part: map_rows(part.points(), mj, y[: len(part)])
+        reach = [max(-x.min(), x.max()) for x in points.axes]
+    else:
+        y = np.empty((min(len(points), _ROWS), d))
+        parts = lambda: (points[lo : lo + _ROWS] for lo in range(0, len(points), _ROWS))
+        mapped = lambda part: map_rows(part, mj, y[: len(part)])
+        reach = np.maximum(-points.min(axis=0), points.max(axis=0))
+    # |M^j| max|x| bounds every mapped coordinate; map the points only past it
+    if np.any(np.abs(mj) @ reach >= _REACH):
+        for part in parts():
+            _check_reach(mapped(part))
+    kernel = _rows_kernel(g, cs, len(y))
+    for part in parts():
+        yield part, kernel(mapped(part))
 
 
 def _nonzero_span(cs: Coefficients) -> Coefficients:
@@ -461,11 +506,14 @@ def _spatial_sum(g, y, cs: Coefficients):
     return out
 
 
+def _width(g) -> int:
+    """Taps per axis of a compact generator."""
+    return int(math.floor(2 * g.support_radius + 2 * _EDGE)) + 1
+
+
 def _taps(g, y):
     """The translates that may reach ``y``: ``k0 + t`` for ``0 <= t < width``."""
-    r = g.support_radius
-    width = int(math.floor(2 * r + 2 * _EDGE)) + 1
-    return np.ceil(y - r - _EDGE).astype(np.int64), width
+    return np.ceil(y - g.support_radius - _EDGE).astype(np.int64), _width(g)
 
 
 def _live(phi, inside, k, what):
@@ -481,61 +529,165 @@ def _live(phi, inside, k, what):
     return True
 
 
-def _evaluate_axes(g, axes, cs: Coefficients):
-    """The sum of :func:`_evaluate_rows` along one axis of the coefficient
-    box at a time, once per term of ``g`` with its factors in place of
-    ``phi``, the terms added in order; ``axes`` are the mapped grid axes."""
-    return reduce(np.add, (_term_axes(g, factors, axes, cs) for factors in g.terms))
+def _fold(ufunc, arrays, out):
+    """``reduce(ufunc, arrays)``, left to right, written into ``out``."""
+    if len(arrays) == 1:
+        np.copyto(out, arrays[0])
+        return out
+    ufunc(arrays[0], arrays[1], out=out)
+    for a in arrays[2:]:
+        ufunc(out, a, out=out)
+    return out
 
 
-def _term_axes(g, factors, axes, cs: Coefficients):
-    vals = cs.values
-    for a, (factor, y, lo) in enumerate(zip(factors, axes, cs.lattice.origin)):
-        if g.support_radius is None:
-            c = np.moveaxis(vals, a, -1)[..., None, :]
-            ks = lo + np.arange(vals.shape[a])
-            vals = np.moveaxis(_span_sum(factor, y, ks, c), -1, a)
-            continue
-        k0, width = _taps(g, y)
-        acc = np.zeros(vals.shape[:a] + y.shape + vals.shape[a + 1 :], dtype=complex)
-        for t in range(width):
-            k = k0 + t
-            phi = np.asarray(factor(y - k))
-            inside = (k >= lo) & (k < lo + vals.shape[a])
-            if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
-                term = np.take(vals, np.where(inside, k - lo, 0), axis=a)
-                term *= np.where(inside, phi, 0).reshape((-1,) + (1,) * (len(axes) - a - 1))
-                acc += term
-        vals = acc
-    return vals.ravel()
+def _axes_kernel(g, axes, cs: Coefficients, rows: int):
+    """The per-axis kernel on the tensor grid of mapped axes ``axes``, as a
+    function of a range ``lo:hi`` of at most ``rows`` rows along axis 0 to
+    the values there (in :meth:`Grid.points` order, in a buffer the next
+    call overwrites).  Each term of ``g``, its factors in place of
+    ``phi``, is summed along one axis of the coefficient box at a time,
+    and the terms are added in order.
+
+    A compact generator's live taps on every axis (factor values zeroed
+    outside the box) are formed here, once, term by term and axis by axis,
+    as the whole grid would check them; each call sums them into buffers
+    of one slab, allocated here.  A tap's coefficients are taken at the
+    axis's first lattice offsets plus the tap's, in one reused index
+    buffer and clipped to the box: outside it the factor is zero, so for
+    finite coefficients the clipped one adds nothing.  An unbounded
+    generator sums each axis with :func:`_span_sum`."""
+    d, shape, origin = g.d, cs.values.shape, cs.lattice.origin
+    if g.support_radius is None:
+        def span(lo, hi):
+            out = None
+            for factors in g.terms:
+                vals = cs.values
+                for a, (factor, y, o) in enumerate(zip(factors, axes, origin)):
+                    c = np.moveaxis(vals, a, -1)[..., None, :]
+                    ks = o + np.arange(vals.shape[a])
+                    s = _span_sum(factor, y[lo:hi] if a == 0 else y, ks, c)
+                    vals = np.moveaxis(s, -1, a)
+                out = vals.ravel() if out is None else out + vals.ravel()
+            return out
+
+        return span
+    taps = []
+    for factors in g.terms:
+        for a, (factor, y, o, n) in enumerate(zip(factors, axes, origin, shape)):
+            k0, width = _taps(g, y)
+            live = []
+            for t in range(width):
+                k = k0 + t
+                phi = np.asarray(factor(y - k))
+                inside = (k >= o) & (k < o + n)
+                if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
+                    live.append((t, np.where(inside, phi, 0)))
+            taps.append((k0 - o, live))
+    idx = [np.empty(rows if a == 0 else y.size, dtype=np.int64) for a, y in enumerate(axes)]
+    # stage a holds the sums over axes 0..a: (rows, len(y_1..y_a), n_{a+1}..)
+    stages = [(rows,) + tuple(y.size for y in axes[1 : a + 1]) + shape[a + 1 :]
+              for a in range(d)]
+    acc = [np.empty(s, dtype=complex) for s in stages]
+    term = [np.empty(s, dtype=complex) for s in stages]
+    out = np.empty(stages[-1] if len(g.terms) > 1 else 0, dtype=complex)
+
+    def run(lo, hi):
+        r = hi - lo
+        for i in range(len(g.terms)):
+            vals = cs.values
+            for a in range(d):
+                s, t = acc[a][:r], term[a][:r]
+                s.fill(0)
+                base, live = taps[i * d + a]
+                if a == 0:
+                    base = base[lo:hi]
+                for off, phi in live:
+                    if a == 0:
+                        phi = phi[lo:hi]
+                    k = np.add(base, off, out=idx[a][: base.size])
+                    np.take(vals, k, axis=a, out=t, mode="clip")
+                    np.multiply(t, phi.reshape((-1,) + (1,) * (d - a - 1)), out=t)
+                    np.add(s, t, out=s)
+                vals = s
+            if i:
+                np.add(out[:r], vals, out=out[:r])
+            elif len(g.terms) > 1:
+                np.copyto(out[:r], vals)
+        return (out[:r] if len(g.terms) > 1 else vals).ravel()
+
+    return run
 
 
-def _evaluate_rows(g, y, cs: Coefficients):
+def _rows_kernel(g, cs: Coefficients, n: int):
+    """The general kernel, as a function of at most ``n`` mapped rows ``y``
+    to ``sum_k c_k phi(y - k)`` per row (in a buffer the next call
+    overwrites, for a compact generator).
+
+    A compact generator's taps come from per-axis tables, one row per tap
+    ``t`` for the coordinates ``k0 + t``: whether they lie in the box,
+    their flat offsets into the coefficients, and, per term, the factor
+    values.  The tables and the sums are written into buffers allocated
+    here, and each factor is called on tiles of at most ``_TILE`` values,
+    so a call allocates nothing the size of its rows.  An unbounded
+    generator forms ``g.spatial`` over the span (:func:`_spatial_sum`), or
+    in 1-d runs the per-axis kernel."""
     if g.support_radius is None:
         if g.d == 1:
-            return _evaluate_axes(g, [y[:, 0]], cs)
-        return _spatial_sum(g, y, cs)
-    k0, width = _taps(g, y)
-    # per axis, one row per tap t for the coordinates k0 + t: whether they
-    # lie in the box, their flat offsets into the coefficients, and, per
-    # term, the factor values
-    shape = cs.values.shape
-    inside, offset, tables = [], [], [[] for _ in g.terms]
-    for a, (lo, n) in enumerate(zip(cs.lattice.origin, shape)):
-        k = k0[:, a] + np.arange(width)[:, None]
-        inside.append((k >= lo) & (k < lo + n))
-        offset.append(np.where(inside[a], k - lo, 0) * math.prod(shape[a + 1 :]))
-        for table, term in zip(tables, g.terms):
-            table.append(np.asarray(term[a](y[:, a] - k)))
-    flat, acc = cs.values.ravel(), np.zeros(y.shape[0], dtype=complex)
-    for off in np.ndindex(*np.broadcast_to(width, g.d)):
-        pick = lambda rows: [r[t] for r, t in zip(rows, off)]
-        # in axis order and term order, as g.spatial multiplies and adds
-        phi = reduce(np.add, (reduce(np.multiply, pick(table)) for table in tables))
-        ins = reduce(np.logical_and, pick(inside))
-        if _live(phi, ins, lambda: k0 + off, "lattice point {}"):
-            acc += np.where(ins, flat[sum(pick(offset))], 0.0) * phi
-    return acc
+            return lambda y: _axes_kernel(g, [y[:, 0]], cs, len(y))(0, len(y))
+        return lambda y: _spatial_sum(g, y, cs)
+    d, width, shape = g.d, _width(g), cs.values.shape
+    flat = cs.values.ravel()
+    kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]
+    kind = np.result_type(*(k for ks in kinds for k in ks))
+    low = np.empty((n, d))
+    k0 = np.empty((n, d), dtype=np.int64)
+    arg = np.empty((width, n))
+    inside = np.empty((d, width, n), dtype=bool)
+    offset = np.empty((d, width, n), dtype=np.int64)
+    tables = [[np.empty((width, n), dtype=k) for k in ks] for ks in kinds]
+    phi, part = np.empty(n, dtype=kind), np.empty(n, dtype=kind)
+    ins, at = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    c, acc = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    step = max(1, _TILE // width)
+    ts = np.arange(width)[:, None]
+
+    def run(y):
+        m = len(y)
+        lo = low[:m]
+        np.subtract(y, g.support_radius, out=lo)
+        np.subtract(lo, _EDGE, out=lo)
+        np.ceil(lo, out=lo)
+        first = k0[:m]
+        np.copyto(first, lo, casting="unsafe")
+        for a, (o, na) in enumerate(zip(cs.lattice.origin, shape)):
+            off, x = offset[a, :, :m], arg[:, :m]
+            np.add(first[:, a], ts, out=off)
+            np.subtract(y[:, a], off, out=x)
+            # k - o as unsigned is below n exactly for the in-box k
+            np.subtract(off, o, out=off)
+            np.less(off.view(np.uint64), na, out=inside[a, :, :m])
+            np.multiply(off, inside[a, :, :m], out=off)
+            off *= math.prod(shape[a + 1 :])
+            for b in range(0, m, step):
+                tile = slice(b, min(b + step, m))
+                for table, term in zip(tables, g.terms):
+                    table[a][:, tile] = term[a](x[:, tile])
+        total = acc[:m]
+        total.fill(0)
+        for taps in np.ndindex(*(width,) * d):
+            pick = lambda rows: [r[t, :m] for r, t in zip(rows, taps)]
+            # in axis order and term order, as g.spatial multiplies and adds
+            p = _fold(np.multiply, pick(tables[0]), phi[:m])
+            for table in tables[1:]:
+                np.add(p, _fold(np.multiply, pick(table), part[:m]), out=p)
+            within = _fold(np.logical_and, pick(inside), ins[:m])
+            if _live(p, within, lambda: first + taps, "lattice point {}"):
+                v = np.take(flat, _fold(np.add, pick(offset), at[:m]), out=c[:m], mode="clip")
+                np.multiply(v, p, out=v)
+                np.add(total, v, out=total, where=within)
+        return total
+
+    return run
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,20 @@ class Signal:
         its values on the axes, otherwise ``pointwise`` on the grid's rows."""
         if not isinstance(x, Grid):
             return self.pointwise(x)
-        if x.d != self.d:
-            raise ValueError(f"grid of dimension {x.d}, expected {self.d}")
+        return self.on_grid(x)(x)
+
+    def on_grid(self, grid: Grid):
+        """:meth:`eval` on the slabs of ``grid`` (:meth:`Grid.slabs`), as a
+        function of a slab: the factor's values on the axes past the first
+        are formed here, once, and each call forms its outer product with
+        the values on the slab's first axis, with :meth:`eval`'s bits."""
+        if grid.d != self.d:
+            raise ValueError(f"grid of dimension {grid.d}, expected {self.d}")
         if self.factor is None:
-            return self.pointwise(x.points())
-        return reduce(np.multiply.outer, map(self.factor, x.axes)).ravel()
+            return lambda slab: self.pointwise(slab.points())
+        rest = [self.factor(x) for x in grid.axes[1:]]
+        return lambda slab: reduce(np.multiply.outer,
+                                   [self.factor(slab.axes[0])] + rest).ravel()
 
     def __call__(self, x):
         return self.eval(as_points(x, self.d))

@@ -1,6 +1,7 @@
 """Grids, discrete norms, rate fitting, predictions, and small studies."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,22 +10,31 @@ from dilsamp import (
     Box,
     ExactRule,
     FalsifiedRule,
+    Lattice,
+    MissingCoefficientError,
     StudyPlan,
     ball_operator,
+    bspline3_2d,
+    coefficients,
     convergence_study,
     deviation_study,
     dyadic,
+    evaluate,
     fit_rate,
     gaussian,
     hat,
     laplace1d,
+    lattice_support,
     lp_distance,
     make_grid,
     polynomial,
     predicted_rate,
+    quincunx,
+    sinc_squared,
+    sinc_squared_twoscale,
     study_domain,
 )
-from dilsamp import analysis
+from dilsamp import analysis, expansion
 from dilsamp._quadrature import QuadSpec
 
 
@@ -241,3 +251,133 @@ class TestStudies:
                               j_min=1, j_max=4, domain_halfwidth=0.75, quad=QuadSpec(order=6))
         assert rep.predicted_rate == 4
         assert rep.fitted_slope >= 3.7
+
+
+def _whole_grid_errors(plan):
+    """Each level's error from the whole grid's values: the public calls, in
+    the order the study makes them."""
+    g, m, f = plan.generator, plan.dilation, plan.signal
+    domain = study_domain(plan)
+    errors = []
+    for j in range(plan.j_min, plan.j_max + 1):
+        grid, spacing = analysis.level_grid(plan, domain, j)
+        cs = coefficients(plan.rule, f, m, j,
+                          lattice_support(g, m, j, domain, plan.truncation_tol))
+        qv = evaluate(g, m, j, cs, grid)
+        errors.append(lp_distance(f.eval(grid), qv, plan.p, spacing, g.d))
+    return errors
+
+
+class TestStreamedErrors:
+    # the 2-d unbounded boxes are kept small by the coarse tolerance
+    PLANS = {
+        # per-axis compact kernel, one term and two
+        "hat2-dyadic": StudyPlan(hat(2), dyadic(2), ExactRule(), gaussian(2),
+                                 j_min=1, j_max=3, grid_per_scale=4),
+        "bspline3-dyadic": StudyPlan(bspline3_2d(0.3, 0.8), dyadic(2), ExactRule(),
+                                     gaussian(2), j_min=1, j_max=2, grid_per_scale=4),
+        # per-axis unbounded kernel, one term and two
+        "sinc2-1d": StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), gaussian(1),
+                              j_min=1, j_max=3, grid_per_scale=4),
+        "twoscale-2d": StudyPlan(sinc_squared_twoscale(2), dyadic(2), ExactRule(),
+                                 gaussian(2), j_min=0, j_max=1, grid_per_scale=4,
+                                 truncation_tol=1e-3),
+        # the general kernel at the odd level, compact and unbounded
+        "hat2-quincunx": StudyPlan(hat(2), quincunx(), ExactRule(), gaussian(2),
+                                   j_min=2, j_max=3, grid_per_scale=4),
+        "sinc2-quincunx": StudyPlan(sinc_squared(2), quincunx(), ExactRule(), gaussian(2),
+                                    j_min=0, j_max=1, grid_per_scale=2, truncation_tol=1e-3),
+    }
+
+    # points per slab: the default, one row per slab, and sizes that leave
+    # a shorter last slab (97 on the 1-d grids, 997 on the 2-d ones)
+    @pytest.mark.parametrize("rows", [None, 1, 97, 997])
+    @pytest.mark.parametrize("name", PLANS)
+    def test_bit_identical_to_the_whole_grid_at_p_inf(self, name, rows, monkeypatch):
+        plan = self.PLANS[name]
+        ref = _whole_grid_errors(plan)
+        if rows is not None:
+            monkeypatch.setattr(expansion, "_ROWS", rows)
+        assert convergence_study(plan).errors == tuple(ref)
+
+    def test_the_sizes_split_the_grids_unevenly(self):
+        def uneven(plan, size):
+            grids = [analysis.level_grid(plan, study_domain(plan), j)[0]
+                     for j in range(plan.j_min, plan.j_max + 1)]
+            return any(g.axes[0].size % g.slab_rows(size) for g in grids)
+
+        assert uneven(self.PLANS["sinc2-1d"], 97)
+        assert uneven(self.PLANS["hat2-dyadic"], 997)
+        assert uneven(self.PLANS["hat2-quincunx"], 997)
+
+    @pytest.mark.parametrize("name", ["hat2-dyadic", "hat2-quincunx"])
+    def test_finite_p_within_the_stated_bound(self, name, monkeypatch):
+        plan = dataclasses.replace(self.PLANS[name], p=2.0)
+        ref = np.array(_whole_grid_errors(plan))
+        monkeypatch.setattr(expansion, "_ROWS", 1)
+        got = np.array(convergence_study(plan).errors)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("name", ["hat2-dyadic", "hat2-quincunx"])
+    def test_a_slab_outside_a_too_small_box_raises(self, name, monkeypatch):
+        def shrunk(*args):
+            box = lattice_support(*args)
+            return Lattice(np.add(box.origin, 1), np.subtract(box.shape, 2))
+
+        monkeypatch.setattr(analysis, "lattice_support", shrunk)
+        monkeypatch.setattr(expansion, "_ROWS", 1)
+        with pytest.raises(MissingCoefficientError):
+            convergence_study(self.PLANS[name])
+
+
+class TestNonFiniteErrors:
+    def test_lp_distance_rejects_a_non_finite_difference(self):
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match="non-finite difference"):
+                lp_distance([0.0, np.nan, 1.0], np.zeros(3), p, 0.1, 1)
+            with pytest.raises(ValueError, match="non-finite difference"):
+                lp_distance(np.zeros(3), [0.0, 0.0, np.inf], p, 0.1, 1)
+
+    def test_a_nan_in_one_slab_fails_the_level(self, monkeypatch):
+        # one point of the level-2 grid is NaN, so every other slab is
+        # finite, and max(0.0, nan) would be 0.0
+        f = gaussian(2)
+        plan = StudyPlan(hat(2), dyadic(2), ExactRule(), f, j_min=1, j_max=3,
+                         grid_per_scale=4, domain_halfwidth=2.0)
+        grid = analysis.level_grid(plan, study_domain(plan), 2)[0]
+        bad = np.asarray(grid)[5 * grid.axes[1].size + 7]
+
+        def pointwise(x):
+            hit = np.all(np.abs(np.asarray(x) - bad) < 1e-12, axis=-1)
+            return np.where(hit, np.nan, f.pointwise(x))
+
+        plan = dataclasses.replace(plan, signal=dataclasses.replace(
+            f, pointwise=pointwise, factor=None))
+        assert np.isnan(plan.signal.eval(grid)).sum() == 1
+        monkeypatch.setattr(expansion, "_ROWS", 1)
+        with pytest.raises(ValueError, match="non-finite difference at level 2"):
+            convergence_study(plan)
+
+    def test_fit_rate_rejects_a_nan_level(self):
+        scales = 2.0 ** -np.arange(5)
+        errors = scales**2
+        errors[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite error nan at level 2"):
+            fit_rate(scales, errors)
+        errors[2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_rate(scales, errors, levels=range(1, 6))
+
+
+def test_criterion_7_study_memory_is_bounded():
+    # the 2-d study of criterion 7: the whole level-5 grid's values alone
+    # are 74 MB, and the study held several such arrays at once
+    plan = StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), gaussian(2),
+                     operator=ball_operator(2, 2, 0.5), j_min=1, j_max=5)
+    tracemalloc.start()
+    try:
+        convergence_study(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -2,9 +2,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dilsamp import Grid, expand, study_domain
+from dilsamp import expansion
+from dilsamp.analysis import level_grid
 from dilsamp.cli import main
+from dilsamp.config import parse_config
 
 STUDY_DOC = {
     "dilation": {"rows": [[2]]},
@@ -203,6 +208,36 @@ class TestExpand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "2**62" in err
         assert not (out / "expand.csv").exists()
+
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 2]], [[1, 1], [1, -1]]],
+                             ids=["dyadic", "quincunx"])
+    def test_slabs_write_the_whole_grid_bytes(self, tmp_path, monkeypatch, rows):
+        # level 1 of quincunx takes the general kernel, dyadic the per-axis
+        doc = dict(STUDY_DOC, dilation={"rows": rows},
+                   study={"domain_halfwidth": 1.3, "grid_per_scale": 4})
+        cfg = write_doc(tmp_path, doc)
+        plan, _ = parse_config(json.dumps(doc)).build_plan()
+        domain = study_domain(plan)
+        grid, _ = level_grid(plan, domain, 1)
+        vals = expand(plan.generator, plan.dilation, 1, plan.rule, plan.signal, domain,
+                      grid).values
+        fmt = lambda v: format(float(v), ".17g")
+        whole = "".join(",".join([fmt(c) for c in pt] + [fmt(v.real), fmt(v.imag)]) + "\n"
+                        for pt, v in zip(np.asarray(grid), vals))
+        # fewer points per slab than per row: one row of the grid per slab
+        monkeypatch.setattr(expansion, "_ROWS", 7)
+        monkeypatch.setattr(expansion, "evaluate", None)
+        monkeypatch.setattr(Grid, "__array__", None)
+        shown = []
+        points = Grid.points
+        monkeypatch.setattr(Grid, "points", lambda g: shown.append(len(g)) or points(g))
+        out = tmp_path / "out"
+        assert main(["expand", cfg, "--level", "1", "--out", str(out)]) == 0
+        assert (out / "expand.csv").read_bytes() == ("x1,x2,re,im\n" + whole).encode()
+        # points are formed one slab (one row) at a time, never for the grid
+        assert set(shown) == {grid.axes[1].size}
+        assert not list(out.glob("*.part"))
 
 
 class TestStudy:

@@ -94,6 +94,19 @@ class TestGrid:
         assert len(grid) == len(rows)
         assert np.array_equal(np.asarray(grid), rows)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slabs_give_the_rows(self, d):
+        rng = np.random.default_rng(d)
+        grid = Grid([rng.uniform(-3.0, 3.0, n) for n in (5, 7, 4)[:d]])
+        per_row = len(grid) // 5
+        for size, rows in ((1, 1), (3 * per_row - 1, 2), (10**6, 5)):
+            assert grid.slab_rows(size) == rows
+            slabs = list(grid.slabs(rows))
+            assert [(lo, hi) for lo, hi, _ in slabs] == [
+                (lo, min(lo + rows, 5)) for lo in range(0, 5, rows)]
+            assert np.array_equal(np.concatenate([s.points() for *_, s in slabs]),
+                                  grid.points())
+
     def test_rejects_an_empty_axis(self):
         with pytest.raises(ValueError, match="at least one point"):
             Grid(([0.0, 1.0], []))
@@ -341,7 +354,7 @@ def _general(g, m, j, cs, points):
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     if g.support_radius is None:
         cs = expansion._nonzero_span(cs)
-    return expansion._evaluate_rows(g, y, cs)
+    return expansion._rows_kernel(g, cs, len(y))(y)
 
 
 def _expansion_on_grid(g, m, j, halfwidth=1.5):
@@ -384,7 +397,7 @@ class TestPerAxisEvaluation:
         # grid, whose per-axis sum is the general path's arithmetic
         assert np.array_equal(evaluate(g, m, j, cs, np.asarray(grid)), ref)
         calls = []
-        monkeypatch.setattr(expansion, "_evaluate_rows",
+        monkeypatch.setattr(expansion, "_rows_kernel",
                             lambda *a: calls.append(a))
         got = evaluate(g, m, j, cs, grid)
         assert not calls
@@ -395,7 +408,7 @@ class TestPerAxisEvaluation:
     def test_odd_quincunx_level_takes_the_general_path(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         cs, grid = _expansion_on_grid(g, m, j)
-        monkeypatch.setattr(expansion, "_evaluate_axes", None)
+        monkeypatch.setattr(expansion, "_axes_kernel", None)
         assert np.array_equal(evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid))
 
     def test_missing_coefficient_detected(self):
@@ -603,7 +616,7 @@ class TestUnboundedEvaluation:
         g, m, grid = sinc_squared(2), dyadic(2), self.GRIDS[2]
         cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))
         # the grid takes the per-axis kernel and its rows the general one
-        for pts, other in ((grid, "_evaluate_rows"), (np.asarray(grid), "_evaluate_axes")):
+        for pts, other in ((grid, "_rows_kernel"), (np.asarray(grid), "_axes_kernel")):
             with monkeypatch.context() as patch:
                 patch.setattr(expansion, other, None)
                 assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
