@@ -69,8 +69,8 @@ def ball_rule(d: int, radius: float, quad: QuadSpec, breaks=()):
     dimensions is ``(sqrt(1 - t**2) u, t)`` for ``u`` on the sphere in
     ``k - 1``, with measure ``(1 - t**2)**((k - 3) / 2) dt du``.
     """
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
     if d == 1:
         return segment_rule(radius, quad, breaks)
     n = 2 * quad.order

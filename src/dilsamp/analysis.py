@@ -316,17 +316,24 @@ def level_grid(plan: StudyPlan, domain: Box, j: int):
     return make_grid(domain, spacing), spacing
 
 
+def level_slabs(plan: StudyPlan, domain: Box, j: int):
+    """Level ``j``'s grid, its spacing, and ``Q_j f`` on it slab by slab
+    (:func:`evaluate_slabs`), from coefficients on the lattice support."""
+    g, m = plan.generator, plan.dilation
+    grid, spacing = level_grid(plan, domain, j)
+    lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
+    cs = coefficients(plan.rule, plan.signal, m, j, lattice)
+    return grid, spacing, evaluate_slabs(g, m, j, cs, grid)
+
+
 def _level_error(plan: StudyPlan, domain: Box, j: int) -> float:
     """Level ``j``'s error, reduced slab by slab; what the level allocated
     is freed on return, before the next level's coefficients."""
-    g, m, f = plan.generator, plan.dilation, plan.signal
-    grid, spacing = level_grid(plan, domain, j)
-    lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
-    cs = coefficients(plan.rule, f, m, j, lattice)
-    signal, lp = f.on_grid(grid), _Lp(plan.p, j)
-    for part, qv in evaluate_slabs(g, m, j, cs, grid):
+    grid, spacing, slabs = level_slabs(plan, domain, j)
+    signal, lp = plan.signal.on_grid(grid), _Lp(plan.p, j)
+    for part, qv in slabs:
         lp.add(signal(part), qv)
-    return lp.result(spacing, g.d)
+    return lp.result(spacing, plan.generator.d)
 
 
 def convergence_study(plan: StudyPlan) -> ConvergenceReport:

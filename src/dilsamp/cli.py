@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import convergence_study, level_grid, study_domain
+from .analysis import convergence_study, level_slabs, study_domain
 from .calibrate import CalibrationError
 from .config import (
     ConfigError,
@@ -31,7 +31,6 @@ from .config import (
     parse_config,
 )
 from .diffop import ball_moments
-from .expansion import coefficients, evaluate_slabs, lattice_support
 from .generators import named_generators, strang_fix_table
 from .multiindex import indices_below
 from .signals import polynomial
@@ -207,15 +206,12 @@ def cmd_expand(args, out: Path) -> int:
     if args.level < 0:
         raise ConfigError("--level: must be non-negative")
     plan, _ = cfg.build_plan()
-    g, m, j = plan.generator, plan.dilation, args.level
+    j = args.level
     domain = study_domain(plan)
     path = out / "expand.csv"
-    header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",re,im"
+    header = ",".join(f"x{i + 1}" for i in range(plan.generator.d)) + ",re,im"
     try:
-        grid, _ = level_grid(plan, domain, j)
-        lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
-        slabs = evaluate_slabs(g, m, j, coefficients(plan.rule, plan.signal, m, j, lattice),
-                               grid)
+        grid, _, slabs = level_slabs(plan, domain, j)
         # slab by slab: neither the grid's rows nor its values are held whole
         _write_csv(path, header, (
             [_fmt(c) for c in pt] + [_fmt(v.real), _fmt(v.imag)]

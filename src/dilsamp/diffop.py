@@ -72,8 +72,8 @@ def ball_moments(d: int, n: int, h: float) -> dict:
     integral has the closed form
     ``h**([beta]+d) * prod_i Gamma((beta_i + 1) / 2) / Gamma(([beta]+d)/2 + 1)``.
     """
-    if h <= 0:
-        raise ValueError("ball radius must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {h}")
     if n < 0:
         raise ValueError("order bound must be non-negative")
     vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * h**d

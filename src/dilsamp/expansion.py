@@ -35,10 +35,8 @@ from .dilation import Dilation
 from .generators import Generator
 
 _CHUNK = 1 << 17
-# Terms per tile of an unbounded generator's sum.  The general kernel makes
-# temporaries per tile: with tiles of 2**14 to 2**17 terms glibc returned
-# them and faulted them in again on some spans, every tile; 2**13 did not on
-# any span measured.  The per-axis kernel reuses one buffer.
+# Terms (points times taps) per tile of the span sum, in one reused buffer;
+# also the values per call of a factor in the general kernel.
 _TILE = 1 << 13
 # Points per chunk of the general kernel, which keeps per-axis tables of
 # width x chunk entries; on a shared 2-vCPU host 2**15 ran quincunx level 7
@@ -107,8 +105,8 @@ class FalsifiedRule:
     quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("averaging radius must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"averaging radius must be positive and finite, got {self.h}")
 
 
 CoefficientRule = Union[ExactRule, DifferentialRule, FalsifiedRule]
@@ -317,34 +315,33 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     """Evaluate ``sum_k c_k phi(M^j x - k)`` at the given points.
 
     ``points`` is one point, rows ``(n, d)`` or a :class:`Grid` (values in
-    :meth:`Grid.points` order).  Two kernels serve every generator: on a
-    tensor grid (a ``Grid``, or any points in 1-d) with ``M^j`` diagonal,
-    each of ``g.terms`` is summed along each axis of the coefficient box
-    in turn, and the terms are added in order; otherwise each point takes
-    the ``d``-fold product of the taps.  The two agree to
-    ``1e-14 * max|c_k|`` per point, and a one-point call gives its row's
-    bits.  Both run slab by slab (:func:`evaluate_slabs`), and each
-    point's value does not depend on the slab it falls in.
+    :meth:`Grid.points` order).  A compact generator taps the lattice
+    points within its support radius of each mapped point, one tap at a
+    time; those it reaches must lie in the box
+    (:class:`MissingCoefficientError` otherwise).  On a tensor grid (a
+    ``Grid``, or any points in 1-d) with ``M^j`` diagonal, each of
+    ``g.terms`` is summed along each axis of the coefficient box in turn,
+    and the terms are added in order (:func:`_axes_kernel`); otherwise
+    each point takes the ``d``-fold product of the taps, each tap's value
+    formed from per-axis tables as ``g.spatial`` forms it, with the same
+    bits (:func:`_rows_kernel`).  The two agree to ``1e-14 * max|c_k|``.
 
-    A compact generator taps the lattice points within its support radius
-    of each mapped point, one tap at a time; those it reaches must lie in
-    the box (:class:`MissingCoefficientError` otherwise).  The general
-    kernel forms each tap's value from per-axis tables of each term's
-    factors, multiplied in axis order and summed in term order as
-    ``g.spatial`` does, so both give the same bits.
-
-    An unbounded generator taps the span of the nonzero coefficients, the
-    same for every point; the terms left out are zeros.  Its factors are
-    ``N(x) / x**2`` with ``N`` of period ``L`` (``SquaredSincs``:
-    ``L = 1`` for ``sinc_squared``, 4 for ``sinc_squared_twoscale``).  The
-    per-axis kernel, which serves 1-d rows too, forms ``N`` once per point
-    and residue class of ``k`` modulo ``L`` and each term as ``c_k /
+    An unbounded generator sums the span of the nonzero coefficients, the
+    same for every point; the terms left out are zeros.  Each term is
+    summed one axis at a time (:func:`_span_terms`), on a grid as above
+    and on rows too: axis 0 for every row, then each later axis row by
+    row.  Its factors are ``N(x) / x**2`` with ``N`` of period ``L``
+    (``SquaredSincs``: ``L = 1`` for ``sinc_squared``, 4 for
+    ``sinc_squared_twoscale``), so ``N`` is formed once per point and
+    residue class of ``k`` modulo ``L``, and each term as ``c_k /
     (y - k)**2``; where ``|y - k| < 1e-9`` (0 included) the term is
-    ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i| * |c_k|``.  The
-    general kernel in ``d >= 2`` forms ``g.spatial`` over the span.  Both
-    sum in tiles of at most ``_TILE`` terms (points times taps), and both
+    ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i| * |c_k|``.  The sums
     stay within ``2e-15 * max|c_k|`` of the whole :func:`lattice_support`
     box's sum in the tests.
+
+    Every kernel runs slab by slab (:func:`evaluate_slabs`); a point's
+    value does not depend on the slab it falls in, and a one-point call
+    gives its row's bits.
 
     Points must be finite, and ``|M^j x|`` below ``2**62`` in every
     coordinate, so that lattice indices are exact integers
@@ -383,9 +380,9 @@ def _checked(g, cs: Coefficients, points):
 
 
 def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
-    d = g.d
+    d, unbounded = g.d, g.support_radius is None
     mj = np.asarray(m.power(j), dtype=float)
-    if g.support_radius is None:
+    if unbounded:
         cs = _nonzero_span(cs)
     if np.array_equal(mj, np.diag(mj.diagonal())):
         if d == 1 and not isinstance(points, Grid):
@@ -395,7 +392,10 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
             for y in axes:
                 _check_reach(y)
             rows = points.slab_rows(_ROWS)
-            kernel = _axes_kernel(g, axes, cs, rows)
+            if unbounded:
+                kernel = lambda lo, hi: _span_terms(g, cs, [axes[0][lo:hi]] + axes[1:], False)
+            else:
+                kernel = _axes_kernel(g, axes, cs, rows)
             for lo, hi, part in points.slabs(rows):
                 yield part, kernel(lo, hi)
             return
@@ -414,7 +414,13 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     if np.any(np.abs(mj) @ reach >= _REACH):
         for part in parts():
             _check_reach(mapped(part))
-    kernel = _rows_kernel(g, cs, len(y))
+    if unbounded:
+        # chunks whose sums over axis 0 fill about one slab
+        step = max(1, _ROWS // math.prod(cs.values.shape[1:]))
+        kernel = lambda y: np.concatenate([_span_terms(g, cs, y[lo : lo + step].T, True)
+                                           for lo in range(0, len(y), step)])
+    else:
+        kernel = _rows_kernel(g, cs, len(y))
     for part in parts():
         yield part, kernel(mapped(part))
 
@@ -448,9 +454,10 @@ def _check_reach(y):
 
 
 def _span_sum(factor, y, ks, c):
-    """``sum_i c[..., 0, i] factor(y - ks[i])`` for each ``y``, where ``ks``
-    are consecutive lattice coordinates and ``factor`` is a
-    ``SquaredSincs``, ``N(x) / x**2`` with ``N`` of period ``L``.
+    """``sum_i c[..., p, i] factor(y[p] - ks[i])`` for each point ``y[p]``:
+    ``ks`` are consecutive lattice coordinates, ``factor`` is a
+    ``SquaredSincs``, ``N(x) / x**2`` with ``N`` of period ``L``, and the
+    rows of ``c`` (its axis ``-2``) are one shared by all points, or one each.
 
     ``N(y - k)`` depends on ``k`` only modulo ``L``, so the sum is
     ``sum_{s < L} N(y - ks[s]) sum_{i = s mod L} c_i / (y - ks[i])**2``:
@@ -458,18 +465,20 @@ def _span_sum(factor, y, ks, c):
     reduced ``y - rint(y)``, and each term is one reciprocal square,
     written into a reused buffer of at most ``_TILE`` terms (points times
     taps).  Each ``y`` is reduced on its own (``np.vecdot``, tiles in
-    order).  Where ``|y - k| < _NEAR`` (1e-9; 0 included) the term is
+    order), with the same bits in any call if ``c`` is C-contiguous.
+    Where ``|y - k| < _NEAR`` (1e-9; 0 included) the term is
     ``c_k phi(0)`` instead, so nothing is infinite.
     """
     period, n = factor.period, np.rint(y)
     r, n = y - n, n.astype(np.int64)
     on = np.flatnonzero((np.abs(r) < _NEAR) & (ks[0] <= n) & (n <= ks[-1]))
     at = n[on] - ks[0]
-    parts = np.stack((c.real, c.imag))
+    shape = c.shape[:-2] + (len(y), len(ks))
+    parts = np.broadcast_to(np.stack((c.real, c.imag)), (2,) + shape)
     width = min(-(-len(ks) // period), _TILE)
     step = _TILE // width
     buf = np.empty((min(step, len(y)), width))
-    out = np.zeros(c.shape[:-2] + y.shape, dtype=complex)
+    out = np.zeros(shape[:-1], dtype=complex)
     for s in range(min(period, len(ks))):
         # this class's taps nearer than _NEAR: rows, ascending, and columns
         rows, cols = on[at % period == s], at[at % period == s] // period
@@ -486,24 +495,32 @@ def _span_sum(factor, y, ks, c):
                 t[rows[a:b][hit] - lo, i[hit]] = np.inf
             np.square(t, out=t)
             np.divide(1.0, t, out=t)
-            acc[..., lo : lo + step] += np.vecdot(cc[..., k : k + width], t)
+            acc[..., lo : lo + step] += np.vecdot(cc[..., lo : lo + step, k : k + width], t)
         out += factor.numerator(r + (n - ks[s]) % period) * (acc[0] + 1j * acc[1])
-    out[..., on] += factor(0.0) * c[..., 0, at]
+    out[..., on] += factor(0.0) * np.broadcast_to(c, shape)[..., on, at]
     return out
 
 
-def _spatial_sum(g, y, cs: Coefficients):
-    """``sum_k c_k phi(y - k)`` over the box for each row ``y``: ``g.spatial``
-    is formed in tiles of at most ``_TILE`` terms, and each row is reduced
-    on its own (``np.vecdot``, tiles in order)."""
-    ks, c = cs.lattice.points(), np.conj(cs.values.ravel())
-    width = min(len(ks), _TILE)
-    step = _TILE // width
-    out = np.zeros(len(y), dtype=complex)
-    for lo, k in product(range(0, len(y), step), range(0, len(ks), width)):
-        tile = g.spatial(y[lo : lo + step, None] - ks[k : k + width])
-        out[lo : lo + step] += np.vecdot(c[k : k + width], tile)
-    return out
+def _span_terms(g, cs: Coefficients, ys, rows: bool):
+    """``sum_k c_k phi(y - k)`` over the box of an unbounded generator:
+    each term of ``g``, its factors in place of ``phi``, is summed along
+    one axis of the coefficient box at a time (:func:`_span_sum`), and
+    the terms are added in order.  On a tensor grid, ``ys`` are its mapped
+    axes and the values come in :meth:`Grid.points` order.  On ``rows``,
+    ``ys`` are the mapped rows' columns: axis 0 is summed for every row
+    with shared coefficients, and each later axis row by row."""
+    out = None
+    for factors in g.terms:
+        s = cs.values
+        for a, (factor, y, o) in enumerate(zip(factors, ys, cs.lattice.origin)):
+            # the summed axis last, after the points' axes; contiguous, so
+            # that a row's sum has the same bits in any call
+            c = np.ascontiguousarray(np.moveaxis(s, 0, -1))
+            if a == 0 or not rows:
+                c = c[..., None, :]
+            s = _span_sum(factor, y, o + np.arange(c.shape[-1]), c)
+        out = s if out is None else out + s
+    return out.ravel()
 
 
 def _width(g) -> int:
@@ -541,36 +558,21 @@ def _fold(ufunc, arrays, out):
 
 
 def _axes_kernel(g, axes, cs: Coefficients, rows: int):
-    """The per-axis kernel on the tensor grid of mapped axes ``axes``, as a
-    function of a range ``lo:hi`` of at most ``rows`` rows along axis 0 to
-    the values there (in :meth:`Grid.points` order, in a buffer the next
-    call overwrites).  Each term of ``g``, its factors in place of
-    ``phi``, is summed along one axis of the coefficient box at a time,
-    and the terms are added in order.
+    """The per-axis kernel of a compact generator on the tensor grid of
+    mapped axes ``axes``, as a function of a range ``lo:hi`` of at most
+    ``rows`` rows along axis 0 to the values there (in :meth:`Grid.points`
+    order, in a buffer the next call overwrites).  Each term of ``g``, its
+    factors in place of ``phi``, is summed along one axis of the
+    coefficient box at a time, and the terms are added in order.
 
-    A compact generator's live taps on every axis (factor values zeroed
-    outside the box) are formed here, once, term by term and axis by axis,
-    as the whole grid would check them; each call sums them into buffers
-    of one slab, allocated here.  A tap's coefficients are taken at the
+    The live taps on every axis (factor values zeroed outside the box) are
+    formed here, once, term by term and axis by axis, as the whole grid
+    would check them; each call sums them into buffers of one slab,
+    allocated here.  A tap's coefficients are taken at the
     axis's first lattice offsets plus the tap's, in one reused index
     buffer and clipped to the box: outside it the factor is zero, so for
-    finite coefficients the clipped one adds nothing.  An unbounded
-    generator sums each axis with :func:`_span_sum`."""
+    finite coefficients the clipped one adds nothing."""
     d, shape, origin = g.d, cs.values.shape, cs.lattice.origin
-    if g.support_radius is None:
-        def span(lo, hi):
-            out = None
-            for factors in g.terms:
-                vals = cs.values
-                for a, (factor, y, o) in enumerate(zip(factors, axes, origin)):
-                    c = np.moveaxis(vals, a, -1)[..., None, :]
-                    ks = o + np.arange(vals.shape[a])
-                    s = _span_sum(factor, y[lo:hi] if a == 0 else y, ks, c)
-                    vals = np.moveaxis(s, -1, a)
-                out = vals.ravel() if out is None else out + vals.ravel()
-            return out
-
-        return span
     taps = []
     for factors in g.terms:
         for a, (factor, y, o, n) in enumerate(zip(factors, axes, origin, shape)):
@@ -619,22 +621,15 @@ def _axes_kernel(g, axes, cs: Coefficients, rows: int):
 
 
 def _rows_kernel(g, cs: Coefficients, n: int):
-    """The general kernel, as a function of at most ``n`` mapped rows ``y``
-    to ``sum_k c_k phi(y - k)`` per row (in a buffer the next call
-    overwrites, for a compact generator).
+    """The general kernel of a compact generator, as a function of at most
+    ``n`` mapped rows ``y`` to ``sum_k c_k phi(y - k)`` per row, in a
+    buffer the next call overwrites.
 
-    A compact generator's taps come from per-axis tables, one row per tap
-    ``t`` for the coordinates ``k0 + t``: whether they lie in the box,
-    their flat offsets into the coefficients, and, per term, the factor
-    values.  The tables and the sums are written into buffers allocated
+    The taps come from per-axis tables, one row per tap ``t`` for the
+    coordinates ``k0 + t``: whether they lie in the box, their flat
+    offsets into the coefficients, and, per term, the factor values.  The tables and the sums are written into buffers allocated
     here, and each factor is called on tiles of at most ``_TILE`` values,
-    so a call allocates nothing the size of its rows.  An unbounded
-    generator forms ``g.spatial`` over the span (:func:`_spatial_sum`), or
-    in 1-d runs the per-axis kernel."""
-    if g.support_radius is None:
-        if g.d == 1:
-            return lambda y: _axes_kernel(g, [y[:, 0]], cs, len(y))(0, len(y))
-        return lambda y: _spatial_sum(g, y, cs)
+    so a call allocates nothing the size of its rows."""
     d, width, shape = g.d, _width(g), cs.values.shape
     flat = cs.values.ravel()
     kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]

@@ -25,6 +25,7 @@ from dilsamp import (
     polynomial,
     quincunx,
     sinc_squared,
+    sinc_squared_twoscale,
     symbol,
     triadic,
 )
@@ -46,6 +47,17 @@ class TestQuadratureRules:
         pts, w = ball_rule(3, 1.0, QuadSpec())
         assert pts.shape == (2 * order**3, 3)
         assert w.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_or_non_positive_radius_rejected(self, d, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ball_rule(d, h, QuadSpec())
+        with pytest.raises(ValueError, match="positive and finite"):
+            ball_moments(d, 2, h)
+        # ball_average reaches the rule before it evaluates the signal
+        with pytest.raises(ValueError, match="positive and finite"):
+            ball_average(gaussian(d), [0.0] * d, h)
 
     @pytest.mark.parametrize("d,order,degree", [(2, 16, 8), (3, 16, 8), (4, 8, 8), (3, 5, 7)])
     def test_product_rule_matches_ball_moments(self, d, order, degree):
@@ -208,6 +220,10 @@ _SHEAR_CS = coefficients(
 # chunks of points; the coarse tolerance keeps the box small.
 _SINC_CS = coefficients(ExactRule(), gaussian(2), _SHEAR, 1, lattice_support(
     sinc_squared(2), _SHEAR, 1, Box.centered(1.0, 2), 1e-3))
+_TWOSCALE_CS = coefficients(ExactRule(), gaussian(2), quincunx(), 1, lattice_support(
+    sinc_squared_twoscale(2), quincunx(), 1, Box.centered(1.0, 2), 1e-2))
+_QUINCUNX_CS = coefficients(ExactRule(), gaussian(2), quincunx(), 3, lattice_support(
+    sinc_squared(2), quincunx(), 3, Box.centered(1.0, 2), 1e-3))
 
 
 @pytest.mark.parametrize("call,rows", [
@@ -224,8 +240,13 @@ _SINC_CS = coefficients(ExactRule(), gaussian(2), _SHEAR, 1, lattice_support(
      np.random.default_rng(0).uniform(-1, 1, size=(200, 2))),
     (lambda x: evaluate(sinc_squared(2), _SHEAR, 1, _SINC_CS, x),
      np.random.default_rng(1).uniform(-1, 1, size=(200, 2))),
+    (lambda x: evaluate(sinc_squared_twoscale(2), quincunx(), 1, _TWOSCALE_CS, x),
+     np.random.default_rng(2).uniform(-1, 1, size=(100, 2))),
+    (lambda x: evaluate(sinc_squared(2), quincunx(), 3, _QUINCUNX_CS, x),
+     np.random.default_rng(3).uniform(-1, 1, size=(100, 2))),
 ], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
-        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear", "evaluate-2d-sinc"])
+        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear", "evaluate-2d-sinc",
+        "evaluate-2d-twoscale", "evaluate-2d-sinc-quincunx-3"])
 def test_one_point_call_matches_its_row(call, rows):
     # Each row's sum is reduced on its own, so a one-point call gives the
     # many-point call's value bit for bit.

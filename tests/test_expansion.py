@@ -1,6 +1,7 @@
 """Expansion machinery: lattices, coefficient rules, evaluation, deviation."""
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -189,9 +190,10 @@ class TestCoefficientRules:
         with pytest.raises(ValueError, match="lattice dimension"):
             coefficients(ExactRule(), gaussian(2), dyadic(2), 1, Lattice([0], [3]))
 
-    def test_falsified_rejects_bad_radius(self):
-        with pytest.raises(ValueError, match="positive"):
-            FalsifiedRule(0.0)
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
+    def test_falsified_rejects_bad_radius(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FalsifiedRule(h)
 
 
 def _per_base_split(f, m, j, ks, h, quad=QuadSpec()):
@@ -348,12 +350,12 @@ class TestEvaluation:
 
 
 def _general(g, m, j, cs, points):
-    """The general kernel on the points' rows, called directly: ``evaluate``
-    takes the per-axis kernel in 1-d and on a grid under a diagonal ``M^j``.
-    An unbounded generator taps the nonzero span, as in ``evaluate``."""
+    """The rows' sum, called directly: ``evaluate`` takes the per-axis
+    kernel in 1-d and on a grid under a diagonal ``M^j``.  An unbounded
+    generator contracts the nonzero span as rows, as in ``evaluate``."""
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     if g.support_radius is None:
-        cs = expansion._nonzero_span(cs)
+        return expansion._span_terms(g, expansion._nonzero_span(cs), y.T, True)
     return expansion._rows_kernel(g, cs, len(y))(y)
 
 
@@ -562,37 +564,52 @@ class TestUnboundedEvaluation:
         for pts in (grid, np.asarray(grid)):
             assert np.max(np.abs(evaluate(g, m, 1, cs, pts) - ref)) <= 2e-15 * 2.0
 
-    @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared(2), sinc_squared_twoscale(1)],
-                             ids=["sinc2-1d", "sinc2-2d", "twoscale-1d"])
-    def test_points_on_the_lattice(self, g):
-        # every point is some M^-j k, so y - k is 0 for one tap per axis
-        m, j = dyadic(g.d), 2
+    @pytest.mark.parametrize("g,m,j", [
+        (sinc_squared(1), dyadic(1), 2), (sinc_squared(2), dyadic(2), 2),
+        (sinc_squared_twoscale(1), dyadic(1), 2),
+        # M^j is not diagonal at odd quincunx levels, so there are only rows
+        (sinc_squared(2), quincunx(), 1), (sinc_squared(2), quincunx(), 3)],
+        ids=["sinc2-1d", "sinc2-2d", "twoscale-1d", "sinc2-quincunx-1", "sinc2-quincunx-3"])
+    def test_points_on_the_lattice(self, g, m, j):
+        # every point is some M^-j k, so y - k is 0 for one tap per axis;
+        # out where the samples are below 1e-17, the other taps' phi(k - k'),
+        # about 1e-33 from np.sinc rather than 0, would show
         lat = lattice_support(g, m, j, Box.centered(1.5, g.d), 1e-10 if g.d == 1 else 1e-3)
         cs = coefficients(ExactRule(), gaussian(g.d), m, j, lat)
-        ks = np.arange(-6, 7)
-        grid = Grid([ks / 4.0] * g.d)
-        ref = _whole_box(g, m, j, cs, grid)
-        for pts in (grid, np.asarray(grid)):
+        inv = np.asarray(m.power(-j), dtype=float)
+        ks = Lattice((-12,) * g.d, (25,) * g.d).points()
+        rows = map_rows(ks, inv)
+        point_sets = [rows]
+        if np.array_equal(inv, np.diag(inv.diagonal())):
+            # the same points in the same order, as a grid
+            point_sets.append(Grid([s * np.arange(-12, 13) for s in inv.diagonal()]))
+            assert np.array_equal(np.asarray(point_sets[1]), rows)
+        ref = _whole_box(g, m, j, cs, rows)
+        samples = cs.values[tuple((ks - lat.origin).T)]
+        for pts in point_sets:
             got = evaluate(g, m, j, cs, pts)
             assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(cs.values))
-        if g.interpolatory:
-            # Q_j f = f on M^-j Z^d: the per-axis kernel gives the samples
-            idx = [ks - o for o in lat.origin]
-            assert np.array_equal(evaluate(g, m, j, cs, grid), cs.values[np.ix_(*idx)].ravel())
+            if g.interpolatory:
+                # Q_j f = f on M^-j Z^d: both kernels give the samples
+                assert np.array_equal(got, samples)
 
-    @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared_twoscale(1)],
-                             ids=["sinc2", "twoscale"])
+    @pytest.mark.parametrize("g,m,j", [
+        (sinc_squared(1), dyadic(1), 2), (sinc_squared_twoscale(1), dyadic(1), 2),
+        # rows, under a non-diagonal M^j
+        (sinc_squared(2), quincunx(), 1), (sinc_squared_twoscale(2), quincunx(), 3)],
+        ids=["sinc2", "twoscale", "sinc2-quincunx-1", "twoscale-quincunx-3"])
     @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-156, 1e-200])
-    def test_points_next_to_the_lattice(self, g, gap):
+    def test_points_next_to_the_lattice(self, g, m, j, gap):
         # |y - k| = gap: 1e-8 is summed as a reciprocal square, the others
         # take phi(0), where (y - k)**2 would be subnormal (1e-156) or 0
-        m, j = dyadic(1), 2
-        cs = coefficients(ExactRule(), gaussian(1), m, j,
-                          lattice_support(g, m, j, Box.centered(1.5, 1)))
-        ks = np.arange(-6.0, 7.0)
-        pts = np.concatenate([ks + gap, ks - gap]) / 4.0
+        lat = lattice_support(g, m, j, Box.centered(1.5, g.d), 1e-10 if g.d == 1 else 1e-2)
+        cs = coefficients(ExactRule(), gaussian(g.d), m, j, lat)
+        ks = Lattice((-6,) * g.d, (13,) * g.d).points().astype(float)
+        signs = [[1], [-1]] if g.d == 1 else [[1, 1], [-1, -1], [1, -1]]
+        ys = np.concatenate([ks + gap * np.asarray(s) for s in signs])
+        pts = map_rows(ys, np.asarray(m.power(-j), dtype=float))
         got = evaluate(g, m, j, cs, pts)
-        ref = _whole_box(g, m, j, cs, pts[:, None])
+        ref = _whole_box(g, m, j, cs, pts)
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(cs.values))
 
     @pytest.mark.parametrize("g", [sinc_squared(1), sinc_squared_twoscale(1),
@@ -615,11 +632,27 @@ class TestUnboundedEvaluation:
     def test_zero_coefficients_give_zero(self, monkeypatch):
         g, m, grid = sinc_squared(2), dyadic(2), self.GRIDS[2]
         cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))
-        # the grid takes the per-axis kernel and its rows the general one
-        for pts, other in ((grid, "_rows_kernel"), (np.asarray(grid), "_axes_kernel")):
-            with monkeypatch.context() as patch:
-                patch.setattr(expansion, other, None)
-                assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
+        # the span sum serves the grid and its rows: neither compact kernel runs
+        monkeypatch.setattr(expansion, "_rows_kernel", None)
+        monkeypatch.setattr(expansion, "_axes_kernel", None)
+        for pts in (grid, np.asarray(grid)):
+            assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
+
+    def test_rows_memory_is_bounded(self):
+        # 20,000 rows on a 69 x 69 span: summed over axis 0 at once, the
+        # rows would hold 69 * 20,000 complex sums (22 MB), and their
+        # stacked parts as much again
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(69, 69)) + 1j * rng.normal(size=(69, 69))
+        cs = Coefficients(Lattice((-34, -34), (69, 69)), vals)
+        rows = rng.uniform(-3.0, 3.0, size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            evaluate(sinc_squared(2), quincunx(), 1, cs, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestDeviation:
