@@ -47,6 +47,23 @@ def map_rows(rows: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def real_bilinear(op, a, b):
+    """``op(a, b)`` for a bilinear ``op`` of real arrays (``np.matmul``, or
+    ``np.vecdot``, which then sums ``a * b`` unconjugated), a complex
+    operand split into its real and imaginary parts, each copied in the
+    operand's memory order.  So a real operand gives the bits of the real
+    part of the result for its complex cast: BLAS's complex kernels sum in
+    another order, and so can a sum over strided memory."""
+    parts = lambda x: (x.real.copy(order="K"), x.imag.copy(order="K"))
+    if np.iscomplexobj(a):
+        re, im = parts(a)
+        return real_bilinear(op, re, b) + 1j * real_bilinear(op, im, b)
+    if np.iscomplexobj(b):
+        re, im = parts(b)
+        return op(a, re) + 1j * op(a, im)
+    return op(a, b)
+
+
 def as_index(alpha) -> tuple[int, ...]:
     """Coerce to a tuple multi-index and validate non-negativity."""
     t = tuple(int(a) for a in np.atleast_1d(alpha))

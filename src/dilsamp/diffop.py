@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._arrays import as_index, as_points, as_rows, map_rows
+from ._arrays import as_index, as_points, as_rows, map_rows, real_bilinear
 from .multiindex import factorial, indices_below, indices_of_order, monomial
 from .taylor import chain_rule_matrix
 
@@ -119,7 +119,8 @@ def _order_weights(op: DiffOperator, a_matrix: np.ndarray) -> dict:
 
     For each total order ``p`` in the operator, returns ``w_p`` so
     that ``sum_alpha w_p[alpha] D^alpha f(y)`` equals
-    ``sum_{[beta]=p} a_beta D^beta[f(A.)]`` at the matching point.
+    ``sum_{[beta]=p} a_beta D^beta[f(A.)]`` at the matching point.  The
+    weights are real when every coefficient of order ``p`` is.
     """
     orders = sorted({sum(b) for b in op.coeffs})
     out = {}
@@ -127,6 +128,8 @@ def _order_weights(op: DiffOperator, a_matrix: np.ndarray) -> dict:
         idx = indices_of_order(p, op.d)
         t = chain_rule_matrix(a_matrix, p)
         a_vec = np.array([op.coeffs.get(b, 0.0) for b in idx], dtype=complex)
+        if not a_vec.imag.any():
+            a_vec = a_vec.real
         out[p] = (idx, a_vec @ t)
     return out
 
@@ -137,7 +140,8 @@ def apply_to_signal(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
     ``ks`` is one point or rows ``(n, d)``; the result has one entry per
     point.  ``m`` is a :class:`dilsamp.dilation.Dilation`; the signal must
     provide exact derivatives up to the operator order at the mapped
-    points.
+    points.  The result is real when the operator's coefficients and the
+    signal's derivatives are.
     """
     ks = as_rows(ks, op.d)
     a = np.asarray(m.power(-j), dtype=float)
@@ -146,11 +150,10 @@ def apply_to_signal(op: DiffOperator, f, m, j: int, ks) -> np.ndarray:
         raise ValueError(
             f"operator order {op.order} exceeds signal smoothness {f.deriv_order}"
         )
-    out = np.zeros(ks.shape[0], dtype=complex)
+    out = np.zeros(ks.shape[0])
     for p, (idx, w) in _order_weights(op, a).items():
         if not np.any(w != 0):
             continue
-        derivs = [np.asarray(f.derivative(al, y), dtype=complex) for al in idx]
-        # vecdot conjugates its first argument; conj(w) undoes that exactly
-        out += np.vecdot(w.conj(), np.stack(derivs, axis=-1))
+        derivs = np.stack([np.asarray(f.derivative(al, y)) for al in idx], axis=-1)
+        out = out + real_bilinear(np.vecdot, w, derivs)
     return out

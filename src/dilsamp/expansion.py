@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import Grid, Lattice, as_rows, map_rows
+from ._arrays import Grid, Lattice, as_rows, map_rows, real_bilinear
 from ._quadrature import QuadSpec, ball_rule
 from .diffop import DiffOperator, apply_to_signal
 from .dilation import Dilation
@@ -142,7 +142,9 @@ def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
     the same strict test :func:`segment_rule` applies.  That correction
     touches at most ``floor(2h) + 1`` bases per kink.  Each row's sum is
     reduced on its own (``np.vecdot``), so its value does not depend on
-    the other bases in the call.
+    the other bases in the call.  Sums of complex values are formed from
+    their real and imaginary parts (:func:`real_bilinear`), so a real
+    signal's averages have the bits of its complex cast's real parts.
     """
     d = a.shape[0]
     nodes, weights = ball_rule(d, h, quad)
@@ -151,13 +153,15 @@ def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
         if d >= 2 and getattr(f, "factor", None) is not None:
             return _average_axes(f.factor, bases, mapped, weights)
         bases = bases.points()
-    out = np.empty(bases.shape[0], dtype=complex)
+    out = np.empty(0)
     step = max(1, _CHUNK // max(1, len(weights)))
     for lo in range(0, bases.shape[0], step):
         chunk = bases[lo : lo + step]
         pts = chunk[:, None, :] + mapped[None, :, :]
-        vals = np.asarray(f.eval(pts))
-        out[lo : lo + step] = np.vecdot(weights, vals)
+        sums = real_bilinear(np.vecdot, weights, np.asarray(f.eval(pts)))
+        if not lo:
+            out = np.empty(bases.shape[0], dtype=sums.dtype)
+        out[lo : lo + step] = sums
     kinks = tuple(getattr(f, "kinks", ()) or ())
     if kinks and d == 1:
         scale = float(a[0, 0])
@@ -166,7 +170,7 @@ def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
         for i in np.flatnonzero(inside):
             split_nodes, split_weights = ball_rule(1, h, quad, breaks=breaks[i])
             pts = bases[i, 0] + split_nodes * scale
-            out[i] = np.vecdot(split_weights, np.asarray(f.eval(pts)))
+            out[i] = real_bilinear(np.vecdot, split_weights, np.asarray(f.eval(pts)))
     return out
 
 
@@ -179,14 +183,14 @@ def _average_axes(factor, bases: Grid, mapped: np.ndarray, weights: np.ndarray):
     last = tables.pop().T
     lead = tuple(len(x) for x in bases.axes[:-1])
     rows = math.prod(lead)
-    out = np.empty((rows, last.shape[1]), dtype=complex)
+    out = np.empty((rows, last.shape[1]), dtype=np.result_type(weights, last, *tables))
     step = max(1, _CHUNK // len(weights))
     for lo in range(0, rows, step):
         idx = np.unravel_index(np.arange(lo, min(lo + step, rows)), lead)
         acc = weights * tables[0][idx[0]]
         for t, i in zip(tables[1:], idx[1:]):
             acc *= t[i]
-        out[lo : lo + step] = acc @ last
+        out[lo : lo + step] = real_bilinear(np.matmul, acc, last)
     return out.ravel()
 
 
@@ -210,15 +214,17 @@ class Coefficients:
     """Coefficients ``c_k`` on a lattice box.
 
     ``values`` is shaped like the box, and ``values[i]`` is the
-    coefficient of lattice point ``lattice.origin + i``.  ``len`` counts
-    the coefficients and ``np.asarray`` gives ``values``.
+    coefficient of lattice point ``lattice.origin + i``: ``float64`` for
+    real input, ``complex128`` for complex input.  ``len`` counts the
+    coefficients and ``np.asarray`` gives ``values``.
     """
 
     lattice: Lattice
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).reshape(self.lattice.shape)
+        vals = np.asarray(self.values)
+        vals = vals.astype(np.result_type(vals, float), copy=False).reshape(self.lattice.shape)
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -269,13 +275,15 @@ def coefficients(
     grid, and ball averages of a signal with a per-axis ``factor`` in
     ``d >= 2`` run per axis (:func:`_pullback_average`): within
     ``1e-13 * max|c_k|`` of the rows' values.  Every other case averages
-    row by row.
+    row by row.  The coefficients are real when the signal's values (and
+    derivatives) and the operator's coefficients are real, complex
+    otherwise.
     """
     if lattice.d != m.d:
         raise ValueError("lattice dimension does not match the dilation")
     a = np.asarray(m.power(-j), dtype=float)
     if isinstance(rule, ExactRule):
-        vals = np.asarray(f.eval(map_rows(lattice.points(), a)), dtype=complex)
+        vals = f.eval(map_rows(lattice.points(), a))
     elif isinstance(rule, DifferentialRule):
         if rule.operator.d != m.d:
             raise ValueError("operator dimension does not match the dilation")
@@ -330,27 +338,31 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     same for every point; the terms left out are zeros.  Each term is
     summed one axis at a time (:func:`_span_terms`), on a grid as above
     and on rows too: axis 0 for every row, then each later axis row by
-    row.  Its factors are ``N(x) / x**2`` with ``N`` of period ``L``
-    (``SquaredSincs``: ``L = 1`` for ``sinc_squared``, 4 for
-    ``sinc_squared_twoscale``), so ``N`` is formed once per point and
-    residue class of ``k`` modulo ``L``, and each term as ``c_k /
-    (y - k)**2``; where ``|y - k| < 1e-9`` (0 included) the term is
-    ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i| * |c_k|``.  The sums
-    stay within ``2e-15 * max|c_k|`` of the whole :func:`lattice_support`
-    box's sum in the tests.
+    row.  Both go in chunks of axis-0 coordinates (or rows) whose sums
+    over axis 0 fill about one slab.  Its factors are ``N(x) / x**2``
+    with ``N`` of period ``L`` (``SquaredSincs``: ``L = 1`` for
+    ``sinc_squared``, 4 for ``sinc_squared_twoscale``), so ``N`` is
+    formed once per point and residue class of ``k`` modulo ``L``, and
+    each term as ``c_k / (y - k)**2``; where ``|y - k| < 1e-9`` (0
+    included) the term is ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i|
+    * |c_k|``.  The sums stay within ``2e-15 * max|c_k|`` of the whole
+    :func:`lattice_support` box's sum in the tests.
 
     Every kernel runs slab by slab (:func:`evaluate_slabs`); a point's
     value does not depend on the slab it falls in, and a one-point call
-    gives its row's bits.
+    gives its row's bits.  Each runs in the common dtype of the
+    coefficients and the factors: real when all of them are, with the
+    bits of the real parts of the same sum over complex coefficients.
 
     Points must be finite, and ``|M^j x|`` below ``2**62`` in every
     coordinate, so that lattice indices are exact integers
     (``ValueError`` before any tap otherwise).
     """
     points = _checked(g, cs, points)
-    out = np.empty(len(points), dtype=complex)
-    at = 0
+    out, at = np.empty(0), 0
     for _, vals in _slabs(g, m, j, cs, points):
+        if not at:
+            out = np.empty(len(points), dtype=vals.dtype)
         out[at : at + len(vals)] = vals
         at += len(vals)
     return out
@@ -384,6 +396,8 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     mj = np.asarray(m.power(j), dtype=float)
     if unbounded:
         cs = _nonzero_span(cs)
+        # chunks of axis 0 whose sums over it fill about one slab
+        step = max(1, _ROWS // math.prod(cs.values.shape[1:]))
     if np.array_equal(mj, np.diag(mj.diagonal())):
         if d == 1 and not isinstance(points, Grid):
             points = Grid(points.T)
@@ -393,7 +407,9 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
                 _check_reach(y)
             rows = points.slab_rows(_ROWS)
             if unbounded:
-                kernel = lambda lo, hi: _span_terms(g, cs, [axes[0][lo:hi]] + axes[1:], False)
+                kernel = lambda lo, hi: np.concatenate([
+                    _span_terms(g, cs, [axes[0][b : min(b + step, hi)]] + axes[1:], False)
+                    for b in range(lo, hi, step)])
             else:
                 kernel = _axes_kernel(g, axes, cs, rows)
             for lo, hi, part in points.slabs(rows):
@@ -415,8 +431,6 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         for part in parts():
             _check_reach(mapped(part))
     if unbounded:
-        # chunks whose sums over axis 0 fill about one slab
-        step = max(1, _ROWS // math.prod(cs.values.shape[1:]))
         kernel = lambda y: np.concatenate([_span_terms(g, cs, y[lo : lo + step].T, True)
                                            for lo in range(0, len(y), step)])
     else:
@@ -467,23 +481,25 @@ def _span_sum(factor, y, ks, c):
     taps).  Each ``y`` is reduced on its own (``np.vecdot``, tiles in
     order), with the same bits in any call if ``c`` is C-contiguous.
     Where ``|y - k| < _NEAR`` (1e-9; 0 included) the term is
-    ``c_k phi(0)`` instead, so nothing is infinite.
+    ``c_k phi(0)`` instead, so nothing is infinite.  Complex ``c`` is
+    summed as its real and imaginary parts, real ``c`` as itself.
     """
     period, n = factor.period, np.rint(y)
     r, n = y - n, n.astype(np.int64)
     on = np.flatnonzero((np.abs(r) < _NEAR) & (ks[0] <= n) & (n <= ks[-1]))
     at = n[on] - ks[0]
     shape = c.shape[:-2] + (len(y), len(ks))
-    parts = np.broadcast_to(np.stack((c.real, c.imag)), (2,) + shape)
+    parts = np.stack((c.real, c.imag)) if np.iscomplexobj(c) else c[None]
+    parts = np.broadcast_to(parts, parts.shape[:1] + shape)
     width = min(-(-len(ks) // period), _TILE)
     step = _TILE // width
     buf = np.empty((min(step, len(y)), width))
-    out = np.zeros(shape[:-1], dtype=complex)
+    out = np.zeros(shape[:-1], dtype=c.dtype)
     for s in range(min(period, len(ks))):
         # this class's taps nearer than _NEAR: rows, ascending, and columns
         rows, cols = on[at % period == s], at[at % period == s] // period
         kc, cc = ks[s::period], parts[..., s::period]
-        acc = np.zeros((2,) + out.shape)
+        acc = np.zeros(parts.shape[:1] + out.shape)
         for lo, k in product(range(0, len(y), step), range(0, len(kc), width)):
             t = buf[: len(y) - lo, : len(kc) - k]
             np.subtract(y[lo : lo + step, None], kc[k : k + width], out=t)
@@ -496,7 +512,8 @@ def _span_sum(factor, y, ks, c):
             np.square(t, out=t)
             np.divide(1.0, t, out=t)
             acc[..., lo : lo + step] += np.vecdot(cc[..., lo : lo + step, k : k + width], t)
-        out += factor.numerator(r + (n - ks[s]) % period) * (acc[0] + 1j * acc[1])
+        sums = acc[0] + 1j * acc[1] if len(acc) == 2 else acc[0]
+        out += factor.numerator(r + (n - ks[s]) % period) * sums
     out[..., on] += factor(0.0) * np.broadcast_to(c, shape)[..., on, at]
     return out
 
@@ -585,18 +602,22 @@ def _axes_kernel(g, axes, cs: Coefficients, rows: int):
                 if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
                     live.append((t, np.where(inside, phi, 0)))
             taps.append((k0 - o, live))
+    # the coefficients, and the sums, in the common dtype of theirs and
+    # every tap's: promoted once per level
+    kind = np.result_type(cs.values, *(phi for _, live in taps for _, phi in live))
+    values = cs.values.astype(kind, copy=False)
     idx = [np.empty(rows if a == 0 else y.size, dtype=np.int64) for a, y in enumerate(axes)]
     # stage a holds the sums over axes 0..a: (rows, len(y_1..y_a), n_{a+1}..)
     stages = [(rows,) + tuple(y.size for y in axes[1 : a + 1]) + shape[a + 1 :]
               for a in range(d)]
-    acc = [np.empty(s, dtype=complex) for s in stages]
-    term = [np.empty(s, dtype=complex) for s in stages]
-    out = np.empty(stages[-1] if len(g.terms) > 1 else 0, dtype=complex)
+    acc = [np.empty(s, dtype=kind) for s in stages]
+    term = [np.empty(s, dtype=kind) for s in stages]
+    out = np.empty(stages[-1] if len(g.terms) > 1 else 0, dtype=kind)
 
     def run(lo, hi):
         r = hi - lo
         for i in range(len(g.terms)):
-            vals = cs.values
+            vals = values
             for a in range(d):
                 s, t = acc[a][:r], term[a][:r]
                 s.fill(0)
@@ -631,9 +652,11 @@ def _rows_kernel(g, cs: Coefficients, n: int):
     here, and each factor is called on tiles of at most ``_TILE`` values,
     so a call allocates nothing the size of its rows."""
     d, width, shape = g.d, _width(g), cs.values.shape
-    flat = cs.values.ravel()
     kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]
     kind = np.result_type(*(k for ks in kinds for k in ks))
+    # the coefficients, and the sums, in the common dtype of theirs and the
+    # factors': promoted once per level
+    flat = cs.values.astype(np.result_type(cs.values, kind), copy=False).ravel()
     low = np.empty((n, d))
     k0 = np.empty((n, d), dtype=np.int64)
     arg = np.empty((width, n))
@@ -642,7 +665,7 @@ def _rows_kernel(g, cs: Coefficients, n: int):
     tables = [[np.empty((width, n), dtype=k) for k in ks] for ks in kinds]
     phi, part = np.empty(n, dtype=kind), np.empty(n, dtype=kind)
     ins, at = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    c, acc = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    c, acc = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=flat.dtype)
     step = max(1, _TILE // width)
     ts = np.arange(width)[:, None]
 

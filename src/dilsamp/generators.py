@@ -23,9 +23,10 @@ The catalog contains
 
 A family is its factory: its free parameters are the keys of its default
 generator's ``params``, in order, passed as keywords; a factory without
-them takes the dimension.  Amplitudes of odd shift terms are imaginary, so
-spatial values are complex in general; every catalog spectrum is real at
-the origin with value 1.
+them takes the dimension.  Spatial values are real except where a shift
+amplitude is imaginary, as odd sine powers make it (``bspline4_1d`` with
+``b1`` or ``b3`` nonzero); there a factor's values are complex.  Every
+catalog spectrum is real at the origin with value 1.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ class Generator:
 @dataclass(frozen=True)
 class SquaredSincs:
     """The 1-d factor ``x -> sum_i w_i sinc(x / a_i)**2`` of an unbounded
-    generator, complex-valued, for ``pairs = ((w_i, a_i), ...)`` with
+    generator, real-valued, for ``pairs = ((w_i, a_i), ...)`` with
     positive integer scales ``a_i``.
 
     It is ``N(x) / x**2`` with the numerator ``N(x) = sum_i w_i a_i**2
@@ -117,7 +118,7 @@ class SquaredSincs:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return reduce(np.add, (w * np.sinc(x / a) ** 2 for w, a in self.pairs)) + 0.0j
+        return reduce(np.add, (w * np.sinc(x / a) ** 2 for w, a in self.pairs))
 
     @property
     def period(self) -> int:
@@ -143,7 +144,7 @@ def bspline(m: int, x):
     """
     if m < 1:
         raise ValueError("B-spline order must be at least 1")
-    return _spline_sum(m, {0.0: 1.0})(x).real
+    return _spline_sum(m, {0.0: 1.0})(x)
 
 
 def bspline_fourier(m: int, xi):
@@ -196,7 +197,8 @@ def _spline_sum(m: int, shifts: dict) -> Callable:
     on each half-unit piece, its coefficients summed exactly from
     :func:`_spline_pieces` and rounded once.  A value is one Horner
     evaluation in the offset from its piece's left end; points off the
-    pieces, NaN, +-inf and an empty sum give 0.
+    pieces, NaN, +-inf and an empty sum give 0.  Values are real when
+    every amplitude is, complex otherwise.
     """
     shifts = shifts or {0.0: 0.0}
     low = min(shifts)
@@ -206,8 +208,11 @@ def _spline_sum(m: int, shifts: dict) -> Callable:
         p, a = int(2 * (h - low)), complex(a)
         re[p : p + 2 * m] += Fraction(a.real) * pieces
         im[p : p + 2 * m] += Fraction(a.imag) * pieces
+    coef = re.astype(float)
+    if any(complex(a).imag for a in shifts.values()):
+        coef = coef + 1j * im.astype(float)
     # row r holds every piece's coefficient of u**(m-1-r), for Horner's rule
-    coef = (re.astype(float) + 1j * im.astype(float)).T[::-1].copy()
+    coef = coef.T[::-1].copy()
     first = low - m / 2.0
 
     def ev(x):
@@ -281,10 +286,10 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
 
 
 def _hat1d(x):
-    """``bspline(2, x) + 0j`` in closed form: ``min(t, 2 - t)`` on the
-    support, with ``t = x + 1``."""
+    """``bspline(2, x)`` in closed form: ``min(t, 2 - t)`` on the support,
+    with ``t = x + 1``."""
     t = np.asarray(x, dtype=float) + 1.0
-    return np.where((t > 0.0) & (t < 2.0), np.minimum(t, 2.0 - t), 0.0) + 0.0j
+    return np.where((t > 0.0) & (t < 2.0), np.minimum(t, 2.0 - t), 0.0)
 
 
 def hat(d: int = 1) -> Generator:

@@ -32,8 +32,9 @@ class Signal:
     ``O(|xi|**-(decay_N + d + decay_eps))``; ``decay_eps = inf`` means every
     pair is admissible (super-polynomial decay).  ``factor`` is the 1-d
     function with ``f(x) = prod_i factor(x_i)``, or None if there is none;
-    the counterpart of :attr:`Generator.factor`.  ``pointwise`` evaluates
-    points ``(..., d)``; :meth:`eval` also takes a :class:`Grid`.
+    the counterpart of a generator's one rank-1 term in
+    :attr:`Generator.terms`.  ``pointwise`` evaluates points ``(..., d)``;
+    :meth:`eval` also takes a :class:`Grid`.
     """
 
     name: str
@@ -213,14 +214,16 @@ def matern1d(offset: float = 0.0) -> Signal:
 
 
 def polynomial(d: int, coeffs: dict) -> Signal:
-    """Exact polynomial signal from ``exponent tuple -> coefficient``."""
+    """Exact polynomial signal from ``exponent tuple -> coefficient``; its
+    values are real when every coefficient is, complex otherwise."""
     table = {as_index(k): complex(v) for k, v in coeffs.items()}
+    table = {k: c if c.imag else c.real for k, c in table.items()}
     if any(len(k) != d for k in table):
         raise ValueError("exponent length mismatch")
 
     def _eval(x):
         pts = as_points(x, d)
-        out = np.zeros(pts.shape[:-1], dtype=complex)
+        out = np.zeros(pts.shape[:-1])
         for k, c in table.items():
             out = out + c * monomial(pts, k)
         return out
@@ -228,7 +231,7 @@ def polynomial(d: int, coeffs: dict) -> Signal:
     def _derivative(alpha, x):
         a = as_index(alpha)
         pts = as_points(x, d)
-        out = np.zeros(pts.shape[:-1], dtype=complex)
+        out = np.zeros(pts.shape[:-1])
         for k, c in table.items():
             if any(ki < ai for ki, ai in zip(k, a)):
                 continue

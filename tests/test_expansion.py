@@ -10,6 +10,7 @@ import pytest
 from dilsamp import (
     Box,
     Coefficients,
+    DiffOperator,
     DifferentialRule,
     ExactRule,
     FalsifiedRule,
@@ -653,6 +654,132 @@ class TestUnboundedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_grid_memory_is_bounded(self):
+        # 2,000 x 4 points, one slab, on a 201 x 201 span: summed over axis
+        # 0 at once, the grid would hold 201 * 2,000 partial sums (3.2 MB)
+        # several times over (10 MB peak); in chunks of 163 rows it holds
+        # about one slab, as the rows do (observed: 1.4 MB against 1.5 MB)
+        rng = np.random.default_rng(3)
+        cs = Coefficients(Lattice((-100, -100), (201, 201)), rng.normal(size=(201, 201)))
+        g, m = sinc_squared(2), dyadic(2)
+        grid = Grid([np.linspace(-40.0, 40.0, 2_000), np.array([-0.3, 0.1, 0.45, 0.8])])
+        peaks, values = {}, {}
+        for name, pts in (("grid", grid), ("rows", np.asarray(grid))):
+            tracemalloc.start()
+            try:
+                values[name] = evaluate(g, m, 1, cs, pts)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["grid"] < 1.5 * peaks["rows"]
+        # each point is summed on its own, so the chunks keep the bits of
+        # the rows and of one sum over the first 400 rows of axis 0
+        assert np.array_equal(values["grid"], values["rows"])
+        head = expansion._span_terms(g, cs, [2.0 * grid.axes[0][:400], 2.0 * grid.axes[1]],
+                                     False)
+        assert np.array_equal(values["grid"][: head.size], head)
+
+
+def _bits(values):
+    """The bits of the real parts."""
+    return np.ascontiguousarray(np.real(values)).view(np.uint64)
+
+
+def _complex_signal(f):
+    """``f`` with complex values, derivatives and factor: the same real
+    parts, imaginary parts 0."""
+    return dataclasses.replace(
+        f, pointwise=lambda x: f.pointwise(x) + 0j,
+        derivative=lambda alpha, x: f.derivative(alpha, x) + 0j,
+        factor=f.factor and (lambda t: f.factor(t) + 0j))
+
+
+class TestRealArithmetic:
+    """A real generator, signal and rule are summed in real arithmetic,
+    with the bits of the real parts of the complex sums."""
+
+    RULES = [ExactRule(), FalsifiedRule(0.5), DifferentialRule(ball_operator(2, 2, 0.5))]
+    RULE_IDS = ["exact", "ball", "ball-operator"]
+
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    @pytest.mark.parametrize("g,m,j", [
+        (hat(2), dyadic(2), 2), (hat(2), quincunx(), 1), (sinc_squared(2), dyadic(2), 1)],
+        ids=["hat2-dyadic", "hat2-quincunx", "sinc2-dyadic"])
+    def test_a_real_signal_gives_real_coefficients_and_values(self, rule, g, m, j):
+        domain = Box.centered(1.5, 2)
+        cs = coefficients(rule, gaussian(2), m, j, lattice_support(g, m, j, domain, 1e-2))
+        assert cs.values.dtype == np.float64
+        grid = make_grid(domain, 0.2)
+        for pts in (grid, np.asarray(grid)):
+            assert evaluate(g, m, j, cs, pts).dtype == np.float64
+
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_a_complex_polynomial_gives_complex_coefficients(self, rule):
+        lattice = Lattice((-3, -3), (7, 7))
+        f = polynomial(2, {(0, 0): 1.0, (1, 0): 0.5j, (0, 2): -0.25})
+        vals = coefficients(rule, f, dyadic(2), 2, lattice).values
+        assert vals.dtype == np.complex128 and np.any(vals.imag != 0)
+        real = polynomial(2, {(0, 0): 1.0, (0, 2): -0.25})
+        assert coefficients(rule, real, dyadic(2), 2, lattice).values.dtype == np.float64
+
+    def test_a_complex_operator_gives_complex_coefficients(self):
+        op = DiffOperator(2, {(0, 0): 1.0, (1, 0): 0.5j}, 1)
+        vals = coefficients(DifferentialRule(op), gaussian(2), dyadic(2), 2,
+                            Lattice((-3, -3), (7, 7))).values
+        assert vals.dtype == np.complex128 and np.any(vals.imag != 0)
+
+    def test_odd_sine_powers_give_complex_values(self):
+        # criterion 6's case: real coefficients under a complex factor
+        g, m, j = bspline4_1d(0.2, 0.5, -0.1), dyadic(1), 3
+        cs, grid = _expansion_on_grid(g, m, j)
+        assert cs.values.dtype == np.float64
+        got = evaluate(g, m, j, cs, grid)
+        assert got.dtype == np.complex128 and np.any(got.imag != 0)
+        cz = Coefficients(cs.lattice, cs.values.astype(complex))
+        assert np.array_equal(evaluate(g, m, j, cz, grid), got)
+
+    @pytest.mark.parametrize("m,j", [(dyadic(2), 2), (quincunx(), 1)],
+                             ids=["per-axis", "general"])
+    def test_a_complex_factor_promotes_real_coefficients(self, m, j):
+        twisted = lambda x: (1.0 + 0.5j) * hat(1).terms[0][0](x)
+        g = dataclasses.replace(hat(2), terms=((twisted, hat(1).terms[0][0]),))
+        cs, grid = _expansion_on_grid(hat(2), m, j)
+        cz = Coefficients(cs.lattice, cs.values.astype(complex))
+        for pts in (grid, np.asarray(grid)):
+            got = evaluate(g, m, j, cs, pts)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, evaluate(g, m, j, cz, pts))
+
+    @pytest.mark.parametrize("g,m,j", [
+        (hat(1), dyadic(1), 3), (hat(2), dyadic(2), 2), (hat(2), quincunx(), 1),
+        (bspline3_2d(0.3, 0.8), dyadic(2), 2), (sinc_squared(1), dyadic(1), 2),
+        (sinc_squared(2), dyadic(2), 1), (sinc_squared_twoscale(2), quincunx(), 1)],
+        ids=["hat1", "hat2-dyadic", "hat2-quincunx", "bspline3", "sinc2-1d", "sinc2-2d",
+             "twoscale2-quincunx"])
+    def test_kernels_give_the_bits_of_complex_coefficients(self, g, m, j):
+        # a grid under a diagonal M^j takes the per-axis kernel or the span
+        # sum on a grid, rows the general kernel or the span sum on rows
+        cs, grid = _expansion_on_grid(g, m, j)
+        cz = Coefficients(cs.lattice, cs.values.astype(complex))
+        for pts in (grid, np.asarray(grid)):
+            got, ref = evaluate(g, m, j, cs, pts), evaluate(g, m, j, cz, pts)
+            assert got.dtype == np.float64 and not np.any(ref.imag)
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("rule,f,m,j", [
+        (FalsifiedRule(0.5), gaussian(2), dyadic(2), 2),
+        (FalsifiedRule(0.5), gaussian(2), quincunx(), 1),
+        (FalsifiedRule(0.5), laplace1d(1.0 / 3.0), dyadic(1), 3),
+        (DifferentialRule(ball_operator(2, 2, 0.5)), gaussian(2), quincunx(), 1),
+        (DifferentialRule(ball_operator(2, 4, 0.5)), gaussian(2), dyadic(2), 2)],
+        ids=["ball-per-axis", "ball-rows", "ball-kink-split", "operator2", "operator4"])
+    def test_coefficients_give_the_bits_of_a_complex_signal(self, rule, f, m, j):
+        lattice = lattice_support(hat(f.d), m, j, Box.centered(1.5, f.d))
+        got = coefficients(rule, f, m, j, lattice).values
+        ref = coefficients(rule, _complex_signal(f), m, j, lattice).values
+        assert got.dtype == np.float64 and not np.any(ref.imag)
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 class TestDeviation:
