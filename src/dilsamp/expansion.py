@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import Grid, Lattice, as_rows, map_rows, real_bilinear
+from ._arrays import Grid, Lattice, as_rows, map_grid, map_rows, real_bilinear
 from ._quadrature import QuadSpec, ball_rule
 from .diffop import DiffOperator, apply_to_signal
 from .dilation import Dilation
@@ -38,9 +38,9 @@ _CHUNK = 1 << 17
 # Terms (points times taps) per tile of the span sum, in one reused buffer;
 # also the values per call of a factor in the general kernel.
 _TILE = 1 << 13
-# Points per chunk of the general kernel, which keeps per-axis tables of
-# width x chunk entries; on a shared 2-vCPU host 2**15 ran quincunx level 7
-# in 0.13 s, 2**17 in 0.22 s.
+# Points per slab of the general kernel, which keeps per-axis tables of
+# width x slab entries; on a shared 2-vCPU host quincunx level 7 (577,600
+# points) took 0.027-0.034 s at 2**15, 0.040-0.049 s at 2**17.
 _ROWS = 1 << 15
 _EDGE = 1e-9
 # Closer than this to a lattice coordinate, an unbounded generator's tap is
@@ -417,24 +417,25 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
             return
     if isinstance(points, Grid):
         rows = points.slab_rows(_ROWS)
-        y = np.empty((rows * (len(points) // points.axes[0].size), d))
+        y = np.empty((d, rows * (len(points) // points.axes[0].size)))
         parts = lambda: (part for *_, part in points.slabs(rows))
-        mapped = lambda part: map_rows(part.points(), mj, y[: len(part)])
-        reach = [max(-x.min(), x.max()) for x in points.axes]
+        mapped = lambda part: map_grid(part, mj, y[:, : len(part)])
+        columns = points.axes
     else:
-        y = np.empty((min(len(points), _ROWS), d))
+        y = np.empty((d, min(len(points), _ROWS)))
         parts = lambda: (points[lo : lo + _ROWS] for lo in range(0, len(points), _ROWS))
-        mapped = lambda part: map_rows(part, mj, y[: len(part)])
-        reach = np.maximum(-points.min(axis=0), points.max(axis=0))
+        mapped = lambda part: map_rows(part, mj, y[:, : len(part)].T).T
+        columns = points.T
     # |M^j| max|x| bounds every mapped coordinate; map the points only past it
+    reach = [max(-x.min(), x.max()) for x in columns]
     if np.any(np.abs(mj) @ reach >= _REACH):
         for part in parts():
             _check_reach(mapped(part))
     if unbounded:
-        kernel = lambda y: np.concatenate([_span_terms(g, cs, y[lo : lo + step].T, True)
-                                           for lo in range(0, len(y), step)])
+        kernel = lambda y: np.concatenate([_span_terms(g, cs, y[:, lo : lo + step], True)
+                                           for lo in range(0, y.shape[1], step)])
     else:
-        kernel = _rows_kernel(g, cs, len(y))
+        kernel = _rows_kernel(g, cs, y.shape[1])
     for part in parts():
         yield part, kernel(mapped(part))
 
@@ -443,7 +444,8 @@ def _nonzero_span(cs: Coefficients) -> Coefficients:
     """The smallest box of the nonzero coefficients (one zero if none)."""
     vals = cs.values
     nz = np.argwhere(vals != 0) if vals.any() else np.zeros((1, vals.ndim), int)
-    first, stop = nz.min(axis=0), nz.max(axis=0) + 1
+    # per column: numpy reduces axis 0 of C-ordered rows many times slower
+    first, stop = np.array([(k.min(), k.max() + 1) for k in nz.T]).T
     return Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first),
                         vals[tuple(map(slice, first, stop))])
 
@@ -643,66 +645,83 @@ def _axes_kernel(g, axes, cs: Coefficients, rows: int):
 
 def _rows_kernel(g, cs: Coefficients, n: int):
     """The general kernel of a compact generator, as a function of at most
-    ``n`` mapped rows ``y`` to ``sum_k c_k phi(y - k)`` per row, in a
-    buffer the next call overwrites.
+    ``n`` mapped points ``y``, coordinate-major ``(d, m)``, to
+    ``sum_k c_k phi(y - k)`` per point, in a buffer the next call overwrites.
 
-    The taps come from per-axis tables, one row per tap ``t`` for the
-    coordinates ``k0 + t``: whether they lie in the box, their flat
-    offsets into the coefficients, and, per term, the factor values.  The tables and the sums are written into buffers allocated
-    here, and each factor is called on tiles of at most ``_TILE`` values,
-    so a call allocates nothing the size of its rows."""
+    A point's taps are ``k0 + t``, ``0 <= t < width`` per axis, with the
+    floats ``k0 = ceil(y - r - 1e-9)`` (exact integers below ``2**53``).
+    Per axis, a table holds each term's ``factor(y - (k0 + t))``, one row
+    per ``t``; a tap with a zero row on some axis in every term is skipped.
+    A point's coefficients at tap ``t`` are ``flat[shift(t):]`` at its one
+    flat index, counted from the call's least ``k0``.  Only the taps that
+    the call's least or greatest ``k0`` take out of the box are masked and
+    checked (:func:`_live`).  Every buffer is allocated here, and each
+    factor is called on tiles of at most ``_TILE`` values."""
     d, width, shape = g.d, _width(g), cs.values.shape
+    strides = [math.prod(shape[a + 1 :]) for a in range(d)]
     kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]
     kind = np.result_type(*(k for ks in kinds for k in ks))
     # the coefficients, and the sums, in the common dtype of theirs and the
     # factors': promoted once per level
     flat = cs.values.astype(np.result_type(cs.values, kind), copy=False).ravel()
-    low = np.empty((n, d))
-    k0 = np.empty((n, d), dtype=np.int64)
-    arg = np.empty((width, n))
-    inside = np.empty((d, width, n), dtype=bool)
-    offset = np.empty((d, width, n), dtype=np.int64)
+    off, arg = np.empty((d, n)), np.empty((width, n))
     tables = [[np.empty((width, n), dtype=k) for k in ks] for ks in kinds]
+    base, at = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     phi, part = np.empty(n, dtype=kind), np.empty(n, dtype=kind)
-    ins, at = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
     c, acc = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=flat.dtype)
     step = max(1, _TILE // width)
     ts = np.arange(width)[:, None]
 
     def run(y):
-        m = len(y)
-        lo = low[:m]
-        np.subtract(y, g.support_radius, out=lo)
-        np.subtract(lo, _EDGE, out=lo)
-        np.ceil(lo, out=lo)
-        first = k0[:m]
-        np.copyto(first, lo, casting="unsafe")
-        for a, (o, na) in enumerate(zip(cs.lattice.origin, shape)):
-            off, x = offset[a, :, :m], arg[:, :m]
-            np.add(first[:, a], ts, out=off)
-            np.subtract(y[:, a], off, out=x)
-            # k - o as unsigned is below n exactly for the in-box k
-            np.subtract(off, o, out=off)
-            np.less(off.view(np.uint64), na, out=inside[a, :, :m])
-            np.multiply(off, inside[a, :, :m], out=off)
-            off *= math.prod(shape[a + 1 :])
+        m = y.shape[1]
+        u, x, index, live, lo, edges = off[:, :m], arg[:, :m], base[:m], [], [], []
+        np.subtract(y, g.support_radius, out=u)
+        np.subtract(u, _EDGE, out=u)
+        np.ceil(u, out=u)
+        for a, (o, na, stride) in enumerate(zip(cs.lattice.origin, shape, strides)):
+            np.add(u[a], ts, out=x)
+            np.subtract(y[a], x, out=x)
             for b in range(0, m, step):
                 tile = slice(b, min(b + step, m))
                 for table, term in zip(tables, g.terms):
                     table[a][:, tile] = term[a](x[:, tile])
+            live.append([table[a][:, :m].any(axis=1) for table in tables])
+            # k0 is clipped where no tap is in the box, and counted from the
+            # least; tap t may leave the box unless o <= k0 + t < o + na for all
+            kmin, kmax = u[a].min(), u[a].max()
+            if kmin < o - width or kmax > o + na:
+                kmin = np.clip(u[a], o - width, o + na, out=u[a]).min()
+            lo.append(int(kmin) - o)
+            edges.append([t for t in range(width) if lo[a] + t < 0 or int(kmax) - o + t >= na])
+            np.subtract(u[a], kmin, out=u[a])
+            np.multiply(u[a], stride, out=at[:m] if a else index, casting="unsafe")
+            if a:
+                index += at[:m]
+        k = lambda: np.ceil(y - g.support_radius - _EDGE).T.astype(np.int64) + taps
         total = acc[:m]
         total.fill(0)
         for taps in np.ndindex(*(width,) * d):
+            if not any(all(axis[i][t] for axis, t in zip(live, taps))
+                       for i in range(len(tables))):
+                continue
             pick = lambda rows: [r[t, :m] for r, t in zip(rows, taps)]
             # in axis order and term order, as g.spatial multiplies and adds
             p = _fold(np.multiply, pick(tables[0]), phi[:m])
             for table in tables[1:]:
                 np.add(p, _fold(np.multiply, pick(table), part[:m]), out=p)
-            within = _fold(np.logical_and, pick(inside), ins[:m])
-            if _live(p, within, lambda: first + taps, "lattice point {}"):
-                v = np.take(flat, _fold(np.add, pick(offset), at[:m]), out=c[:m], mode="clip")
-                np.multiply(v, p, out=v)
-                np.add(total, v, out=total, where=within)
+            shift = sum((l + t) * s for l, t, s in zip(lo, taps, strides))
+            edge = [(a, t) for a, t in enumerate(taps) if t in edges[a]]
+            v, within = c[:m], True
+            if edge:
+                within = np.logical_and.reduce(
+                    [(u[a] >= -lo[a] - t) & (u[a] < shape[a] - lo[a] - t) for a, t in edge])
+                if not _live(p, within, k, "lattice point {}"):
+                    continue
+                np.take(flat, np.add(index, shift, out=at[:m]), out=v, mode="clip")
+            else:
+                np.take(flat[shift:], index, out=v, mode="clip")
+            np.multiply(v, p, out=v)
+            np.add(total, v, out=total, where=within)
         return total
 
     return run

@@ -286,10 +286,10 @@ def sinc_squared_twoscale(d: int = 1) -> Generator:
 
 
 def _hat1d(x):
-    """``bspline(2, x)`` in closed form: ``min(t, 2 - t)`` on the support,
-    with ``t = x + 1``."""
+    """``bspline(2, x)`` in closed form: ``max(min(t, 2 - t), 0)`` with
+    ``t = x + 1``, which is 0 off the support and for NaN (``fmax``)."""
     t = np.asarray(x, dtype=float) + 1.0
-    return np.where((t > 0.0) & (t < 2.0), np.minimum(t, 2.0 - t), 0.0)
+    return np.fmax(np.minimum(t, 2.0 - t), 0.0)
 
 
 def hat(d: int = 1) -> Generator:

@@ -357,7 +357,7 @@ def _general(g, m, j, cs, points):
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     if g.support_radius is None:
         return expansion._span_terms(g, expansion._nonzero_span(cs), y.T, True)
-    return expansion._rows_kernel(g, cs, len(y))(y)
+    return expansion._rows_kernel(g, cs, len(y))(y.T)
 
 
 def _expansion_on_grid(g, m, j, halfwidth=1.5):
@@ -465,6 +465,80 @@ class TestFactoredTaps:
         with pytest.raises(MissingCoefficientError,
                            match=r"no coefficient for lattice point \[0 1\]"):
             evaluate(hat(2), quincunx(), 1, cs, [x])
+
+
+def _trimmed(cs, low):
+    """``cs`` without the first (``low``) or the last lattice row of each
+    axis."""
+    cut = slice(1, None) if low else slice(None, -1)
+    return Coefficients(Lattice(np.add(cs.lattice.origin, low), np.subtract(cs.lattice.shape, 1)),
+                        cs.values[cut, cut])
+
+
+class TestEdgeTaps:
+    """The general kernel masks and checks only the taps that can leave
+    the box, per slab."""
+
+    def test_only_the_edge_slabs_check_taps(self, monkeypatch):
+        g, m, j = hat(2), quincunx(), 3
+        # on the box of halfwidth 1.5, the first row of each axis is tapped
+        # only by the grid's corner points, where phi is 0, so the trimmed
+        # box misses no coefficient; the first slab holds those corners
+        cs, _ = _expansion_on_grid(g, m, j)
+        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
+        lat = cs.lattice
+        padded = coefficients(ExactRule(), gaussian(2), m, j,
+                              Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
+        calls, live = [], expansion._live
+        monkeypatch.setattr(expansion, "_live", lambda *a: calls.append(a) or live(*a))
+        monkeypatch.setattr(expansion, "_ROWS", 97)
+        for box in (padded, _trimmed(cs, True)):
+            for pts in (grid, np.asarray(grid)):
+                ref = _spatial_taps(g, m, j, box, pts)
+                assert np.array_equal(evaluate(g, m, j, box, pts), ref)
+        checked = []
+        calls.clear()
+        for box in (padded, _trimmed(cs, True)):
+            for _ in expansion.evaluate_slabs(g, m, j, box, grid):
+                checked.append(bool(calls))
+                calls.clear()
+        slabs = len(checked) // 2
+        # no tap leaves the padded box; on the trimmed one, only the first
+        # slab, at its edge, has taps that can
+        assert checked == [False] * slabs + [True] + [False] * (slabs - 1)
+
+    def test_a_trimmed_box_names_the_missing_point(self, monkeypatch):
+        g, m, j = hat(2), quincunx(), 3
+        # at halfwidth 1.4 the box's last rows are tapped with phi != 0
+        cs, grid = _expansion_on_grid(g, m, j, 1.4)
+        monkeypatch.setattr(expansion, "_ROWS", 97)
+        missing = r"^'no coefficient for lattice point \[-1  6\]'$"
+        for pts in (grid, np.asarray(grid)):
+            slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), pts)
+            next(slabs)  # the missing point lies in a later slab
+            with pytest.raises(MissingCoefficientError, match=missing):
+                list(slabs)
+            with pytest.raises(MissingCoefficientError, match=missing):
+                evaluate(g, m, j, _trimmed(cs, False), pts)
+
+    def test_workspace_memory(self):
+        # quincunx level 7 on the benchmark's grid: 760 x 760 points in 18
+        # slabs, and one workspace for the level (observed: 5.2 MB; 8.1 MB
+        # with per-axis offset and mask tables and each slab's points formed
+        # as rows)
+        g, m, j = hat(2), quincunx(), 7
+        domain = Box.centered(4.2, 2)
+        grid = make_grid(domain, operator_norm(m.power(-j)) / 8)
+        cs = coefficients(ExactRule(), gaussian(2), m, j, lattice_support(g, m, j, domain))
+        assert len(grid) == 577_600
+        tracemalloc.start()
+        try:
+            for _ in expansion.evaluate_slabs(g, m, j, cs, grid):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5e6
 
 
 class TestPointChecks:

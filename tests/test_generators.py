@@ -90,7 +90,9 @@ class TestBsplineValues:
         one, two = np.nextafter(1.0, [0.0, 2.0]), np.nextafter(-1.0, [0.0, -2.0])
         x = np.concatenate([
             np.random.default_rng(3).uniform(-3, 3, 10_000),
-            [0.0, -0.0, 1.0, -1.0, 2.0, -2.0], one, two, [np.nan, np.inf, -np.inf]])
+            [0.0, -0.0, 1.0, -1.0, 2.0, -2.0], one, two, [np.nan, np.inf, -np.inf],
+            # subnormals, the smallest and the largest
+            [5e-324, -5e-324, np.nextafter(2.0**-1022, 0.0), -np.nextafter(2.0**-1022, 0.0)]])
         with np.errstate(invalid="ignore"):  # the truncated powers of inf
             ref = _truncated_power(2, x)
         got = hat(1).terms[0][0](x)
