@@ -4,11 +4,14 @@ Gauss-Legendre on the segment, split at kinks; on the d-ball for every
 ``d >= 2``, one spherical product rule (Stroud, 1971): Gauss-Legendre in
 the radius with ``r**(d-1)`` in the weights, the trapezoid rule in the
 azimuth, and Gauss-Gegenbauer (Golub-Welsch, 1969) in each polar angle.
+The rules on ``[-1, 1]`` are solved once per order (and exponent) and
+kept as read-only arrays; a panel's rule is mapped from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -26,21 +29,39 @@ class QuadSpec:
     order: int = 16
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
+def _legendre(n: int):
+    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]``, read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
 def gauss_legendre(n: int, a: float, b: float):
-    """Nodes and weights on ``[a, b]``; weights sum to ``b - a``."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Nodes and weights on ``[a, b]``; weights sum to ``b - a``.
+
+    The rule on ``[-1, 1]`` is solved once per ``n`` (:func:`_legendre`);
+    each call maps it onto the panel, into new arrays.
+    """
+    x, w = _legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
 
+@cache
 def gauss_gegenbauer(n: int, a: float):
     """Nodes and weights on ``[-1, 1]`` for the weight ``(1 - t**2)**a``,
-    by Golub-Welsch on the weight's Jacobi matrix."""
+    by Golub-Welsch on the weight's Jacobi matrix.  Solved once per
+    ``(n, a)``: every call returns the same read-only arrays."""
     k = np.arange(1, n)
     off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1)))
     t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
-    return t, mass * v[0] ** 2
+    return _read_only(t, mass * v[0] ** 2)
 
 
 def segment_rule(radius: float, quad: QuadSpec, breaks=()):

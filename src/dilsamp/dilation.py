@@ -7,6 +7,7 @@ isotropy test and the common modulus are computed once at construction.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ class Dilation:
     isotropic: bool = field(init=False)
     lambda_abs: float | None = field(init=False)
     theta: float = field(init=False)
+    _powers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -77,15 +79,22 @@ class Dilation:
         """``M**j`` exactly for ``j >= 0`` (integer), by solve for ``j < 0``.
 
         ``M**|j|`` is formed in exact integer arithmetic; ``OverflowError``
-        is raised when an entry leaves the int64 range.
+        is raised when an entry leaves the int64 range.  Each power is
+        formed once per instance and kept: every call with the same ``j``
+        returns the same read-only array.
         """
-        exact = np.linalg.matrix_power(self.matrix.astype(object), abs(j))
-        if any(not _INT64.min <= v <= _INT64.max for v in exact.flat):
-            raise OverflowError(f"M**{abs(j)} has entries beyond the int64 range")
-        pos = exact.astype(np.int64)
-        if j >= 0:
-            return pos
-        return np.linalg.solve(pos.astype(float), np.eye(self.d))
+        j = operator.index(j)
+        out = self._powers.get(j)
+        if out is None:
+            exact = np.linalg.matrix_power(self.matrix.astype(object), abs(j))
+            if any(not _INT64.min <= v <= _INT64.max for v in exact.flat):
+                raise OverflowError(f"M**{abs(j)} has entries beyond the int64 range")
+            out = exact.astype(np.int64)
+            if j < 0:
+                out = np.linalg.solve(out.astype(float), np.eye(self.d))
+            out.flags.writeable = False
+            self._powers[j] = out
+        return out
 
     def scale(self, j: int) -> float:
         """Natural per-level scale: ``lambda_abs**-j`` when isotropic, else

@@ -47,8 +47,11 @@ _EDGE = 1e-9
 # phi(0): phi(y - k) is within 3.3e-18 * sum|w_i| of it there, and
 # 1 / (y - k)**2 could overflow nearer 0.
 _NEAR = 1e-9
-# Mapped coordinates stay below this, so that lattice indices are exact int64.
-_REACH = 2.0**62
+# Lattice boxes stay below this, so that lattice indices are exact int64.
+_BOX_REACH = 2.0**62
+# Mapped coordinates, and a compact generator's taps, stay below this, so
+# that neighbouring lattice coordinates are distinct floats.
+_REACH = 2.0**53
 
 
 class MissingCoefficientError(KeyError):
@@ -203,7 +206,7 @@ def _image_box(m: Dilation, j: int, domain: Box, reach: float) -> Lattice:
     y = domain.corners() @ np.asarray(m.power(j), dtype=float).T
     lo = np.ceil(y.min(axis=0) - reach - _EDGE)
     hi = np.floor(y.max(axis=0) + reach + _EDGE)
-    if not np.all((-_REACH < lo) & (hi < _REACH)):
+    if not np.all((-_BOX_REACH < lo) & (hi < _BOX_REACH)):
         raise ValueError("the lattice box reaches |k| >= 2**62, where indices are inexact")
     lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     return Lattice(lo, hi - lo + 1)
@@ -353,13 +356,16 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     gives its row's bits.  Each runs in the common dtype of the
     coefficients and the factors: real when all of them are, with the
     bits of the real parts of the same sum over complex coefficients.
+    Zero points give an empty array.
 
-    Points must be finite, and ``|M^j x|`` below ``2**62`` in every
-    coordinate, so that lattice indices are exact integers
-    (``ValueError`` before any tap otherwise).
+    Points must be finite, and ``|M^j x|`` below ``2**53`` in every
+    coordinate (less ``width + 1`` for a compact generator with ``width``
+    taps per axis, so that its taps stay below ``2**53`` too): there
+    neighbouring lattice coordinates are distinct floats, so no two taps
+    share an argument (``ValueError`` before any tap otherwise).
     """
     points = _checked(g, cs, points)
-    out, at = np.empty(0), 0
+    out, at = np.empty(0, dtype=cs.values.dtype), 0
     for _, vals in _slabs(g, m, j, cs, points):
         if not at:
             out = np.empty(len(points), dtype=vals.dtype)
@@ -392,8 +398,11 @@ def _checked(g, cs: Coefficients, points):
 
 
 def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
+    if not len(points):
+        return
     d, unbounded = g.d, g.support_radius is None
     mj = np.asarray(m.power(j), dtype=float)
+    bound = _REACH if unbounded else _REACH - (_width(g) + 1)
     if unbounded:
         cs = _nonzero_span(cs)
         # chunks of axis 0 whose sums over it fill about one slab
@@ -404,7 +413,7 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         if isinstance(points, Grid):
             axes = [s * x for s, x in zip(mj.diagonal(), points.axes)]
             for y in axes:
-                _check_reach(y)
+                _check_reach(y, bound)
             rows = points.slab_rows(_ROWS)
             if unbounded:
                 kernel = lambda lo, hi: np.concatenate([
@@ -428,9 +437,9 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         columns = points.T
     # |M^j| max|x| bounds every mapped coordinate; map the points only past it
     reach = [max(-x.min(), x.max()) for x in columns]
-    if np.any(np.abs(mj) @ reach >= _REACH):
+    if np.any(np.abs(mj) @ reach >= bound):
         for part in parts():
-            _check_reach(mapped(part))
+            _check_reach(mapped(part), bound)
     if unbounded:
         kernel = lambda y: np.concatenate([_span_terms(g, cs, y[:, lo : lo + step], True)
                                            for lo in range(0, y.shape[1], step)])
@@ -462,11 +471,12 @@ def _checked_points(points, d: int):
     return rows
 
 
-def _check_reach(y):
-    """Raise unless every mapped coordinate lies in ``(-2**62, 2**62)``."""
-    if not np.all(np.abs(y) < _REACH):
-        raise ValueError("evaluation points map beyond |M^j x| < 2**62, "
-                         "where lattice indices stay exact")
+def _check_reach(y, bound):
+    """Raise unless every mapped coordinate lies in ``(-bound, bound)``."""
+    if not np.all(np.abs(y) < bound):
+        less = f" - {_REACH - bound:.0f}" if bound < _REACH else ""
+        raise ValueError(f"evaluation points map beyond |M^j x| < 2**53{less}, "
+                         "where neighbouring lattice coordinates stay distinct floats")
 
 
 def _span_sum(factor, y, ks, c):
@@ -552,6 +562,15 @@ def _taps(g, y):
     return np.ceil(y - g.support_radius - _EDGE).astype(np.int64), _width(g)
 
 
+def _dead(g, x) -> bool:
+    """Whether the last tap's arguments ``x = y - (k0 + width - 1)`` all
+    lie at or below ``-r``, off the open support ``(-r, r)``, where every
+    factor is 0.  They lie in ``(r - width, r - width + 1]``, up to 1e-9
+    and rounding, so for an integer ``2 r`` the tap is live only at points
+    within that margin of its support's end."""
+    return bool(x.max() <= -g.support_radius)
+
+
 def _live(phi, inside, k, what):
     """Whether the tap reaches any lattice point (``phi != 0``); raises if
     one outside the box does.  ``k()`` gives the tap's lattice points, and
@@ -586,7 +605,9 @@ def _axes_kernel(g, axes, cs: Coefficients, rows: int):
 
     The live taps on every axis (factor values zeroed outside the box) are
     formed here, once, term by term and axis by axis, as the whole grid
-    would check them; each call sums them into buffers of one slab,
+    would check them; a last tap with every argument off the support
+    (:func:`_dead`) is dropped before its factor is formed.  Each call sums
+    them into buffers of one slab,
     allocated here.  A tap's coefficients are taken at the
     axis's first lattice offsets plus the tap's, in one reused index
     buffer and clipped to the box: outside it the factor is zero, so for
@@ -599,7 +620,10 @@ def _axes_kernel(g, axes, cs: Coefficients, rows: int):
             live = []
             for t in range(width):
                 k = k0 + t
-                phi = np.asarray(factor(y - k))
+                x = y - k
+                if t == width - 1 and _dead(g, x):
+                    continue
+                phi = np.asarray(factor(x))
                 inside = (k >= o) & (k < o + n)
                 if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
                     live.append((t, np.where(inside, phi, 0)))
@@ -651,7 +675,9 @@ def _rows_kernel(g, cs: Coefficients, n: int):
     A point's taps are ``k0 + t``, ``0 <= t < width`` per axis, with the
     floats ``k0 = ceil(y - r - 1e-9)`` (exact integers below ``2**53``).
     Per axis, a table holds each term's ``factor(y - (k0 + t))``, one row
-    per ``t``; a tap with a zero row on some axis in every term is skipped.
+    per ``t``; the last row is not formed where every argument is off the
+    support (:func:`_dead`), and a tap with a zero or unformed row on some
+    axis in every term is skipped.
     A point's coefficients at tap ``t`` are ``flat[shift(t):]`` at its one
     flat index, counted from the call's least ``k0``.  Only the taps that
     the call's least or greatest ``k0`` take out of the box are masked and
@@ -669,7 +695,6 @@ def _rows_kernel(g, cs: Coefficients, n: int):
     base, at = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     phi, part = np.empty(n, dtype=kind), np.empty(n, dtype=kind)
     c, acc = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=flat.dtype)
-    step = max(1, _TILE // width)
     ts = np.arange(width)[:, None]
 
     def run(y):
@@ -681,11 +706,14 @@ def _rows_kernel(g, cs: Coefficients, n: int):
         for a, (o, na, stride) in enumerate(zip(cs.lattice.origin, shape, strides)):
             np.add(u[a], ts, out=x)
             np.subtract(y[a], x, out=x)
+            rows = width - _dead(g, x[-1])
+            step = max(1, _TILE // rows)
             for b in range(0, m, step):
                 tile = slice(b, min(b + step, m))
                 for table, term in zip(tables, g.terms):
-                    table[a][:, tile] = term[a](x[:, tile])
-            live.append([table[a][:, :m].any(axis=1) for table in tables])
+                    table[a][:rows, tile] = term[a](x[:rows, tile])
+            live.append([np.pad(table[a][:rows, :m].any(axis=1), (0, width - rows))
+                         for table in tables])
             # k0 is clipped where no tap is in the box, and counted from the
             # least; tap t may leave the box unless o <= k0 + t < o + na for all
             kmin, kmax = u[a].min(), u[a].max()

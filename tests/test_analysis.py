@@ -34,7 +34,7 @@ from dilsamp import (
     sinc_squared_twoscale,
     study_domain,
 )
-from dilsamp import analysis, expansion
+from dilsamp import _quadrature, analysis, ball_average, expansion
 from dilsamp._quadrature import QuadSpec
 
 
@@ -381,3 +381,38 @@ def test_criterion_7_study_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+class TestStoredRules:
+    """The quadrature rules and the dilation's powers are formed once and
+    kept; a study that reuses them gives a first study's bits."""
+
+    @staticmethod
+    def _kinked(order=16):
+        return StudyPlan(hat(1), dyadic(1), FalsifiedRule(0.5, QuadSpec(order)),
+                         laplace1d(0.3), operator=ball_operator(1, 1, 0.5),
+                         mode="falsified1d", j_min=1, j_max=4, slope_tolerance=0.3)
+
+    def test_one_legendre_solve_per_order(self, monkeypatch):
+        calls, solve = [], np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or solve(n))
+        _quadrature._legendre.cache_clear()
+        try:
+            # every level splits the rule at the kink for some bases
+            for order in (16, 12, 16, 12):
+                convergence_study(self._kinked(order))
+        finally:
+            _quadrature._legendre.cache_clear()
+        assert calls == [16, 12]
+
+    def test_a_warm_study_gives_a_cold_study_bits(self):
+        _quadrature._legendre.cache_clear()
+        _quadrature.gauss_gegenbauer.cache_clear()
+        plan = self._kinked()
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3))
+        # cold: no stored rule and a fresh dilation; warm: both kept
+        cold = convergence_study(plan).errors, ball_average(gaussian(3), pts, 0.4)
+        warm = convergence_study(plan).errors, ball_average(gaussian(3), pts, 0.4)
+        assert [e.hex() for e in cold[0]] == [e.hex() for e in warm[0]]
+        assert cold[1].tobytes() == warm[1].tobytes()

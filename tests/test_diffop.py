@@ -29,7 +29,10 @@ from dilsamp import (
     symbol,
     triadic,
 )
-from dilsamp._quadrature import QuadSpec, ball_rule, gauss_legendre, segment_rule
+from dilsamp import _quadrature
+from dilsamp._quadrature import (
+    QuadSpec, ball_rule, gauss_gegenbauer, gauss_legendre, segment_rule,
+)
 from dilsamp.multiindex import factorial, indices_below
 
 PI = math.pi
@@ -85,6 +88,27 @@ class TestQuadratureRules:
         got_nodes, got_weights = ball_rule(2, radius, quad)
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_weights, weights / (np.pi * radius**2))
+
+    def test_stored_rules_are_read_only(self):
+        for x in (*_quadrature._legendre(16), *gauss_gegenbauer(16, 0.5)):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+        # a panel's rule is mapped into new arrays, the caller's own
+        x, w = gauss_legendre(16, 0.0, 1.0)
+        x[0], w[0] = 0.5, 0.5
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_stored_rules_give_the_bits_of_a_fresh_solve(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        lo, hi = -0.3, 0.7
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for _ in range(2):
+            got = gauss_legendre(n, lo, hi)
+            assert got[0].tobytes() == (mid + half * x).tobytes()
+            assert got[1].tobytes() == (half * w).tobytes()
+        for a in (0.0, 0.5, 1.0):
+            fresh = gauss_gegenbauer.__wrapped__(n, a)
+            assert [v.tobytes() for v in gauss_gegenbauer(n, a)] == [v.tobytes() for v in fresh]
 
     def test_segment_split_handles_kinks(self):
         # average of |x| over [-1, 1] is exactly 1/2 once split at the kink

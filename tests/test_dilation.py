@@ -90,6 +90,21 @@ class TestPowers:
         with pytest.raises(OverflowError, match="int64"):
             m.power(j)
 
+    @pytest.mark.parametrize("j", [3, -3])
+    def test_powers_are_read_only(self, j):
+        with pytest.raises(ValueError, match="read-only"):
+            quincunx().power(j)[0, 0] = 1
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, -1]], [[2, 0], [0, 3]], [[2, 1], [0, 2]]],
+                             ids=["quincunx", "diag23", "shear"])
+    def test_a_kept_power_has_the_bits_of_a_fresh_one(self, rows):
+        m = Dilation(np.array(rows))
+        for j in (5, -5, 1, -1, 0):
+            first = m.power(j)
+            assert m.power(j) is first
+            fresh = Dilation(np.array(rows)).power(j)
+            assert fresh.dtype == first.dtype and fresh.tobytes() == first.tobytes()
+
     def test_operator_norm_matches_numpy(self):
         a = np.array([[0.5, 0.25], [0.0, 0.5]])
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2))

@@ -541,6 +541,49 @@ class TestEdgeTaps:
         assert peak < 6.5e6
 
 
+class TestDeadTaps:
+    """A last tap whose arguments all lie off the support, at or below
+    ``-r``, is not formed: the factor never sees them."""
+
+    @staticmethod
+    def _spied(calls):
+        factor = hat(1).terms[0][0]
+
+        def spy(x):
+            calls.append(np.array(x, copy=True))
+            return factor(x)
+
+        return dataclasses.replace(hat(2), terms=((spy, spy),))
+
+    @pytest.mark.parametrize("m,j,grid", [
+        (quincunx(), 3, False), (quincunx(), 3, True), (dyadic(2), 2, False), (dyadic(2), 2, True),
+    ], ids=["quincunx-rows", "quincunx-grid", "dyadic-rows", "dyadic-grid-per-axis"])
+    def test_dead_rows_are_not_evaluated(self, m, j, grid):
+        cs, pts = _expansion_on_grid(hat(2), m, j)
+        if not grid:
+            pts = np.random.default_rng(j).uniform(-1.5, 1.5, size=(500, 2))
+        calls = []
+        got = evaluate(self._spied(calls), m, j, cs, pts)
+        # the last tap's arguments lie in (-2 + 1e-9, -1 + 1e-9], and no
+        # point here is within 1e-9 of -1
+        assert calls and min(x.min() for x in calls) > -1.0
+        assert np.array_equal(got, evaluate(hat(2), m, j, cs, pts))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_a_point_within_the_margin_keeps_the_row(self, grid):
+        # y = (1 + 5e-10, 0.3): the last tap on axis 0 is k = 2, where the
+        # argument is -1 + 5e-10 and phi is 5e-10
+        cs = coefficients(ExactRule(), gaussian(2), dyadic(2), 0, Lattice([-3, -3], [7, 7]))
+        pts = [[1.0 + 5e-10, 0.3], [0.2, -0.45]]
+        pts = Grid(np.transpose(pts)) if grid else np.asarray(pts)
+        calls = []
+        got = evaluate(self._spied(calls), dyadic(2), 0, cs, pts)
+        assert any(np.any((x > -1.0) & (x <= -1.0 + 1e-9)) for x in calls)
+        ref = _spatial_taps(hat(2), dyadic(2), 0, cs, pts).real
+        # the per-axis kernel sums in another order than the taps
+        assert np.max(np.abs(got - ref)) <= (1e-14 if grid else 0.0) * np.max(cs.values)
+
+
 class TestPointChecks:
     ONE = Coefficients(Lattice([0], [1]), [1.0])
     TWO = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
@@ -571,21 +614,44 @@ class TestPointChecks:
                    Box.centered(2, 2), [[np.nan, 0.0]])
 
     @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
-    def test_points_mapping_past_two_to_the_62_rejected(self, g, m, cs):
+    def test_points_mapping_past_two_to_the_53_rejected(self, g, m, cs):
         pts = [[1e30] + [0.0] * (g.d - 1)]
-        with pytest.raises(ValueError, match="2\\*\\*62"):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
             evaluate(g, m, 1, cs, pts)
         # a grid axis maps past the bound on the per-axis kernel too
-        grid = Grid([[2.0**61]] + [[0.0]] * (g.d - 1))
-        with pytest.raises(ValueError, match="2\\*\\*62"):
+        grid = Grid([[2.0**52]] + [[0.0]] * (g.d - 1))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
             evaluate(g, dyadic(g.d), 1, cs, grid)
 
     def test_points_within_the_bound_reach_the_taps(self):
-        # |M| max|x| is 2**62 here, but each point maps to |y| = 2**61,
+        # |M| max|x| is 2**53 here, but each point maps to |y| = 2**52,
         # so the rows are mapped and the taps run
-        pts = [[2.0**61, 0.0], [0.0, 2.0**61]]
+        pts = [[2.0**52, 0.0], [0.0, 2.0**52]]
         with pytest.raises(MissingCoefficientError):
             evaluate(hat(2), quincunx(), 1, self.TWO, pts)
+
+    def test_coordinates_that_round_together_rejected(self):
+        # M x = (2**54, 0.5): past 2**53 the taps 2**54 - 1, 2**54 and
+        # 2**54 + 1 round to one float, and a box of ones summed 3.0 there
+        # where the partition of unity gives 1
+        cs = Coefficients(Lattice([2**54 - 4, -4], [9, 9]), np.ones((9, 9)))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            evaluate(hat(2), quincunx(), 1, cs, [[2.0**53 + 0.25, 2.0**53 - 0.25]])
+
+    def test_a_compact_generator_keeps_its_taps_below_two_to_the_53(self):
+        # bspline4_1d taps y - 2 .. y + 2; at y = 2**53 - 1 the last tap,
+        # 2**53 + 1, rounds to 2**53, and a box of ones summed 7/6
+        g, m = bspline4_1d(), dyadic(1)
+        cs = Coefficients(Lattice([2**53 - 12], [16]), np.ones(16))
+        with pytest.raises(ValueError, match="2\\*\\*53 - 6"):
+            evaluate(g, m, 0, cs, [2.0**53 - 1])
+        assert evaluate(g, m, 0, cs, [2.0**53 - 7])[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
+    def test_zero_points_give_an_empty_array(self, g, m, cs):
+        got = evaluate(g, m, 1, cs, np.zeros((0, g.d)))
+        assert got.shape == (0,) and got.dtype == np.float64
+        assert list(expansion.evaluate_slabs(g, m, 1, cs, np.zeros((0, g.d)))) == []
 
 
 def _whole_box(g, m, j, cs, points):

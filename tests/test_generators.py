@@ -62,6 +62,14 @@ def _quad_transform(g, xi: float, radius: float, panel: float = 0.5) -> complex:
     return total
 
 
+def _off_support(r):
+    """Points with ``|x| >= r``: both ends, their neighbours outward, and
+    random points up to 3 past them."""
+    far = np.random.default_rng(7).uniform(0.0, 3.0, 500)
+    return np.concatenate([[r, -r, np.nextafter(r, 9.0), np.nextafter(-r, -9.0)],
+                           r + far, -r - far, [1e300, -1e300]])
+
+
 class TestBsplineValues:
     def test_center_values(self):
         assert bspline(2, np.array([0.0]))[0] == pytest.approx(1.0)
@@ -151,6 +159,23 @@ class TestPiecewisePolynomialForm:
         pts = [[2.5, 0.1], [-2.5, 0.3], [0.2, 2.5], [0.1, -2.5], [np.nan, 0.0],
                [0.0, np.inf], [-np.inf, 0.0]]
         assert np.array_equal(bspline3_2d(0.3, 0.8).spatial(pts), np.zeros(len(pts)))
+
+    @pytest.mark.parametrize("g", [
+        hat(1), hat(3), bspline3_2d(), bspline3_2d(0.3, 0.8), bspline4_1d(),
+        bspline4_1d(0.2, 0.5, -0.1), bspline4_1d(0.0, 0.0, 0.3j)],
+        ids=["hat1", "hat3", "bspline3", "bspline3-b", "bspline4", "bspline4-b", "bspline4-odd"])
+    def test_factors_are_zero_off_the_open_support(self, g):
+        # evaluation leaves out a tap whose arguments all lie off (-r, r)
+        x = _off_support(g.support_radius)
+        for term in g.terms:
+            for factor in term:
+                assert np.array_equal(factor(x), np.zeros(len(x)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_splines_are_zero_off_the_open_support(self, m):
+        # (order 1 is 1 at its closed left end)
+        x = _off_support(m / 2.0)
+        assert np.array_equal(bspline(m, x), np.zeros(len(x)))
 
     def test_each_term_has_one_factor_per_axis(self):
         assert [len(g.terms) for g in (hat(2), sinc_squared(3), bspline4_1d(0.1),
