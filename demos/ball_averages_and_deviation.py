@@ -49,10 +49,21 @@ for h in (0.4, 0.2, 0.1, 0.05):
 ###############################################################################
 # The deviation between the ball average and its differential surrogate
 # decays at the operator order plus one: an order-3 moment operator
-# leaves an order-4 gap.
+# leaves an order-4 gap.  A deviation study takes a ball-averaged plan,
+# whose operator is the surrogate, and measures the largest gap over the
+# lattice points of the study box at each level.
 
-rep = deviation_study(gaussian(1), ball_operator(1, 3, 0.5), dyadic(1), 0.5,
-                      j_min=1, j_max=7)
+rep = deviation_study(StudyPlan(
+    generator=hat(1),
+    dilation=dyadic(1),
+    rule=FalsifiedRule(0.5),
+    signal=gaussian(1),
+    operator=ball_operator(1, 3, 0.5),
+    j_min=1,
+    j_max=7,
+    fit_skip=0,
+    domain_halfwidth=3.2,
+))
 print("\nmax deviation across levels (order-3 moment operator, h = 0.5)")
 for j, e in zip(rep.levels, rep.errors):
     print(f"  j = {j}   {e:.6e}")

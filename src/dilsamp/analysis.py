@@ -3,7 +3,10 @@
 A study evaluates the expansion error ``|f - Q_j f|`` in an ``L_p`` norm on
 a fixed box across a range of levels, fits the log-log slope against the
 per-level scale, and compares it with the predicted rate for the chosen
-rule, generator order, operator window, and signal decay.
+rule, generator order, operator window, and signal decay.  A deviation
+study runs the same level loop, fit and verdict on a ball-averaged plan,
+with each level's ``max_k`` gap between the ball averages and the
+differential coefficients of the plan's operator in place of the error.
 
 The error norm is a Riemann sum on a uniform grid whose spacing tracks the
 level (a fixed number of points per scale unit) and whose anchor carries an
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import Grid
-from ._quadrature import QuadSpec
 from .diffop import DiffOperator
 from .dilation import Dilation, operator_norm
 from .expansion import (
@@ -29,7 +31,6 @@ from .expansion import (
     FalsifiedRule,
     _image_box,
     coefficients,
-    deviation,
     evaluate_slabs,
     lattice_support,
 )
@@ -252,6 +253,12 @@ class StudyPlan:
     def __post_init__(self):
         if self.j_min < 0 or self.j_max <= self.j_min:
             raise ValueError("levels must satisfy 0 <= j_min < j_max")
+        if not self.p >= 1:
+            raise ValueError(f"p must be at least 1, got {self.p}")
+        if self.fit_skip < 0:
+            raise ValueError(f"fit_skip must be non-negative, got {self.fit_skip}")
+        if self.grid_per_scale <= 0:
+            raise ValueError(f"grid_per_scale must be positive, got {self.grid_per_scale}")
 
 
 @dataclass(frozen=True)
@@ -294,16 +301,19 @@ def _prediction_window(plan: StudyPlan, mode: str):
 
 def study_domain(plan: StudyPlan) -> Box:
     """The study box: ``domain_halfwidth``, or by default the signal reach
-    ``T0`` plus the generator reach; ``ValueError`` unless finite."""
+    ``T0`` plus the generator reach; ``ValueError`` unless finite, or when
+    the generator, dilation and signal dimensions differ."""
+    g, m, f = plan.generator, plan.dilation, plan.signal
+    if g.d != m.d or g.d != f.d:
+        raise ValueError("generator, dilation and signal dimensions differ")
     t = plan.domain_halfwidth
     if t is None:
-        g = plan.generator
         reach = g.support_radius if g.support_radius is not None else 3.0
-        t = plan.signal.T0 + reach
+        t = f.T0 + reach
     if not math.isfinite(t):
         raise ValueError(f"domain_halfwidth: a study needs a finite box, got {t} "
-                         f"({plan.signal.name} has T0 = {plan.signal.T0})")
-    return Box.centered(t, plan.generator.d)
+                         f"({f.name} has T0 = {f.T0})")
+    return Box.centered(t, g.d)
 
 
 def level_grid(plan: StudyPlan, domain: Box, j: int):
@@ -352,17 +362,67 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     ``fail`` otherwise, and ``inconclusive`` when fewer than three levels
     survive the fit filters (pre-asymptotic skip plus the round-off floor).
     """
-    g, m, f = plan.generator, plan.dilation, plan.signal
-    if g.d != m.d or g.d != f.d:
-        raise ValueError("generator, dilation and signal dimensions differ")
+    g = plan.generator
     domain = study_domain(plan)
     mode = plan.mode if plan.mode is not None else _infer_mode(plan.rule)
     big_n, eps = _prediction_window(plan, mode)
     rate, case = predicted_rate(g.sf_order, big_n, eps, g.d, plan.p, mode)
+    return _study(plan, domain, _level_error, rate, case,
+                  mode=mode, window=big_n, decay_eps=eps)
+
+
+def _level_deviation(plan: StudyPlan, domain: Box, j: int) -> float:
+    """Level ``j``'s ``max_k |ball average - differential coefficient|``
+    over the lattice points of ``M^j domain``."""
+    f, m = plan.signal, plan.dilation
+    lattice = _image_box(m, j, domain, 0.0)
+    avg = coefficients(plan.rule, f, m, j, lattice).values
+    dif = coefficients(DifferentialRule(plan.operator), f, m, j, lattice).values
+    top = float(np.abs(avg - dif).max())
+    if not math.isfinite(top):
+        raise ValueError(f"non-finite deviation at level {j}: max is {top}")
+    return top
+
+
+def deviation_study(plan: StudyPlan) -> ConvergenceReport:
+    """Fit the decay of ``max_k |ball average - differential coefficient|``
+    across levels, with :func:`convergence_study`'s fit and verdict.
+
+    ``plan.rule`` is a :class:`FalsifiedRule` and ``plan.operator`` its
+    ball-moment comparison operator.  Level ``j`` takes the lattice points
+    of ``M^j`` times :func:`study_domain`.  The prediction is
+    ``operator.order + 1`` (case ``smoothness``, ``meta`` mode
+    ``deviation``), for signals with enough smoothness and decay.  Another
+    rule, a missing operator or one of another dimension than the
+    dilation, and a finite ``p`` raise ``ValueError`` before any
+    coefficient.  ``mode``, ``grid_per_scale`` and ``truncation_tol`` are
+    not read.
+    """
+    op, d = plan.operator, plan.dilation.d
+    if not isinstance(plan.rule, FalsifiedRule):
+        raise ValueError(f"rule: a deviation study compares ball averages, got {plan.rule!r}")
+    if op is None:
+        raise ValueError("operator: a deviation study needs the comparison operator")
+    if op.d != d:
+        raise ValueError(f"operator: dimension {op.d} differs from the dilation's {d}")
+    if not math.isinf(plan.p):
+        raise ValueError(f"p: the deviation is a maximum, so p must be inf, got {plan.p}")
+    domain = study_domain(plan)
+    return _study(plan, domain, _level_deviation, float(op.order + 1), "smoothness",
+                  mode="deviation", window=op.order, decay_eps=plan.signal.decay_eps)
+
+
+def _study(plan: StudyPlan, domain: Box, measure, rate: float, case: str,
+           **meta) -> ConvergenceReport:
+    """The level loop of both studies: ``measure(plan, domain, j)`` per
+    level, the rate fit against the scales (``fit_skip``, ``floor``), the
+    verdict against ``rate`` (``slope_tolerance``), and the report, whose
+    ``meta`` starts with ``meta``."""
+    m = plan.dilation
     levels = list(range(plan.j_min, plan.j_max + 1))
     scales, errors = [], []
     for j in levels:
-        errors.append(_level_error(plan, domain, j))
+        errors.append(measure(plan, domain, j))
         scales.append(m.scale(j))
     try:
         fit = fit_rate(scales, errors, levels=levels, skip=plan.fit_skip,
@@ -385,67 +445,11 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
         slope_tolerance=plan.slope_tolerance,
         verdict=verdict,
         meta={
-            "mode": mode,
-            "window": big_n,
-            "decay_eps": eps,
+            **meta,
             "p": plan.p,
             "domain_halfwidth": domain.hi[0],
             "scale_case": "isotropic" if m.isotropic else "min-modulus",
-            "generator": g.name,
-            "signal": f.name,
+            "generator": plan.generator.name,
+            "signal": plan.signal.name,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# deviation study
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Per-level maxima of the ball-average-minus-differential gap."""
-
-    levels: tuple
-    scales: tuple
-    errors: tuple
-    fitted_slope: float
-    fit_r2: float
-    predicted_rate: float
-
-
-def deviation_study(
-    f,
-    op: DiffOperator,
-    m: Dilation,
-    h: float,
-    j_min: int = 1,
-    j_max: int = 7,
-    domain_halfwidth: float | None = None,
-    quad: QuadSpec = QuadSpec(),
-) -> DeviationReport:
-    """Fit the decay of ``max_k`` of the deviation across levels.
-
-    The deviation at level ``j`` compares the ball average of radius
-    ``h`` (in lattice coordinates) with the differential coefficient under
-    the ball-moment operator ``op``; its maximum decays like
-    ``scale(j)**(op.order + 1)`` for signals with enough smoothness and
-    decay.
-    """
-    t = domain_halfwidth if domain_halfwidth is not None else f.T0
-    domain = Box.centered(t, m.d)
-    levels = list(range(j_min, j_max + 1))
-    scales, errors = [], []
-    for j in levels:
-        ks = _image_box(m, j, domain, 0.0).points()
-        dev = deviation(f, op, m, j, ks, h, quad)
-        errors.append(float(np.abs(dev).max()))
-        scales.append(m.scale(j))
-    fit = fit_rate(scales, errors)
-    return DeviationReport(
-        levels=tuple(levels),
-        scales=tuple(scales),
-        errors=tuple(errors),
-        fitted_slope=fit.slope,
-        fit_r2=fit.r2,
-        predicted_rate=float(op.order + 1),
     )

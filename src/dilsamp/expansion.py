@@ -15,9 +15,10 @@ provided:
   computed in pulled-back coordinates so no ellipsoid geometry is needed:
   ``c_k = (1/V_h) integral_{|t|<=h} f(M^-j k + M^-j t) dt``.
 
-The deviation of the falsified rule from its differential counterpart with
-the matching ball-moment operator decays one order faster than the operator
-window, which is what makes ball averages usable in place of derivatives.
+The gap between the falsified rule's coefficients and its differential
+counterpart's, with the matching ball-moment operator, decays one order
+faster than the operator window, which is what makes ball averages usable
+in place of derivatives (:func:`dilsamp.analysis.deviation_study`).
 """
 from __future__ import annotations
 
@@ -301,21 +302,6 @@ def coefficients(
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")
     return Coefficients(lattice, vals)
-
-
-def deviation(
-    f, op: DiffOperator, m: Dilation, j: int, ks, h: float, quad: QuadSpec = QuadSpec()
-) -> np.ndarray:
-    """Ball-averaged minus differential coefficients at lattice points ``ks``.
-
-    ``ks`` is one point or rows ``(n, d)``; the result has one entry per
-    point.  Decays like ``scale(j)**(order + 1)`` for signals with bounded
-    derivatives of total order ``order + 1``.
-    """
-    ks = as_rows(ks, op.d)
-    a = np.asarray(m.power(-j), dtype=float)
-    avg = _pullback_average(f, map_rows(ks, a), a, h, quad)
-    return avg - apply_to_signal(op, f, m, j, ks)
 
 
 # ---------------------------------------------------------------------------

@@ -359,11 +359,18 @@ def test_criterion_11_isotropic_matrix_dilation(criterion):
 
 
 def test_criterion_12_deviation_decay(criterion):
-    rep = deviation_study(
-        gaussian(1), ball_operator(1, 3, 0.5), dyadic(1), 0.5,
-        j_min=1, j_max=7,
-    )
-    ok = rep.predicted_rate == 4.0 and rep.fitted_slope >= 3.7
+    rep = deviation_study(StudyPlan(
+        generator=hat(1),
+        dilation=dyadic(1),
+        rule=FalsifiedRule(0.5),
+        signal=gaussian(1),
+        operator=ball_operator(1, 3, 0.5),
+        j_min=1,
+        j_max=7,
+        fit_skip=0,
+        domain_halfwidth=3.2,
+    ))
+    ok = rep.predicted_rate == 4.0 and rep.fitted_slope >= 3.7 and rep.verdict == "pass"
     criterion(
         12, ok,
         f"max deviation decays at order {rep.fitted_slope:.4f} >= 3.7 "

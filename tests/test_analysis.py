@@ -34,7 +34,8 @@ from dilsamp import (
     sinc_squared_twoscale,
     study_domain,
 )
-from dilsamp import _quadrature, analysis, ball_average, expansion
+from dilsamp import _quadrature, analysis, apply_to_signal, ball_average, expansion
+from dilsamp._arrays import map_rows
 from dilsamp._quadrature import QuadSpec
 
 
@@ -167,6 +168,21 @@ class TestStudies:
         with pytest.raises(ValueError):
             StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1), j_min=3, j_max=3)
 
+    def test_plan_rejects_a_negative_fit_skip(self):
+        # -3 would keep every level in the fit
+        with pytest.raises(ValueError, match="fit_skip must be non-negative, got -3"):
+            StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1), fit_skip=-3)
+
+    def test_plan_rejects_a_grid_per_scale_below_one(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError, match=f"grid_per_scale must be positive, got {n}"):
+                StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1), grid_per_scale=n)
+
+    def test_plan_rejects_a_nan_or_small_p(self):
+        for p in (math.nan, 0.5):
+            with pytest.raises(ValueError, match=f"p must be at least 1, got {p}"):
+                StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1), p=p)
+
     def test_domain_override_and_default(self):
         plan = StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1),
                          domain_halfwidth=2.5)
@@ -239,18 +255,77 @@ class TestStudies:
         assert rep.verdict == "pass"
 
     def test_deviation_study_targets_operator_order_plus_one(self):
-        rep = deviation_study(gaussian(1), ball_operator(1, 1, 0.5), dyadic(1),
-                              0.5, j_min=1, j_max=5, domain_halfwidth=2.0)
+        rep = deviation_study(_deviation_plan(gaussian(1), ball_operator(1, 1, 0.5),
+                                              dyadic(1), 0.5, j_min=1, j_max=5,
+                                              domain_halfwidth=2.0))
         assert rep.predicted_rate == pytest.approx(2.0)
+        assert rep.predicted_case == "smoothness"
         assert 1.5 < rep.fitted_slope < 2.5
+        assert rep.verdict == "pass" and rep.used_levels == (1, 2, 3, 4, 5)
+        assert rep.meta["mode"] == "deviation" and rep.meta["window"] == 1
 
     def test_deviation_study_3d_reaches_the_predicted_rate(self):
         # the deterministic ball rule does not floor the deviation; the
         # bound on the slope is criterion 12's
-        rep = deviation_study(gaussian(3), ball_operator(3, 3, 0.5), dyadic(3), 0.5,
-                              j_min=1, j_max=4, domain_halfwidth=0.75, quad=QuadSpec(order=6))
+        rep = deviation_study(_DEVIATION_3D)
         assert rep.predicted_rate == 4
         assert rep.fitted_slope >= 3.7
+
+
+def _deviation_plan(f, op, m, h, **kw):
+    return StudyPlan(hat(m.d), m, FalsifiedRule(h, kw.pop("quad", QuadSpec())), f,
+                     operator=op, fit_skip=0, **kw)
+
+
+_DEVIATION_3D = _deviation_plan(gaussian(3), ball_operator(3, 3, 0.5), dyadic(3), 0.5,
+                                j_min=1, j_max=4, domain_halfwidth=0.75,
+                                quad=QuadSpec(order=6))
+
+
+class TestDeviationStudy:
+    def test_3d_per_axis_averages_within_the_row_bound(self):
+        # under a diagonal M^-j the ball averages run per axis; each level
+        # stays within the per-axis average's stated 1e-13 * max|c_k| of
+        # the same gap formed row by row
+        plan = _DEVIATION_3D
+        f, m, op, rule = plan.signal, plan.dilation, plan.operator, plan.rule
+        rep = deviation_study(plan)
+        for j, got in zip(rep.levels, rep.errors):
+            ks = expansion._image_box(m, j, study_domain(plan), 0.0).points()
+            a = np.asarray(m.power(-j), dtype=float)
+            avg = expansion._pullback_average(f, map_rows(ks, a), a, rule.h, rule.quad)
+            ref = np.abs(avg - apply_to_signal(op, f, m, j, ks)).max()
+            assert abs(got - ref) <= 1e-13 * np.abs(avg).max(), f"level {j}"
+
+    @pytest.mark.parametrize("change,match", [
+        (dict(rule=ExactRule()), "rule: a deviation study compares ball averages"),
+        (dict(operator=None), "operator: a deviation study needs"),
+        (dict(operator=ball_operator(2, 3, 0.5)), "operator: dimension 2 differs"),
+        (dict(p=2.0), "p: the deviation is a maximum"),
+    ], ids=["rule", "no-operator", "operator-dimension", "finite-p"])
+    def test_preconditions_raise_before_any_coefficient(self, change, match, monkeypatch):
+        def no_coefficients(*args):
+            raise AssertionError("a coefficient was computed")
+
+        monkeypatch.setattr(analysis, "coefficients", no_coefficients)
+        plan = dataclasses.replace(
+            _deviation_plan(gaussian(1), ball_operator(1, 3, 0.5), dyadic(1), 0.5), **change)
+        with pytest.raises(ValueError, match=match):
+            deviation_study(plan)
+
+    def test_a_non_finite_gap_fails_the_level(self):
+        # NaN values past x = 1; a fit would otherwise call the study
+        # inconclusive
+        plan = _deviation_plan(gaussian(1), ball_operator(1, 1, 0.5), dyadic(1), 0.5,
+                               j_min=1, j_max=4, domain_halfwidth=2.0)
+        f = plan.signal
+
+        def pointwise(x):
+            return np.where(np.asarray(x)[..., 0] > 1.0, np.nan, f.pointwise(x))
+
+        plan = dataclasses.replace(plan, signal=dataclasses.replace(f, pointwise=pointwise))
+        with pytest.raises(ValueError, match="non-finite deviation at level 1: max is nan"):
+            deviation_study(plan)
 
 
 def _whole_grid_errors(plan):

@@ -7,14 +7,16 @@ import pytest
 from dilsamp import (
     Box,
     DiffOperator,
+    DifferentialRule,
     ExactRule,
+    FalsifiedRule,
+    Lattice,
     apply_to_signal,
     ball_average,
     ball_moments,
     ball_operator,
     coefficients,
     delta_operator,
-    deviation,
     dilation,
     dyadic,
     evaluate,
@@ -256,9 +258,6 @@ _QUINCUNX_CS = coefficients(ExactRule(), gaussian(2), quincunx(), 3, lattice_sup
     (lambda x: ball_average(gaussian(2), x, 0.7), _RNG.uniform(-1, 1, size=(11, 2))),
     # the 3-d product rule: 8,192 nodes per ball
     (lambda x: ball_average(gaussian(3), x, 0.6), _RNG.uniform(-1, 1, size=(3, 3))),
-    (lambda x: deviation(gaussian(2), ball_operator(2, 2, 0.4), quincunx(), 3, x, 0.4), _KS2),
-    (lambda x: deviation(gaussian(1), ball_operator(1, 3, 0.5), triadic(1), 2, x, 0.5),
-     _KS2[:, :1]),
     (lambda x: apply_to_signal(ball_operator(2, 4, 0.5), gaussian(2), _SHEAR, 2, x), _KS2),
     (lambda x: evaluate(hat(2), _SHEAR, 2, _SHEAR_CS, x),
      np.random.default_rng(0).uniform(-1, 1, size=(200, 2))),
@@ -268,8 +267,8 @@ _QUINCUNX_CS = coefficients(ExactRule(), gaussian(2), quincunx(), 3, lattice_sup
      np.random.default_rng(2).uniform(-1, 1, size=(100, 2))),
     (lambda x: evaluate(sinc_squared(2), quincunx(), 3, _QUINCUNX_CS, x),
      np.random.default_rng(3).uniform(-1, 1, size=(100, 2))),
-], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d", "deviation-2d",
-        "deviation-1d", "apply_to_signal-2d", "evaluate-2d-shear", "evaluate-2d-sinc",
+], ids=["ball_average-1d-kink", "ball_average-2d", "ball_average-3d",
+        "apply_to_signal-2d", "evaluate-2d-shear", "evaluate-2d-sinc",
         "evaluate-2d-twoscale", "evaluate-2d-sinc-quincunx-3"])
 def test_one_point_call_matches_its_row(call, rows):
     # Each row's sum is reduced on its own, so a one-point call gives the
@@ -280,3 +279,21 @@ def test_one_point_call_matches_its_row(call, rows):
         one = call(row)
         assert one.shape == (1,)
         assert one[0] == many[i], f"row {i}"
+
+
+@pytest.mark.parametrize("rule,f,m,j,lattice", [
+    (FalsifiedRule(0.4), gaussian(2), quincunx(), 3, Lattice((-3, -2), (5, 4))),
+    (DifferentialRule(ball_operator(2, 2, 0.4)), gaussian(2), quincunx(), 3,
+     Lattice((-3, -2), (5, 4))),
+    (FalsifiedRule(0.5), gaussian(1), triadic(1), 2, Lattice((-9,), (19,))),
+    (DifferentialRule(ball_operator(1, 3, 0.5)), gaussian(1), triadic(1), 2,
+     Lattice((-9,), (19,))),
+], ids=["ball-2d", "differential-2d", "ball-1d", "differential-1d"])
+def test_one_point_lattice_matches_its_box(rule, f, m, j, lattice):
+    # A lattice point's ball-averaged and differential coefficients, and so
+    # their gap, have the same bits in a one-point box as in a larger one.
+    box = coefficients(rule, f, m, j, lattice).values.ravel()
+    for i, k in enumerate(lattice.points()):
+        one = coefficients(rule, f, m, j, Lattice(k, (1,) * m.d)).values
+        assert one.shape == (1,) * m.d
+        assert one.ravel()[0] == box[i], f"point {tuple(k)}"

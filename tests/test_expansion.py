@@ -1,4 +1,5 @@
-"""Expansion machinery: lattices, coefficient rules, evaluation, deviation."""
+"""Expansion machinery: lattices, coefficient rules, evaluation, and the gap
+between ball-averaged and differential coefficients."""
 import dataclasses
 import math
 import tracemalloc
@@ -22,7 +23,6 @@ from dilsamp import (
     bspline4_1d,
     coefficients,
     delta_operator,
-    deviation,
     diagonal,
     dilation,
     dyadic,
@@ -922,19 +922,26 @@ class TestRealArithmetic:
         assert np.array_equal(_bits(got), _bits(ref))
 
 
+def _gap(f, op, m, j, lattice, h):
+    """Ball-averaged minus differential coefficients on a lattice box."""
+    avg = coefficients(FalsifiedRule(h), f, m, j, lattice).values
+    return avg - coefficients(DifferentialRule(op), f, m, j, lattice).values
+
+
 class TestDeviation:
     def test_vanishes_on_polynomials_up_to_operator_order(self):
         op = ball_operator(1, 2, 0.3)
         f = polynomial(1, {(0,): 0.5, (1,): -1.0, (2,): 2.0})
-        dev = deviation(f, op, dyadic(1), 2, (3,), 0.3)
+        dev = _gap(f, op, dyadic(1), 2, Lattice((3,), (1,)), 0.3)
         assert dev.shape == (1,)
         assert abs(dev[0]) < 1e-12
 
     def test_vanishes_in_two_dimensions(self):
+        # the box holds (1, -2) and (0, 3)
         op = ball_operator(2, 2, 0.4)
         f = polynomial(2, {(0, 0): 1.0, (1, 1): 3.0, (2, 0): -2.0})
-        dev = deviation(f, op, quincunx(), 2, [(1, -2), (0, 3)], 0.4)
-        assert dev.shape == (2,)
+        dev = _gap(f, op, quincunx(), 2, Lattice((0, -2), (2, 6)), 0.4)
+        assert dev.shape == (2, 6)
         assert np.all(np.abs(dev) < 1e-12)
 
     def test_quartic_excess_by_hand(self):
@@ -943,5 +950,5 @@ class TestDeviation:
         h = 0.5
         op = ball_operator(1, 2, h)
         f = polynomial(1, {(4,): 1.0})
-        dev = deviation(f, op, dyadic(1), 1, (0,), h)[0]
+        dev = _gap(f, op, dyadic(1), 1, Lattice((0,), (1,)), h)[0]
         assert dev == pytest.approx(h**4 / 80.0, rel=1e-12)

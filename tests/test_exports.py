@@ -1,5 +1,6 @@
 """The public names the demos and README import exist, without running them,
-and the library runs on numpy alone."""
+the library runs on numpy alone, and its modules hold no unused import and
+no private helper that nothing reads."""
 import ast
 import os
 import re
@@ -62,3 +63,54 @@ def test_library_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+
+def _modules():
+    for path in sorted((ROOT / "src" / "dilsamp").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+MODULES = dict(_modules())
+# __init__.py imports to re-export
+CHECKED = sorted(set(MODULES) - {"__init__.py"})
+
+
+def _read(tree):
+    """The names a module reads as bare names."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_no_unused_imports(name):
+    tree = MODULES[name]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    assert sorted(imported - _read(tree)) == [], f"{name} imports names it never reads"
+
+
+def test_no_dead_private_helpers():
+    # a private module-level function or class is read somewhere in the
+    # package: as a name, an attribute or an imported name
+    read = set()
+    for tree in MODULES.values():
+        read |= _read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = [
+        f"{name}: {node.name}"
+        for name in CHECKED
+        for node in MODULES[name].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read
+    ]
+    assert dead == []
