@@ -149,11 +149,15 @@ class Grid:
     def slabs(self, rows: int):
         """The sub-grids of ``rows`` whole rows along axis 0 (the last may
         have fewer), in order: ``(start, stop, sub-grid)``, with
-        ``start:stop`` its rows of axis 0."""
+        ``start:stop`` its rows of axis 0.  Their axes are views of this
+        grid's."""
         n = self.axes[0].size
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            yield lo, hi, Grid((self.axes[0][lo:hi],) + self.axes[1:])
+            # views of the checked axes, which need neither a copy nor a check
+            sub = object.__new__(Grid)
+            object.__setattr__(sub, "axes", (self.axes[0][lo:hi],) + self.axes[1:])
+            yield lo, hi, sub
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.points(), dtype=dtype)

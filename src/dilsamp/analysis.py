@@ -80,8 +80,8 @@ class _Lp:
     allocated at the first slab (the largest, in :meth:`Grid.slabs`)."""
 
     def __init__(self, p: float, level: int | None = None):
-        if p < 1:
-            raise ValueError("p must be at least 1")
+        if not p >= 1:
+            raise ValueError(f"p must be at least 1, got {p}")
         self.p, self.level, self.total, self.n = p, level, 0.0, 0
         self.diff = self.mod = np.empty(0)
 
@@ -191,8 +191,8 @@ def predicted_rate(
     averaging window caps it, ``boundary`` at exact equality (where the
     true bound carries an extra logarithmic factor in the level).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not p >= 1:
+        raise ValueError(f"p must be at least 1, got {p}")
     dp = 0.0 if math.isinf(p) else d / p
     if mode in ("sampling", "differential"):
         smooth = big_n + dp + eps

@@ -48,6 +48,9 @@ _EDGE = 1e-9
 # phi(0): phi(y - k) is within 3.3e-18 * sum|w_i| of it there, and
 # 1 / (y - k)**2 could overflow nearer 0.
 _NEAR = 1e-9
+# An unbounded generator's span sum leaves out coefficient tails whose
+# summed |c_k| stays at most this share of max|c_k| / sup|phi|.
+_SPAN_SHARE = 2.0**-53
 # Lattice boxes stay below this, so that lattice indices are exact int64.
 _BOX_REACH = 2.0**62
 # Mapped coordinates, and a compact generator's taps, stay below this, so
@@ -258,6 +261,9 @@ def lattice_support(
     ``|phi| <= truncation_tol`` on the domain.  That bounds neither its
     term ``c_k phi`` nor the omitted sum, about
     ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
+    Within the box, :func:`evaluate` sums a span that leaves out at most
+    ``2**-53 * max|c_k|`` at any point, and ``phi(0) c_k`` at the lattice
+    points outside it.
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
@@ -275,30 +281,35 @@ def coefficients(
     """Coefficients of the given rule on a lattice box.
 
     The lattice, signal and operator dimensions must match the dilation.
-    When ``M^-j`` is diagonal the ball centers ``M^-j k`` form a tensor
-    grid, and ball averages of a signal with a per-axis ``factor`` in
-    ``d >= 2`` run per axis (:func:`_pullback_average`): within
-    ``1e-13 * max|c_k|`` of the rows' values.  Every other case averages
-    row by row.  The coefficients are real when the signal's values (and
+    When ``M^-j`` is diagonal the points ``M^-j k`` form a tensor grid.
+    There exact samples of a signal with a per-axis ``factor`` are its
+    values on the grid (:meth:`Signal.eval`): the rows' bits in 1-d, and
+    for ``gaussian`` within ``4 * (1 + pi |x|^2)`` ulps of them in
+    ``d >= 2``.  Ball averages of such a signal in ``d >= 2`` run per axis
+    (:func:`_pullback_average`): within ``1e-13 * max|c_k|`` of the rows'
+    values.  Every other case samples or averages row by row.  The
+    coefficients are real when the signal's values (and
     derivatives) and the operator's coefficients are real, complex
     otherwise.
     """
     if lattice.d != m.d:
         raise ValueError("lattice dimension does not match the dilation")
     a = np.asarray(m.power(-j), dtype=float)
+    # the points M^-j k: a tensor grid when M^-j is diagonal
+    grid = None
+    if np.array_equal(a, np.diag(a.diagonal())):
+        grid = Grid([s * np.arange(o, o + n) for s, o, n in
+                     zip(a.diagonal(), lattice.origin, lattice.shape)])
+    rows = lambda: map_rows(lattice.points(), a)
     if isinstance(rule, ExactRule):
-        vals = f.eval(map_rows(lattice.points(), a))
+        per_axis = grid is not None and getattr(f, "factor", None) is not None
+        vals = f.eval(grid if per_axis else rows())
     elif isinstance(rule, DifferentialRule):
         if rule.operator.d != m.d:
             raise ValueError("operator dimension does not match the dilation")
         vals = apply_to_signal(rule.operator, f, m, j, lattice.points())
     elif isinstance(rule, FalsifiedRule):
-        if np.array_equal(a, np.diag(a.diagonal())):
-            bases = Grid([s * np.arange(o, o + n) for s, o, n in
-                          zip(a.diagonal(), lattice.origin, lattice.shape)])
-        else:
-            bases = map_rows(lattice.points(), a)
-        vals = _pullback_average(f, bases, a, rule.h, rule.quad)
+        vals = _pullback_average(f, rows() if grid is None else grid, a, rule.h, rule.quad)
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")
     return Coefficients(lattice, vals)
@@ -323,12 +334,20 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     formed from per-axis tables as ``g.spatial`` forms it, with the same
     bits (:func:`_rows_kernel`).  The two agree to ``1e-14 * max|c_k|``.
 
-    An unbounded generator sums the span of the nonzero coefficients, the
-    same for every point; the terms left out are zeros.  Each term is
-    summed one axis at a time (:func:`_span_terms`), on a grid as above
-    and on rows too: axis 0 for every row, then each later axis row by
-    row.  Both go in chunks of axis-0 coordinates (or rows) whose sums
-    over axis 0 fill about one slab.  Its factors are ``N(x) / x**2``
+    An unbounded generator sums a span of the coefficients, fixed per
+    level from the coefficients alone and so the same for every point
+    (:func:`_span`): the box of the nonzero ones, trimmed at both ends of
+    each axis while the trimmed ``|c_k|`` sum to at most ``2**-53 *
+    max|c_k| / sup|phi|``.  So the omitted sum is at most ``2**-53 *
+    max|c_k|`` at any point; with a non-finite ``max|c_k|`` only zeros
+    are left out.  A point within ``1e-9`` of a lattice point ``k`` on
+    every axis, ``k`` in the box but outside the span, adds ``phi(0) c_k``
+    from the box, so ``sinc_squared`` gives its samples there bit for bit,
+    as it does inside the span.  Each term is summed one axis at a time
+    (:func:`_span_terms`), on a grid as above and on rows too: axis 0 for
+    every row, then each later axis row by row.  Both go in chunks of
+    axis-0 coordinates (or rows) whose sums over axis 0 fill about one
+    slab.  Its factors are ``N(x) / x**2``
     with ``N`` of period ``L`` (``SquaredSincs``: ``L = 1`` for
     ``sinc_squared``, 4 for ``sinc_squared_twoscale``), so ``N`` is
     formed once per point and residue class of ``k`` modulo ``L``, and
@@ -390,9 +409,10 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     mj = np.asarray(m.power(j), dtype=float)
     bound = _REACH if unbounded else _REACH - (_width(g) + 1)
     if unbounded:
-        cs = _nonzero_span(cs)
+        span = _span(g, cs)
+        hits = _lattice_terms(g, cs, span)
         # chunks of axis 0 whose sums over it fill about one slab
-        step = max(1, _ROWS // math.prod(cs.values.shape[1:]))
+        step = max(1, _ROWS // math.prod(span.values.shape[1:]))
     if np.array_equal(mj, np.diag(mj.diagonal())):
         if d == 1 and not isinstance(points, Grid):
             points = Grid(points.T)
@@ -402,9 +422,9 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
                 _check_reach(y, bound)
             rows = points.slab_rows(_ROWS)
             if unbounded:
-                kernel = lambda lo, hi: np.concatenate([
-                    _span_terms(g, cs, [axes[0][b : min(b + step, hi)]] + axes[1:], False)
-                    for b in range(lo, hi, step)])
+                kernel = lambda lo, hi: hits(np.concatenate([
+                    _span_terms(g, span, [axes[0][b : min(b + step, hi)]] + axes[1:], False)
+                    for b in range(lo, hi, step)]), [axes[0][lo:hi]] + axes[1:], rows=False)
             else:
                 kernel = _axes_kernel(g, axes, cs, rows)
             for lo, hi, part in points.slabs(rows):
@@ -427,22 +447,83 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         for part in parts():
             _check_reach(mapped(part), bound)
     if unbounded:
-        kernel = lambda y: np.concatenate([_span_terms(g, cs, y[:, lo : lo + step], True)
-                                           for lo in range(0, y.shape[1], step)])
+        kernel = lambda y: hits(np.concatenate([_span_terms(g, span, y[:, lo : lo + step], True)
+                                                for lo in range(0, y.shape[1], step)]),
+                                y, rows=True)
     else:
         kernel = _rows_kernel(g, cs, y.shape[1])
     for part in parts():
         yield part, kernel(mapped(part))
 
 
-def _nonzero_span(cs: Coefficients) -> Coefficients:
-    """The smallest box of the nonzero coefficients (one zero if none)."""
+def _span(g, cs: Coefficients) -> Coefficients:
+    """The box an unbounded generator's span sum taps: the smallest box of
+    the nonzero coefficients (one zero if none), trimmed from both ends of
+    each axis while the trimmed coefficients' summed ``|c_k|`` stays at
+    most ``2**-53 * max|c_k| / sup|phi|``.  The budget is split evenly
+    over the ``2 d`` ends, each end trimmed by the cumulative sums of the
+    axis's marginal ``sum |c_k|`` over the other axes, so the omitted sum
+    is at most ``2**-53 * max|c_k|`` at any point.  ``sup|phi|`` is
+    bounded by ``sum over terms of prod over axes of sum_i |w_i|`` of the
+    ``SquaredSincs`` factors.  With a non-finite ``max|c_k|`` the nonzero
+    box is kept whole, so that a NaN or inf coefficient reaches every
+    sum."""
     vals = cs.values
     nz = np.argwhere(vals != 0) if vals.any() else np.zeros((1, vals.ndim), int)
     # per column: numpy reduces axis 0 of C-ordered rows many times slower
     first, stop = np.array([(k.min(), k.max() + 1) for k in nz.T]).T
-    return Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first),
-                        vals[tuple(map(slice, first, stop))])
+    vals = vals[tuple(map(slice, first, stop))]
+    mod = np.abs(vals)
+    top = mod.max()
+    sup = sum(math.prod(sum(abs(w) for w, _ in f.pairs) for f in factors)
+              for factors in g.terms)
+    if 0 < top < math.inf and sup > 0:
+        # relative to max|c_k|, so that no marginal sum overflows; at most
+        # 1 / (2 d) per end, below the marginal that holds max|c_k| = 1
+        mod /= top
+        budget = min(_SPAN_SHARE / sup, 1.0) / (2 * vals.ndim)
+        for a in range(vals.ndim):
+            marg = mod.sum(axis=tuple(b for b in range(vals.ndim) if b != a))
+            lo = int(np.searchsorted(np.cumsum(marg), budget, "right"))
+            cut = int(np.searchsorted(np.cumsum(marg[::-1]), budget, "right"))
+            first[a], stop[a] = first[a] + lo, stop[a] - cut
+        vals = cs.values[tuple(map(slice, first, stop))]
+    return Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first), vals)
+
+
+def _lattice_terms(g, cs: Coefficients, span: Coefficients):
+    """What the span sum leaves out at lattice points: a function that
+    adds ``phi(0) c_k`` to ``out`` at each point within ``_NEAR`` of a
+    lattice point ``k`` on every axis, ``k`` in the box ``cs`` but outside
+    ``span``, and returns ``out``.  Its points are given as their mapped
+    coordinates ``ys``: a grid's axes (``out`` in :meth:`Grid.points`
+    order), or ``rows``' columns."""
+    phi0 = sum(math.prod(f(0.0) for f in factors) for factors in g.terms)
+    lo = np.subtract(span.lattice.origin, cs.lattice.origin)
+    hi = lo + span.values.shape
+
+    def add(out, ys, rows):
+        near, idx = [], []
+        for y, o, n in zip(ys, cs.lattice.origin, cs.values.shape):
+            k = np.rint(y)
+            near.append((np.abs(y - k) < _NEAR) & (o <= k) & (k < o + n))
+            idx.append(k - o)
+        if rows:
+            at = np.flatnonzero(np.logical_and.reduce(near))
+            idx = [i[at] for i in idx]
+        else:
+            at = [np.flatnonzero(v) for v in near]
+            idx = [i.ravel() for i in np.meshgrid(*(i[a] for i, a in zip(idx, at)),
+                                                   indexing="ij")]
+            at = np.ravel_multi_index(np.meshgrid(*at, indexing="ij"),
+                                      [y.size for y in ys]).ravel()
+        off = np.logical_or.reduce([(i < l) | (i >= h) for i, l, h in zip(idx, lo, hi)])
+        if off.any():
+            k = tuple(i[off].astype(np.int64) for i in idx)
+            out[at[off]] += phi0 * cs.values[k]
+        return out
+
+    return add
 
 
 def _checked_points(points, d: int):

@@ -76,6 +76,11 @@ class TestLpDistance:
         with pytest.raises(ValueError):
             lp_distance(np.zeros(0), np.zeros(0), 2.0, 0.1, 1)
 
+    def test_rejects_a_nan_p(self):
+        # p < 1 is False for NaN, which then summed |d|**nan into nan
+        with pytest.raises(ValueError, match="p must be at least 1, got nan"):
+            lp_distance([0.0, 0.5], [1.0, 1.0], math.nan, 0.1, 1)
+
 
 class TestFitRate:
     def test_recovers_exact_power_law(self):
@@ -161,6 +166,11 @@ class TestPredictedRate:
             predicted_rate(2, 0, 1.0, 1, 0.5, "sampling")
         with pytest.raises(ValueError, match="mode"):
             predicted_rate(2, 0, 1.0, 1, 2.0, "weird")
+
+    def test_rejects_a_nan_norm(self):
+        # p < 1 is False for NaN, which then read as a saturated rate of 2
+        with pytest.raises(ValueError, match="p must be at least 1, got nan"):
+            predicted_rate(2, 0, 1.0, 1, math.nan, "sampling")
 
 
 class TestStudies:

@@ -242,7 +242,7 @@ _SHEAR = dilation([[3, 1], [0, 3]])
 # M^2 are not powers of two, so each point must be mapped on its own.
 _SHEAR_CS = coefficients(
     ExactRule(), gaussian(2), _SHEAR, 2, lattice_support(hat(2), _SHEAR, 2, Box.centered(1.0, 2)))
-# The unbounded generator sums the span of its nonzero coefficients in
+# The unbounded generator sums its span of the coefficients in
 # chunks of points; the coarse tolerance keeps the box small.
 _SINC_CS = coefficients(ExactRule(), gaussian(2), _SHEAR, 1, lattice_support(
     sinc_squared(2), _SHEAR, 1, Box.centered(1.0, 2), 1e-3))

@@ -187,6 +187,22 @@ class TestCoefficientRules:
         c = coefficients(FalsifiedRule(h), f, dyadic(1), 1, Lattice([3], [1]))
         assert _at(c, (3,)) == pytest.approx((9.0 + h**2 / 3.0) / 4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_rule_per_axis_is_close_to_the_rows(self, d):
+        # under a diagonal M^-j a signal with a factor is sampled on the
+        # lattice grid: the rows' bits in 1-d, within 4 (1 + pi |x|^2)
+        # ulps of them above (the factor hidden gives the rows)
+        f, m = gaussian(d), dyadic(d)
+        lattice = Lattice((-9,) * d, (19,) * d)
+        grid = coefficients(ExactRule(), f, m, 2, lattice).values.ravel()
+        rows = coefficients(ExactRule(), dataclasses.replace(f, factor=None), m, 2,
+                            lattice).values.ravel()
+        if d == 1:
+            assert _bits(grid).tolist() == _bits(rows).tolist()
+        x = lattice.points() / 4.0
+        ulps = 4 * (1 + np.pi * np.sum(x * x, axis=1))
+        assert np.all(np.abs(grid - rows) <= ulps * np.spacing(rows))
+
     def test_lattice_dimension_checked(self):
         with pytest.raises(ValueError, match="lattice dimension"):
             coefficients(ExactRule(), gaussian(2), dyadic(2), 1, Lattice([0], [3]))
@@ -353,10 +369,10 @@ class TestEvaluation:
 def _general(g, m, j, cs, points):
     """The rows' sum, called directly: ``evaluate`` takes the per-axis
     kernel in 1-d and on a grid under a diagonal ``M^j``.  An unbounded
-    generator contracts the nonzero span as rows, as in ``evaluate``."""
+    generator contracts its span (trimmed) as rows, as in ``evaluate``."""
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     if g.support_radius is None:
-        return expansion._span_terms(g, expansion._nonzero_span(cs), y.T, True)
+        return expansion._span_terms(g, expansion._span(g, cs), y.T, True)
     return expansion._rows_kernel(g, cs, len(y))(y.T)
 
 
@@ -382,7 +398,7 @@ class TestPerAxisEvaluation:
         (hat(3), dyadic(3), 1),
         # the quincunx M squares to 2I, so even levels are diagonal
         (hat(2), quincunx(), 4),
-        # unbounded: the taps span the nonzero coefficients
+        # unbounded: the taps span the trimmed nonzero coefficients
         (sinc_squared(1), dyadic(1), 3),
         # two terms each, compact and unbounded
         (bspline3_2d(0.5, 0.5), dyadic(2), 2),
@@ -686,8 +702,9 @@ class TestUnboundedEvaluation:
         cs = coefficients(ExactRule(), f, m, j, lat)
         grid = self.GRIDS[g.d]
         ref = _whole_box(g, m, j, cs, grid)
-        # the span differs from the box only by exact zeros, so the sums
-        # differ by summation order: at most 3.4e-16 * max|c_k| here
+        # the span leaves out zeros and tails of summed |c_k| at most
+        # 2**-53 * max|c_k| / sup|phi|, so the sums differ by that and by
+        # summation order: at most 3.4e-16 * max|c_k| here
         bound = 2e-15 * np.max(np.abs(cs.values))
         for pts in (grid, np.asarray(grid)):
             assert np.max(np.abs(evaluate(g, m, j, cs, pts) - ref)) <= bound
@@ -704,6 +721,88 @@ class TestUnboundedEvaluation:
         ref = _whole_box(g, m, 1, cs, grid)
         for pts in (grid, np.asarray(grid)):
             assert np.max(np.abs(evaluate(g, m, 1, cs, pts) - ref)) <= 2e-15 * 2.0
+
+    @pytest.mark.parametrize("g,sup", [
+        (sinc_squared(1), 1.0), (sinc_squared(2), 1.0), (sinc_squared_twoscale(1), 1.25)],
+        ids=["sinc2-1d", "sinc2-2d", "twoscale-1d"])
+    def test_tails_within_the_budget_are_trimmed(self, g, sup):
+        # per end, the budget is 2**-53 * max|c_k| / sup|phi| / (2 d); the
+        # low end's marginal sits on it, the high end's one ulp over it
+        d = g.d
+        budget = 2.0**-53 / sup / (2 * d)
+        vals = np.zeros((21,) + (5,) * (d - 1))
+        vals[(10,) + (2,) * (d - 1)] = 1.0
+        # in 2-d the marginal of the first row is summed from two entries
+        vals[(0,) + (1,) * (d - 1)] = budget / d
+        vals[(0,) + (3,) * (d - 1)] += budget - budget / d
+        vals[(20,) + (2,) * (d - 1)] = np.nextafter(budget, 1.0)
+        cs = Coefficients(Lattice((-10,) + (-2,) * (d - 1), vals.shape), vals)
+        span = expansion._span(g, cs).lattice
+        assert span.origin[0] == 0 and span.shape[0] == 11
+        if d == 2:
+            # on axis 1, columns -1 and 1 hold budget / 2 each: both trimmed
+            assert span.origin[1] == 0 and span.shape[1] == 1
+
+    @pytest.mark.parametrize("g,m,j,tol", [
+        (sinc_squared(1), dyadic(1), 3, 1e-10), (sinc_squared_twoscale(1), dyadic(1), 2, 1e-10),
+        (sinc_squared(2), dyadic(2), 2, 1e-3), (sinc_squared(2), quincunx(), 1, 1e-3)],
+        ids=["sinc2-1d", "twoscale-1d", "sinc2-2d", "sinc2-quincunx"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_omitted_sum_is_within_the_bound(self, g, m, j, tol, kind):
+        # in exact arithmetic (fsum), sum over the nonzero coefficients
+        # outside the span of |c_k phi(y - k)| <= 2**-53 max|c_k| sup|phi|
+        lat = lattice_support(g, m, j, Box.centered(1.5, g.d), tol)
+        vals = coefficients(ExactRule(), gaussian(g.d), m, j, lat).values
+        if kind == "complex":
+            vals = vals * np.exp(0.7j * np.arange(vals.size)).reshape(vals.shape)
+        cs = Coefficients(lat, vals)
+        span = expansion._span(g, cs).lattice
+        ks = lat.points()
+        inside = np.all((ks >= span.origin) & (ks < np.add(span.origin, span.shape)), axis=1)
+        omitted = ~inside & (vals.ravel() != 0)
+        # the trim is not vacuous: it leaves out nonzero coefficients
+        assert omitted.any()
+        sup = sum(math.prod(sum(abs(w) for w, _ in f.pairs) for f in t) for t in g.terms)
+        bound = 2.0**-53 * np.max(np.abs(vals)) * sup
+        rng = np.random.default_rng(5)
+        half = np.max(np.abs(ks[inside]), axis=0) + 3
+        for y in rng.uniform(-half, half, size=(25, g.d)):
+            terms = np.abs(vals.ravel()[omitted]) * np.abs(g.spatial(y - ks[omitted]))
+            assert math.fsum(terms) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_nan_at_the_far_edge_reaches_every_point(self, d):
+        g, m, grid = sinc_squared(d), dyadic(d), self.GRIDS[d]
+        lat = lattice_support(g, m, 2, Box.centered(1.5, d), 1e-10 if d == 1 else 1e-3)
+        vals = coefficients(ExactRule(), gaussian(d), m, 2, lat).values.copy()
+        nz = np.argwhere(vals != 0)
+        vals[tuple(nz[np.argmax(nz[:, 0])])] = np.nan
+        cs = Coefficients(lat, vals)
+        for pts in (grid, np.asarray(grid)):
+            assert np.all(np.isnan(evaluate(g, m, 2, cs, pts)))
+
+    @pytest.mark.parametrize("g,m,j", [
+        (sinc_squared(1), dyadic(1), 2), (sinc_squared(2), dyadic(2), 2),
+        (sinc_squared_twoscale(2), dyadic(2), 2), (sinc_squared(2), quincunx(), 1)],
+        ids=["sinc2-1d", "sinc2-2d", "twoscale-2d", "sinc2-quincunx"])
+    def test_one_point_calls_give_the_rows_bits(self, g, m, j):
+        # random points, and lattice points M^-j k on both sides of the
+        # span's ends, where phi(0) c_k is added from the box
+        lat = lattice_support(g, m, j, Box.centered(1.5, g.d), 1e-10 if g.d == 1 else 1e-3)
+        cs = Coefficients(lat, coefficients(ExactRule(), gaussian(g.d), m, j, lat).values)
+        span = expansion._span(g, cs).lattice
+        assert span.shape[0] < lat.shape[0]
+        edge = np.arange(span.origin[0] - 2, span.origin[0] + 2)
+        ks = np.stack([edge] + [np.full(edge.size, o) for o in span.origin[1:]], axis=1)
+        inv = np.asarray(m.power(-j), dtype=float)
+        rng = np.random.default_rng(11)
+        pts = np.concatenate([map_rows(ks, inv), rng.uniform(-4.0, 4.0, size=(8, g.d))])
+        rows = evaluate(g, m, j, cs, pts)
+        for p, v in zip(pts, rows):
+            assert _bits(evaluate(g, m, j, cs, p[None])) == _bits(v)
+        if g.interpolatory:
+            # the samples, on either side of the span's end
+            assert np.array_equal(rows[: len(ks)], cs.values[tuple((ks - lat.origin).T)])
 
     @pytest.mark.parametrize("g,m,j", [
         (sinc_squared(1), dyadic(1), 2), (sinc_squared(2), dyadic(2), 2),
