@@ -22,7 +22,7 @@ import numpy as np
 
 from ._arrays import Grid
 from .diffop import DiffOperator
-from .dilation import Dilation, operator_norm
+from .dilation import Dilation
 from .expansion import (
     Box,
     CoefficientRule,
@@ -65,34 +65,27 @@ def lp_distance(fv, qv, p: float, spacing: float, d: int) -> float:
     ``p = inf`` gives the maximum pointwise modulus; finite ``p`` the
     weighted sum ``(sum |fv - qv|**p * spacing**d)**(1/p)``.  A non-finite
     difference raises ``ValueError``: a maximum or a fit would otherwise
-    drop it.  :func:`convergence_study` reduces the same way slab by slab
-    (:class:`_Lp`, whose error names the level): the same bits at
-    ``p = inf``, and at finite ``p`` a sum in another order.
+    drop it.  :func:`convergence_study` reduces slab by slab (:class:`_Lp`,
+    naming the level): the same bits at ``p = inf``, at finite ``p`` a sum
+    in another order.
     """
     lp = _Lp(p)
-    lp.add(np.asarray(fv), np.asarray(qv))
+    lp.add(np.subtract(fv, qv))
     return lp.result(spacing, d)
 
 
 class _Lp:
-    """An ``L_p`` distance given slab by slab: per slab, the maximum of
-    ``|fv - qv|`` or the sum of its ``p``-th powers, formed in buffers
-    allocated at the first slab (the largest, in :meth:`Grid.slabs`)."""
+    """An ``L_p`` distance given slab by slab: per slab of ``f - Q_j f``,
+    reduced in that array, which it overwrites: ``|f - Q_j f|``, then its
+    maximum or the sum of its ``p``-th powers."""
 
     def __init__(self, p: float, level: int | None = None):
         if not p >= 1:
             raise ValueError(f"p must be at least 1, got {p}")
         self.p, self.level, self.total, self.n = p, level, 0.0, 0
-        self.diff = self.mod = np.empty(0)
 
-    def add(self, fv, qv) -> None:
-        shape = np.broadcast_shapes(np.shape(fv), np.shape(qv))
-        n = math.prod(shape)
-        if n > self.diff.size:
-            self.diff = np.empty(n, dtype=np.result_type(fv, qv))
-            self.mod = np.empty(n)
-        mod = np.abs(np.subtract(fv, qv, out=self.diff[:n].reshape(shape)),
-                     out=self.mod[:n].reshape(shape))
+    def add(self, diff) -> None:
+        mod = np.abs(diff, out=diff) if diff.dtype == float else np.abs(diff).astype(float)
         top = mod.max(initial=0.0)
         if not math.isfinite(top):
             at = "" if self.level is None else f" at level {self.level}"
@@ -101,7 +94,7 @@ class _Lp:
             self.total = max(self.total, float(top))
         else:
             self.total += float(np.sum(np.power(mod, self.p, out=mod)))
-        self.n += n
+        self.n += mod.size
 
     def result(self, spacing: float, d: int) -> float:
         if self.n == 0:
@@ -320,9 +313,10 @@ def level_grid(plan: StudyPlan, domain: Box, j: int):
     """The level-``j`` error grid on ``domain`` and its spacing.
 
     The spacing is ``||M^-j|| / grid_per_scale``, a fixed number of points
-    per scale unit.
+    per scale unit; the norm is formed once per dilation and level
+    (:meth:`Dilation.norm`).
     """
-    spacing = operator_norm(plan.dilation.power(-j)) / plan.grid_per_scale
+    spacing = plan.dilation.norm(-j) / plan.grid_per_scale
     return make_grid(domain, spacing), spacing
 
 
@@ -342,7 +336,10 @@ def _level_error(plan: StudyPlan, domain: Box, j: int) -> float:
     grid, spacing, slabs = level_slabs(plan, domain, j)
     signal, lp = plan.signal.on_grid(grid), _Lp(plan.p, j)
     for part, qv in slabs:
-        lp.add(signal(part), qv)
+        fv = signal(part)
+        # f - Q_j f in the signal's buffer where it holds the difference
+        fits = fv.flags.writeable and np.can_cast(qv.dtype, fv.dtype)
+        lp.add(np.subtract(fv, qv, out=fv) if fits else fv - qv)
     return lp.result(spacing, plan.generator.d)
 
 
@@ -351,16 +348,16 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
 
     The prediction is made before the first level, so a plan without one
     raises ``ValueError`` before any work.  Each level's error is reduced
-    slab by slab (:func:`evaluate_slabs`): per slab of the level's grid,
-    ``Q_j f``, then ``f``, then ``|f - Q_j f|`` into the running maximum or
-    ``p``-th power sum (:func:`lp_distance`'s bits at ``p = inf``; at
-    finite ``p`` within ``1e-13`` relative of it in the tests).  So a
-    level holds its coefficient box and one slab's workspace, not its
-    grid's values, and a non-finite difference raises ``ValueError``
-    naming the level.  The verdict is ``pass`` when
-    the fitted slope is within ``slope_tolerance`` of the prediction,
-    ``fail`` otherwise, and ``inconclusive`` when fewer than three levels
-    survive the fit filters (pre-asymptotic skip plus the round-off floor).
+    slab by slab (:func:`evaluate_slabs`): per slab, ``Q_j f``, then ``f``
+    in one buffer per level, then ``|f - Q_j f|`` in that buffer, into the
+    running maximum or ``p``-th power sum (:func:`lp_distance`'s bits at
+    ``p = inf``; at finite ``p`` within ``1e-13`` relative of it in the
+    tests).  So a level holds its coefficient box and one slab's
+    workspace, and a non-finite difference raises ``ValueError`` naming the
+    level.  The verdict is ``pass`` when the fitted slope is within
+    ``slope_tolerance`` of the prediction, ``fail`` otherwise, and
+    ``inconclusive`` when fewer than three levels survive the fit filters
+    (pre-asymptotic skip plus the round-off floor).
     """
     g = plan.generator
     domain = study_domain(plan)

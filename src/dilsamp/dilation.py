@@ -45,6 +45,7 @@ class Dilation:
     lambda_abs: float | None = field(init=False)
     theta: float = field(init=False)
     _powers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _norms: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -95,6 +96,12 @@ class Dilation:
             out.flags.writeable = False
             self._powers[j] = out
         return out
+
+    def norm(self, j: int) -> float:
+        """``operator_norm(M**j)``, formed once per instance and ``j``."""
+        if j not in self._norms:
+            self._norms[j] = operator_norm(self.power(j))
+        return self._norms[j]
 
     def scale(self, j: int) -> float:
         """Natural per-level scale: ``lambda_abs**-j`` when isotropic, else

@@ -28,6 +28,7 @@ from itertools import product
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._arrays import Grid, Lattice, as_rows, map_grid, map_rows, real_bilinear
 from ._quadrature import QuadSpec, ball_rule
@@ -36,8 +37,8 @@ from .dilation import Dilation
 from .generators import Generator
 
 _CHUNK = 1 << 17
-# Terms (points times taps) per tile of the span sum, in one reused buffer;
-# also the values per call of a factor in the general kernel.
+# Table entries per tile of the rows' span sum, and values per call of a
+# factor in the general kernel.
 _TILE = 1 << 13
 # Points per slab of the general kernel, which keeps per-axis tables of
 # width x slab entries; on a shared 2-vCPU host quincunx level 7 (577,600
@@ -51,6 +52,8 @@ _NEAR = 1e-9
 # An unbounded generator's span sum leaves out coefficient tails whose
 # summed |c_k| stays at most this share of max|c_k| / sup|phi|.
 _SPAN_SHARE = 2.0**-53
+# A mapped axis's period holds to within this share of 1 + max|y| (16 ulps).
+_PHASE = 2.0**-48
 # Lattice boxes stay below this, so that lattice indices are exact int64.
 _BOX_REACH = 2.0**62
 # Mapped coordinates, and a compact generator's taps, stay below this, so
@@ -261,9 +264,8 @@ def lattice_support(
     ``|phi| <= truncation_tol`` on the domain.  That bounds neither its
     term ``c_k phi`` nor the omitted sum, about
     ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
-    Within the box, :func:`evaluate` sums a span that leaves out at most
-    ``2**-53 * max|c_k|`` at any point, and ``phi(0) c_k`` at the lattice
-    points outside it.
+    Within the box, :func:`evaluate` leaves out at most ``2**-53 *
+    max|c_k|`` at any point.
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
@@ -323,51 +325,35 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     """Evaluate ``sum_k c_k phi(M^j x - k)`` at the given points.
 
     ``points`` is one point, rows ``(n, d)`` or a :class:`Grid` (values in
-    :meth:`Grid.points` order).  A compact generator taps the lattice
-    points within its support radius of each mapped point, one tap at a
-    time; those it reaches must lie in the box
-    (:class:`MissingCoefficientError` otherwise).  On a tensor grid (a
-    ``Grid``, or any points in 1-d) with ``M^j`` diagonal, each of
-    ``g.terms`` is summed along each axis of the coefficient box in turn,
-    and the terms are added in order (:func:`_axes_kernel`); otherwise
-    each point takes the ``d``-fold product of the taps, each tap's value
-    formed from per-axis tables as ``g.spatial`` forms it, with the same
-    bits (:func:`_rows_kernel`).  The two agree to ``1e-14 * max|c_k|``.
+    :meth:`Grid.points` order).  A compact generator's nonzero taps must
+    lie in the box (:class:`MissingCoefficientError` otherwise).  An
+    unbounded generator sums a span fixed per level (:func:`_span`), which
+    leaves out at most ``2**-53 * max|c_k|`` at any point, and adds ``phi(0)
+    c_k`` from the box within ``1e-9`` of a lattice point ``k`` outside the
+    span, so ``sinc_squared`` gives its samples there bit for bit.
 
-    An unbounded generator sums a span of the coefficients, fixed per
-    level from the coefficients alone and so the same for every point
-    (:func:`_span`): the box of the nonzero ones, trimmed at both ends of
-    each axis while the trimmed ``|c_k|`` sum to at most ``2**-53 *
-    max|c_k| / sup|phi|``.  So the omitted sum is at most ``2**-53 *
-    max|c_k|`` at any point; with a non-finite ``max|c_k|`` only zeros
-    are left out.  A point within ``1e-9`` of a lattice point ``k`` on
-    every axis, ``k`` in the box but outside the span, adds ``phi(0) c_k``
-    from the box, so ``sinc_squared`` gives its samples there bit for bit,
-    as it does inside the span.  Each term is summed one axis at a time
-    (:func:`_span_terms`), on a grid as above and on rows too: axis 0 for
-    every row, then each later axis row by row.  Both go in chunks of
-    axis-0 coordinates (or rows) whose sums over axis 0 fill about one
-    slab.  Its factors are ``N(x) / x**2``
-    with ``N`` of period ``L`` (``SquaredSincs``: ``L = 1`` for
-    ``sinc_squared``, 4 for ``sinc_squared_twoscale``), so ``N`` is
-    formed once per point and residue class of ``k`` modulo ``L``, and
-    each term as ``c_k / (y - k)**2``; where ``|y - k| < 1e-9`` (0
-    included) the term is ``c_k phi(0)``, to within ``3.3e-18 * sum|w_i|
-    * |c_k|``.  The sums stay within ``2e-15 * max|c_k|`` of the whole
-    :func:`lattice_support` box's sum in the tests.
+    A tensor grid (a ``Grid``, or any points in 1-d) under a diagonal
+    ``M^j`` takes the axis operator (:func:`_operator`).  A study grid under
+    dyadic or triadic ``M``, or quincunx ``M`` at an even level, has the
+    period ``P = grid_per_scale`` on every axis (:func:`_period`), and each
+    point is summed at ``y[i % P] + i // P``, within ``2**-48 * (1 +
+    max|y|)`` of its mapped ``y[i]``.  So its value follows its grid's
+    phase, within ``32 * 2**-52 * (1 + max|y|) * Lip(phi) * sum|c_k|`` of
+    the general kernel's (the sum over the coefficients it reaches; ``Lip``
+    in the max norm).  An axis without a period takes one phase per point.
+    Rows in ``d >= 2``, a non-diagonal ``M^j``, and an unbounded generator
+    on a grid with an axis without a period take the general kernels, where
+    a point's value does not depend on the other points: taps with
+    ``g.spatial``'s bits (:func:`_rows_kernel`), or the span summed one
+    axis at a time (:func:`_span_terms`).
 
-    Every kernel runs slab by slab (:func:`evaluate_slabs`); a point's
-    value does not depend on the slab it falls in, and a one-point call
-    gives its row's bits.  Each runs in the common dtype of the
-    coefficients and the factors: real when all of them are, with the
-    bits of the real parts of the same sum over complex coefficients.
-    Zero points give an empty array.
-
-    Points must be finite, and ``|M^j x|`` below ``2**53`` in every
-    coordinate (less ``width + 1`` for a compact generator with ``width``
-    taps per axis, so that its taps stay below ``2**53`` too): there
-    neighbouring lattice coordinates are distinct floats, so no two taps
-    share an argument (``ValueError`` before any tap otherwise).
+    No value depends on its slab (:func:`evaluate_slabs`).  Values are real
+    when the coefficients and the factors are, with the bits of the real
+    parts of the same sum over complex coefficients.  Zero points give an
+    empty array.  Points must be finite, and ``|M^j x|`` below ``2**53`` in
+    every coordinate (less ``width + 1`` for a compact generator with
+    ``width`` taps per axis), where neighbouring lattice coordinates are
+    distinct floats (``ValueError`` before any tap otherwise).
     """
     points = _checked(g, cs, points)
     out, at = np.empty(0, dtype=cs.values.dtype), 0
@@ -383,23 +369,27 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
     """:func:`evaluate` one slab at a time: yields ``(part, values)`` in order.
 
     A slab of a :class:`Grid` is a sub-grid of whole rows along axis 0,
-    about ``_ROWS`` (2**15) points (at least one row); of rows ``(n, d)``,
-    at most ``_ROWS`` rows.  ``values`` are the slab's values, with
-    :func:`evaluate`'s bits, in a buffer the next slab overwrites.  What
-    depends only on the level is done once, before the first slab: the
-    span of an unbounded generator's coefficients, the per-axis kernel's
-    taps on every axis, and the general kernel's workspace, which every
-    slab reuses.  So the memory beyond the coefficient box is about that
-    of one slab.
+    about ``_ROWS`` (2**15) points (at least one row; whole periods where
+    axis 0 has a shorter period); of rows ``(n, d)``, at most ``_ROWS``
+    rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
+    overwrites.  The span, the axis operator's tables and box checks and
+    the general kernel's workspace are formed before the first slab, so
+    the memory beyond the box is about one slab's, or two periods'.
     """
-    points = _checked(g, cs, points)
-    yield from _slabs(g, m, j, cs, points)
+    return _slabs(g, m, j, cs, _checked(g, cs, points))
 
 
 def _checked(g, cs: Coefficients, points):
     if cs.lattice.d != g.d:
         raise ValueError("box dimension does not match the generator")
-    return _checked_points(points, g.d)
+    if isinstance(points, Grid):
+        if points.d != g.d:
+            raise ValueError("grid dimension does not match the generator")
+        return points
+    rows = as_rows(points, g.d)
+    if not np.isfinite(rows).all():
+        raise ValueError("evaluation points must be finite")
+    return rows
 
 
 def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
@@ -411,8 +401,6 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     if unbounded:
         span = _span(g, cs)
         hits = _lattice_terms(g, cs, span)
-        # chunks of axis 0 whose sums over it fill about one slab
-        step = max(1, _ROWS // math.prod(span.values.shape[1:]))
     if np.array_equal(mj, np.diag(mj.diagonal())):
         if d == 1 and not isinstance(points, Grid):
             points = Grid(points.T)
@@ -420,16 +408,18 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
             axes = [s * x for s, x in zip(mj.diagonal(), points.axes)]
             for y in axes:
                 _check_reach(y, bound)
-            rows = points.slab_rows(_ROWS)
-            if unbounded:
-                kernel = lambda lo, hi: hits(np.concatenate([
-                    _span_terms(g, span, [axes[0][b : min(b + step, hi)]] + axes[1:], False)
-                    for b in range(lo, hi, step)]), [axes[0][lo:hi]] + axes[1:], rows=False)
-            else:
-                kernel = _axes_kernel(g, axes, cs, rows)
-            for lo, hi, part in points.slabs(rows):
-                yield part, kernel(lo, hi)
-            return
+            periods = [_period(y) for y in axes]
+            if not unbounded or all(periods):
+                kernel = _operator(g, axes, periods, span if unbounded else cs)
+                rows = points.slab_rows(_ROWS)
+                if rows > periods[0] > 0:
+                    rows = periods[0] * round(rows / periods[0])
+                for lo, hi, part in points.slabs(rows):
+                    vals = kernel(lo, hi)
+                    if unbounded:
+                        hits(vals, [axes[0][lo:hi]] + axes[1:], rows=False)
+                    yield part, vals
+                return
     if isinstance(points, Grid):
         rows = points.slab_rows(_ROWS)
         y = np.empty((d, rows * (len(points) // points.axes[0].size)))
@@ -447,7 +437,9 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         for part in parts():
             _check_reach(mapped(part), bound)
     if unbounded:
-        kernel = lambda y: hits(np.concatenate([_span_terms(g, span, y[:, lo : lo + step], True)
+        # chunks of axis 0 whose sums over it fill about one slab
+        step = max(1, _ROWS // math.prod(span.values.shape[1:]))
+        kernel = lambda y: hits(np.concatenate([_span_terms(g, span, y[:, lo : lo + step])
                                                 for lo in range(0, y.shape[1], step)]),
                                 y, rows=True)
     else:
@@ -457,16 +449,13 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
 
 
 def _span(g, cs: Coefficients) -> Coefficients:
-    """The box an unbounded generator's span sum taps: the smallest box of
-    the nonzero coefficients (one zero if none), trimmed from both ends of
-    each axis while the trimmed coefficients' summed ``|c_k|`` stays at
-    most ``2**-53 * max|c_k| / sup|phi|``.  The budget is split evenly
-    over the ``2 d`` ends, each end trimmed by the cumulative sums of the
-    axis's marginal ``sum |c_k|`` over the other axes, so the omitted sum
-    is at most ``2**-53 * max|c_k|`` at any point.  ``sup|phi|`` is
-    bounded by ``sum over terms of prod over axes of sum_i |w_i|`` of the
-    ``SquaredSincs`` factors.  With a non-finite ``max|c_k|`` the nonzero
-    box is kept whole, so that a NaN or inf coefficient reaches every
+    """The box an unbounded generator's span sum taps: the nonzero
+    coefficients' box (one zero if none), trimmed at each of the ``2 d``
+    ends by the cumulative marginal ``sum |c_k|`` while the end leaves out
+    at most ``2**-53 * max|c_k| / sup|phi| / (2 d)``, so the omitted sum is
+    at most ``2**-53 * max|c_k|`` at any point.  ``sup|phi|`` is bounded by
+    the sum over terms of the product over axes of ``sum_i |w_i|``.  A
+    non-finite ``max|c_k|`` keeps the nonzero box, so a NaN reaches every
     sum."""
     vals = cs.values
     nz = np.argwhere(vals != 0) if vals.any() else np.zeros((1, vals.ndim), int)
@@ -492,12 +481,10 @@ def _span(g, cs: Coefficients) -> Coefficients:
 
 
 def _lattice_terms(g, cs: Coefficients, span: Coefficients):
-    """What the span sum leaves out at lattice points: a function that
-    adds ``phi(0) c_k`` to ``out`` at each point within ``_NEAR`` of a
-    lattice point ``k`` on every axis, ``k`` in the box ``cs`` but outside
-    ``span``, and returns ``out``.  Its points are given as their mapped
-    coordinates ``ys``: a grid's axes (``out`` in :meth:`Grid.points`
-    order), or ``rows``' columns."""
+    """What the span sum leaves out at lattice points: a function adding
+    ``phi(0) c_k`` to ``out`` at each point within ``_NEAR`` of a lattice
+    point ``k`` of the box ``cs`` outside ``span``, and returning ``out``;
+    the points are a grid's mapped axes ``ys`` or ``rows``' columns."""
     phi0 = sum(math.prod(f(0.0) for f in factors) for factors in g.terms)
     lo = np.subtract(span.lattice.origin, cs.lattice.origin)
     hi = lo + span.values.shape
@@ -526,18 +513,6 @@ def _lattice_terms(g, cs: Coefficients, span: Coefficients):
     return add
 
 
-def _checked_points(points, d: int):
-    """A ``d``-dimensional :class:`Grid`, or the points as finite rows."""
-    if isinstance(points, Grid):
-        if points.d != d:
-            raise ValueError("grid dimension does not match the generator")
-        return points
-    rows = as_rows(points, d)
-    if not np.isfinite(rows).all():
-        raise ValueError("evaluation points must be finite")
-    return rows
-
-
 def _check_reach(y, bound):
     """Raise unless every mapped coordinate lies in ``(-bound, bound)``."""
     if not np.all(np.abs(y) < bound):
@@ -546,75 +521,39 @@ def _check_reach(y, bound):
                          "where neighbouring lattice coordinates stay distinct floats")
 
 
-def _span_sum(factor, y, ks, c):
-    """``sum_i c[..., p, i] factor(y[p] - ks[i])`` for each point ``y[p]``:
-    ``ks`` are consecutive lattice coordinates, ``factor`` is a
-    ``SquaredSincs``, ``N(x) / x**2`` with ``N`` of period ``L``, and the
-    rows of ``c`` (its axis ``-2``) are one shared by all points, or one each.
-
-    ``N(y - k)`` depends on ``k`` only modulo ``L``, so the sum is
-    ``sum_{s < L} N(y - ks[s]) sum_{i = s mod L} c_i / (y - ks[i])**2``:
-    ``N`` is formed once per point and residue class, from the exactly
-    reduced ``y - rint(y)``, and each term is one reciprocal square,
-    written into a reused buffer of at most ``_TILE`` terms (points times
-    taps).  Each ``y`` is reduced on its own (``np.vecdot``, tiles in
-    order), with the same bits in any call if ``c`` is C-contiguous.
-    Where ``|y - k| < _NEAR`` (1e-9; 0 included) the term is
-    ``c_k phi(0)`` instead, so nothing is infinite.  Complex ``c`` is
-    summed as its real and imaginary parts, real ``c`` as itself.
-    """
-    period, n = factor.period, np.rint(y)
-    r, n = y - n, n.astype(np.int64)
-    on = np.flatnonzero((np.abs(r) < _NEAR) & (ks[0] <= n) & (n <= ks[-1]))
-    at = n[on] - ks[0]
-    shape = c.shape[:-2] + (len(y), len(ks))
-    parts = np.stack((c.real, c.imag)) if np.iscomplexobj(c) else c[None]
-    parts = np.broadcast_to(parts, parts.shape[:1] + shape)
-    width = min(-(-len(ks) // period), _TILE)
-    step = _TILE // width
-    buf = np.empty((min(step, len(y)), width))
-    out = np.zeros(shape[:-1], dtype=c.dtype)
-    for s in range(min(period, len(ks))):
-        # this class's taps nearer than _NEAR: rows, ascending, and columns
-        rows, cols = on[at % period == s], at[at % period == s] // period
-        kc, cc = ks[s::period], parts[..., s::period]
-        acc = np.zeros(parts.shape[:1] + out.shape)
-        for lo, k in product(range(0, len(y), step), range(0, len(kc), width)):
-            t = buf[: len(y) - lo, : len(kc) - k]
-            np.subtract(y[lo : lo + step, None], kc[k : k + width], out=t)
-            if rows.size:
-                # 1 / inf**2 is 0: the term is added after the loop
-                a, b = np.searchsorted(rows, (lo, lo + step))
-                i = cols[a:b] - k
-                hit = (i >= 0) & (i < width)
-                t[rows[a:b][hit] - lo, i[hit]] = np.inf
-            np.square(t, out=t)
-            np.divide(1.0, t, out=t)
-            acc[..., lo : lo + step] += np.vecdot(cc[..., lo : lo + step, k : k + width], t)
-        sums = acc[0] + 1j * acc[1] if len(acc) == 2 else acc[0]
-        out += factor.numerator(r + (n - ks[s]) % period) * sums
-    out[..., on] += factor(0.0) * np.broadcast_to(c, shape)[..., on, at]
-    return out
+def _sinc_table(factor, y, ks):
+    """``factor(y[p] - ks[i])`` for a ``SquaredSincs``, ``N(x) / x**2`` with
+    ``N`` of period ``L``: ``N`` is formed once per point and residue class,
+    at the exactly reduced ``y - rint(y)`` plus ``(rint(y) - k) mod L``, and
+    where ``|y - k| < 1e-9`` (0 included) the entry is ``phi(0)``."""
+    x, r, period = y[:, None] - ks, np.rint(y), factor.period
+    near, num = np.abs(x) < _NEAR, factor.numerator((y - r)[:, None] + np.arange(period))
+    table = (np.repeat(num, len(ks), axis=1) if period == 1 else
+             np.take_along_axis(num, (r.astype(np.int64)[:, None] - ks) % period, axis=1))
+    table /= np.where(near, 1.0, x * x)
+    table[near] = factor(0.0)
+    return table
 
 
-def _span_terms(g, cs: Coefficients, ys, rows: bool):
-    """``sum_k c_k phi(y - k)`` over the box of an unbounded generator:
-    each term of ``g``, its factors in place of ``phi``, is summed along
-    one axis of the coefficient box at a time (:func:`_span_sum`), and
-    the terms are added in order.  On a tensor grid, ``ys`` are its mapped
-    axes and the values come in :meth:`Grid.points` order.  On ``rows``,
-    ``ys`` are the mapped rows' columns: axis 0 is summed for every row
-    with shared coefficients, and each later axis row by row."""
+def _span_terms(g, cs: Coefficients, ys):
+    """``sum_k c_k phi(y - k)`` over an unbounded generator's box at the rows
+    of mapped columns ``ys``: per term, one axis at a time (axis 0 with
+    shared coefficients, later axes row by row), in tiles of ``_TILE``
+    table entries (:func:`_sinc_table`), each row reduced on its own
+    (``np.vecdot``, real and imaginary parts apart), so that a row has the
+    same bits in any call; the terms are added in order."""
     out = None
     for factors in g.terms:
         s = cs.values
         for a, (factor, y, o) in enumerate(zip(factors, ys, cs.lattice.origin)):
-            # the summed axis last, after the points' axes; contiguous, so
-            # that a row's sum has the same bits in any call
+            # the summed axis last, after the rows; contiguous, as vecdot's
+            # bits ask
             c = np.ascontiguousarray(np.moveaxis(s, 0, -1))
-            if a == 0 or not rows:
-                c = c[..., None, :]
-            s = _span_sum(factor, y, o + np.arange(c.shape[-1]), c)
+            c = c[..., None, :] if a == 0 else c
+            ks, step = o + np.arange(c.shape[-1]), max(1, _TILE // c.shape[-1])
+            s = np.concatenate([real_bilinear(np.vecdot, c[..., lo : lo + step, :] if a else c,
+                                              _sinc_table(factor, y[lo : lo + step], ks))
+                                for lo in range(0, len(y), step)], axis=-1)
         out = s if out is None else out + s
     return out.ravel()
 
@@ -624,17 +563,10 @@ def _width(g) -> int:
     return int(math.floor(2 * g.support_radius + 2 * _EDGE)) + 1
 
 
-def _taps(g, y):
-    """The translates that may reach ``y``: ``k0 + t`` for ``0 <= t < width``."""
-    return np.ceil(y - g.support_radius - _EDGE).astype(np.int64), _width(g)
-
-
 def _dead(g, x) -> bool:
-    """Whether the last tap's arguments ``x = y - (k0 + width - 1)`` all
-    lie at or below ``-r``, off the open support ``(-r, r)``, where every
-    factor is 0.  They lie in ``(r - width, r - width + 1]``, up to 1e-9
-    and rounding, so for an integer ``2 r`` the tap is live only at points
-    within that margin of its support's end."""
+    """Whether the last tap's arguments ``x = y - (k0 + width - 1)``, in
+    ``(r - width, r - width + 1]`` up to 1e-9 and rounding, all lie at or
+    below ``-r``, off the open support ``(-r, r)`` where every factor is 0."""
     return bool(x.max() <= -g.support_radius)
 
 
@@ -662,76 +594,169 @@ def _fold(ufunc, arrays, out):
     return out
 
 
-def _axes_kernel(g, axes, cs: Coefficients, rows: int):
-    """The per-axis kernel of a compact generator on the tensor grid of
-    mapped axes ``axes``, as a function of a range ``lo:hi`` of at most
-    ``rows`` rows along axis 0 to the values there (in :meth:`Grid.points`
-    order, in a buffer the next call overwrites).  Each term of ``g``, its
-    factors in place of ``phi``, is summed along one axis of the
-    coefficient box at a time, and the terms are added in order.
+def _period(y) -> int:
+    """The period ``1 <= P < len(y)`` of a mapped axis, with every ``y[i]``
+    within ``2**-48 * (1 + max|y|)`` of ``y[i % P] + i // P``, or 0."""
+    step = y[1] - y[0] if y.size > 1 else 0.0
+    period = round(1.0 / step) if step * y.size > 1 else 0
+    if not 1 <= period < y.size:
+        return 0
+    q, r = divmod(y.size, period)
+    head = y[: q * period].reshape(q, period) - np.arange(q, dtype=float)[:, None]
+    head -= y[:period]
+    dev = max(np.abs(head, out=head).max(), np.abs(y[q * period :] - y[:r] - q).max(initial=0))
+    return period if dev <= _PHASE * (1.0 + np.abs(y).max()) else 0
 
-    The live taps on every axis (factor values zeroed outside the box) are
-    formed here, once, term by term and axis by axis, as the whole grid
-    would check them; a last tap with every argument off the support
-    (:func:`_dead`) is dropped before its factor is formed.  Each call sums
-    them into buffers of one slab,
-    allocated here.  A tap's coefficients are taken at the
-    axis's first lattice offsets plus the tap's, in one reused index
-    buffer and clipped to the box: outside it the factor is zero, so for
-    finite coefficients the clipped one adds nothing."""
-    d, shape, origin = g.d, cs.values.shape, cs.lattice.origin
-    taps = []
-    for factors in g.terms:
-        for a, (factor, y, o, n) in enumerate(zip(factors, axes, origin, shape)):
-            k0, width = _taps(g, y)
-            live = []
-            for t in range(width):
-                k = k0 + t
-                x = y - k
-                if t == width - 1 and _dead(g, x):
-                    continue
-                phi = np.asarray(factor(x))
-                inside = (k >= o) & (k < o + n)
-                if _live(phi, inside, lambda: k, f"lattice coordinate [{{}}] on axis {a}"):
-                    live.append((t, np.where(inside, phi, 0)))
-            taps.append((k0 - o, live))
-    # the coefficients, and the sums, in the common dtype of theirs and
-    # every tap's: promoted once per level
-    kind = np.result_type(cs.values, *(phi for _, live in taps for _, phi in live))
-    values = cs.values.astype(kind, copy=False)
-    idx = [np.empty(rows if a == 0 else y.size, dtype=np.int64) for a, y in enumerate(axes)]
-    # stage a holds the sums over axes 0..a: (rows, len(y_1..y_a), n_{a+1}..)
-    stages = [(rows,) + tuple(y.size for y in axes[1 : a + 1]) + shape[a + 1 :]
-              for a in range(d)]
-    acc = [np.empty(s, dtype=kind) for s in stages]
-    term = [np.empty(s, dtype=kind) for s in stages]
-    out = np.empty(stages[-1] if len(g.terms) > 1 else 0, dtype=kind)
+
+def _tap_phases(g, factor, y, period: int, o: int, n: int, a: int):
+    """A compact factor's ``(table, start)`` on the mapped axis ``y``:
+    point ``p + q P`` sums ``table[p, u] c[start[p] + q + u]`` over ``u``,
+    ``P`` the period or ``len(y)`` (one phase per point).  A period's
+    phases share one window, a tap wider since ``k0`` moves by one within
+    it.  A dead last tap is not formed (:func:`_dead`), and a nonzero entry
+    off the box ``o + [0, n)`` raises :class:`MissingCoefficientError`."""
+    phases = y[:period] if period else y
+    k0 = np.ceil(phases - g.support_radius - _EDGE)
+    x = phases[:, None] - (k0[:, None] + np.arange(_width(g)))
+    if _dead(g, x[:, -1]):
+        x = x[:, :-1]
+    table, k0 = np.asarray(factor(x)), k0.astype(np.int64)
+    if period:
+        shift = k0 - k0.min()
+        wide = np.zeros((period, x.shape[1] + shift.max()), dtype=table.dtype)
+        np.put_along_axis(wide, shift[:, None] + np.arange(x.shape[1]), table, axis=1)
+        table, k0 = wide, np.full(period, k0.min())
+    # phase p takes the coordinates first + q for its points q < count
+    count = (y.size - np.arange(len(k0))[:, None] - 1) // len(k0) + 1
+    first = k0[:, None] + np.arange(table.shape[1])
+    for k in first[(table != 0) & ((first < o) | (first + count > o + n))][:1]:
+        k = k if not o <= k < o + n else o + n
+        raise MissingCoefficientError(f"no coefficient for lattice coordinate [{k}] on axis {a}")
+    return table, k0
+
+
+def _operator(g, axes, periods, cs: Coefficients):
+    """The axis operator on the grid of mapped axes ``axes``: a function of
+    rows ``lo:hi`` of axis 0 to their values, in a buffer a later call
+    overwrites.  Tables and box checks are formed here (``cs`` is an
+    unbounded generator's span).  A call sums at least two periods of axis
+    0, kept for the next call, from the coefficient rows they take, copied
+    with zeros past the box: per term, the last axis first and axis 0 last
+    (:func:`_stage`), the terms added in order.  Complex coefficients under
+    real tables are summed as their real and imaginary parts."""
+    d, unbounded = g.d, g.support_radius is None
+    origin, shape = cs.lattice.origin, cs.values.shape
+    units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
+    # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i]
+    ops = [[(_sinc_table(f, y[:period], o + n - 1 - np.arange(u + n - 1)), None) if unbounded
+            else _tap_phases(g, f, y, period, o, n, a) for a, (f, y, period, u, o, n)
+            in enumerate(zip(t, axes, periods, units, origin, shape))] for t in g.terms]
+    vals, pad = cs.values, [0] * d
+    if unbounded:
+        vals = vals[(slice(None, None, -1),) * d]
+    else:
+        # pad zeros before the box on each axis, and zeros after it to width
+        pad = [max(0, o - min(int(t[a][1].min()) for t in ops)) for a, o in enumerate(origin)]
+        width = [l + max(n, max(int(t[a][1].max()) + t[a][0].shape[1] for t in ops) - o
+                         + (units[a] - 1 if periods[a] else 0))
+                 for a, (o, n, l) in enumerate(zip(origin, shape, pad))]
+        inner = tuple(slice(l, l + n) for l, n in zip(pad[1:], shape[1:]))
+        ops = [[(table, k - o + l) for (table, k), o, l in zip(t, origin, pad)] for t in ops]
+    kind = np.result_type(*(table for t in ops for table, _ in t))
+    parts = ([np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)]
+             if np.iscomplexobj(vals) and kind.kind != "c"
+             else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
+    bufs, kept, block = {}, {}, [None]
+
+    def buffer(key, shape, dtype):
+        b = bufs.get(key)
+        if b is None or b.size < math.prod(shape) or b.dtype != dtype:
+            b = bufs[key] = np.empty(math.prod(shape), dtype=dtype)
+        return b[: math.prod(shape)].reshape(shape)
+
+    def periods_of(q0, q1):
+        sums = []
+        for c, part in enumerate(parts):
+            total = None
+            for i, t in enumerate(ops):
+                table, k = t[0]
+                if k is None:
+                    r0, r1 = 0, part.shape[0]
+                elif periods[0]:
+                    r0, r1 = int(k[0]) + q0, int(k[0]) + q1 - 1 + table.shape[1]
+                else:
+                    r0, r1 = int(k[q0:q1].min()), int(k[q0:q1].max()) + table.shape[1]
+                if kept.get((c, i), (None,))[0] != (r0, r1):
+                    x = part[r0:r1]
+                    if not unbounded:
+                        x = buffer((c, i), (r1 - r0,) + tuple(width[1:]), part.dtype)
+                        x.fill(0)
+                        a, b = max(r0, pad[0]), min(r1, pad[0] + shape[0])
+                        x[(slice(a - r0, max(a, b) - r0),) + inner] = part[a - pad[0] : b - pad[0]]
+                    for a in range(d - 1, 0, -1):
+                        lead = x.shape[:a]
+                        x = x.reshape(math.prod(lead), x.shape[a], -1)
+                        x = _stage(t[a], periods[a], x, 0, units[a], buffer, (c, i, a))
+                        x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
+                    kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
+                op = (table, None if k is None else k - r0)
+                v = _stage(op, periods[0], kept[c, i][1], q0, q1, buffer, (c, i, 0))
+                total = v if total is None else np.add(total, v, out=total)
+            sums.append(total.reshape(-1))
+        if len(sums) == 1:
+            return sums[0]
+        out = buffer("complex", sums[0].shape, complex)
+        out.real, out.imag = sums
+        return out
 
     def run(lo, hi):
-        r = hi - lo
-        for i in range(len(g.terms)):
-            vals = values
-            for a in range(d):
-                s, t = acc[a][:r], term[a][:r]
-                s.fill(0)
-                base, live = taps[i * d + a]
-                if a == 0:
-                    base = base[lo:hi]
-                for off, phi in live:
-                    if a == 0:
-                        phi = phi[lo:hi]
-                    k = np.add(base, off, out=idx[a][: base.size])
-                    np.take(vals, k, axis=a, out=t, mode="clip")
-                    np.multiply(t, phi.reshape((-1,) + (1,) * (d - a - 1)), out=t)
-                    np.add(s, t, out=s)
-                vals = s
-            if i:
-                np.add(out[:r], vals, out=out[:r])
-            elif len(g.terms) > 1:
-                np.copyto(out[:r], vals)
-        return (out[:r] if len(g.terms) > 1 else vals).ravel()
+        unit = periods[0] or 1
+        if block[0] is None or not block[0][0] * unit <= lo < hi <= block[0][1] * unit:
+            q0, q1 = lo // unit, -(-hi // unit)
+            if periods[0]:
+                # at least two periods: one would make its window BLAS-able
+                q1 = min(max(q1, q0 + 2), units[0])
+                q0 = min(q0, q1 - 2)
+            block[0] = (q0, q1, periods_of(q0, q1))
+        q0, q1, vals = block[0]
+        rest = len(vals) // ((q1 - q0) * unit)
+        return vals[(lo - q0 * unit) * rest : (hi - q0 * unit) * rest]
 
     return run
+
+
+def _stage(op, period: int, x, q0: int, q1: int, buffer, key):
+    """``op = (table, start)`` summed along axis 1 of ``x``, shaped ``(L,
+    m, R)``, for the periods (or points, without a period) ``q0:q1``, into
+    a buffer ``(L, points, R)``.  Period ``q`` is one product of the ``(P,
+    w)`` table and the window ``x[:, start + q :][:, :w]``, a strided view:
+    ``(P, w) @ (w, R)`` by BLAS, or for ``R = 1`` numpy's own loop, which
+    sums a point's taps in order; an unbounded generator's window moves on
+    the table instead, ``table[:, q:][:, :m]`` times the reversed span.
+    Without a period each point's taps are gathered one at a time.  Each
+    period's product has the same shapes in every call."""
+    table, start = op
+    (rows, m, rest), nq = x.shape, q1 - q0
+    phases = table.shape[0] if period else 1
+    out = buffer(key, (rows, nq * phases, rest), np.result_type(table, x))
+    if start is None:
+        s0, s1 = table.strides
+        window = as_strided(table[:, q0:], (nq, phases, m), (s1, s0, s1))
+        z = x.transpose(1, 0, 2).reshape(m, rows * rest)
+        prod = np.matmul(window, z, out=buffer(key + ("z",), (nq, phases, rows * rest), out.dtype))
+        out[...] = prod.reshape(nq * phases, rows, rest).transpose(1, 0, 2)
+    elif period:
+        width, (s0, s1, s2) = table.shape[1], x.strides
+        window = as_strided(x[:, start[0] + q0 :], (rows, nq, width, rest), (s0, s1, s1, s2))
+        if rest == 1:
+            np.matmul(window[..., 0], table.T, out=out.reshape(rows, nq, phases))
+        else:
+            np.matmul(table, window, out=out.reshape(rows, nq, phases, rest))
+    else:
+        out[...] = 0
+        for u in range(table.shape[1]):
+            out += np.take(x, start[q0:q1] + u, axis=1) * table[q0:q1, u, None]
+    return out
 
 
 def _rows_kernel(g, cs: Coefficients, n: int):
@@ -740,16 +765,14 @@ def _rows_kernel(g, cs: Coefficients, n: int):
     ``sum_k c_k phi(y - k)`` per point, in a buffer the next call overwrites.
 
     A point's taps are ``k0 + t``, ``0 <= t < width`` per axis, with the
-    floats ``k0 = ceil(y - r - 1e-9)`` (exact integers below ``2**53``).
-    Per axis, a table holds each term's ``factor(y - (k0 + t))``, one row
-    per ``t``; the last row is not formed where every argument is off the
-    support (:func:`_dead`), and a tap with a zero or unformed row on some
-    axis in every term is skipped.
-    A point's coefficients at tap ``t`` are ``flat[shift(t):]`` at its one
-    flat index, counted from the call's least ``k0``.  Only the taps that
-    the call's least or greatest ``k0`` take out of the box are masked and
-    checked (:func:`_live`).  Every buffer is allocated here, and each
-    factor is called on tiles of at most ``_TILE`` values."""
+    floats ``k0 = ceil(y - r - 1e-9)``.  Per axis, a table holds each
+    term's ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of
+    ``_TILE`` values, without a dead last row (:func:`_dead`); a tap with a
+    zero or unformed row on some axis in every term is skipped.  A point's
+    coefficients at tap ``t`` are ``flat[shift(t):]`` at its one flat
+    index, counted from the call's least ``k0``; only the taps that the
+    least or greatest ``k0`` take out of the box are masked and checked
+    (:func:`_live`).  Every buffer is allocated here."""
     d, width, shape = g.d, _width(g), cs.values.shape
     strides = [math.prod(shape[a + 1 :]) for a in range(d)]
     kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]
@@ -820,38 +843,3 @@ def _rows_kernel(g, cs: Coefficients, n: int):
         return total
 
     return run
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    """One evaluated expansion at one level.
-
-    ``coefficients`` holds the :class:`Coefficients` on the
-    :func:`lattice_support` box, and ``points`` the evaluation points: the
-    :class:`Grid` when one was given, rows ``(n, d)`` otherwise.
-    """
-
-    level: int
-    coefficients: Coefficients
-    points: Union[Grid, np.ndarray]
-    values: np.ndarray
-
-
-def expand(
-    g: Generator,
-    m: Dilation,
-    j: int,
-    rule: CoefficientRule,
-    f,
-    domain: Box,
-    points,
-    truncation_tol: float = 1e-10,
-) -> ExpansionResult:
-    """Convenience wrapper: point checks, lattice support, coefficients,
-    evaluation."""
-    pts = _checked_points(points, g.d)
-    lat = lattice_support(g, m, j, domain, truncation_tol)
-    cs = coefficients(rule, f, m, j, lat)
-    vals = evaluate(g, m, j, cs, pts)
-    return ExpansionResult(j, cs, pts, vals)
-

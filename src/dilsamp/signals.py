@@ -60,14 +60,26 @@ class Signal:
         """:meth:`eval` on the slabs of ``grid`` (:meth:`Grid.slabs`), as a
         function of a slab: the factor's values on the axes past the first
         are formed here, once, and each call forms its outer product with
-        the values on the slab's first axis, with :meth:`eval`'s bits."""
+        the values on the slab's first axis, with :meth:`eval`'s bits, in
+        one buffer that the next call overwrites."""
         if grid.d != self.d:
             raise ValueError(f"grid of dimension {grid.d}, expected {self.d}")
         if self.factor is None:
             return lambda slab: self.pointwise(slab.points())
-        rest = [self.factor(x) for x in grid.axes[1:]]
-        return lambda slab: reduce(np.multiply.outer,
-                                   [self.factor(slab.axes[0])] + rest).ravel()
+        rest, buf = [self.factor(x) for x in grid.axes[1:]], [np.empty(0)]
+
+        def values(slab):
+            parts = [self.factor(slab.axes[0])] + rest
+            if not rest:
+                return parts[0]
+            size = math.prod(map(len, parts))
+            if buf[0].size < size:
+                buf[0] = np.empty(size, dtype=np.result_type(*parts))
+            out = buf[0][:size].reshape(tuple(map(len, parts)))
+            return np.multiply.outer(reduce(np.multiply.outer, parts[:-1]), parts[-1],
+                                     out=out).ravel()
+
+        return values
 
     def __call__(self, x):
         return self.eval(as_points(x, self.d))

@@ -1,6 +1,7 @@
 """Grids, discrete norms, rate fitting, predictions, and small studies."""
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from dilsamp import (
     StudyPlan,
     ball_operator,
     bspline3_2d,
+    bspline4_1d,
     coefficients,
     convergence_study,
     deviation_study,
@@ -75,6 +77,13 @@ class TestLpDistance:
             lp_distance(np.zeros(3), np.zeros(3), 0.5, 0.1, 1)
         with pytest.raises(ValueError):
             lp_distance(np.zeros(0), np.zeros(0), 2.0, 0.1, 1)
+
+    def test_leaves_its_arguments_as_they_were(self):
+        # the difference is reduced in place, in an array of its own
+        fv, qv = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+        for p in (2.0, math.inf):
+            lp_distance(fv, qv, p, 0.1, 1)
+            assert fv.tolist() == [1.0, -2.0, 3.0] and qv.tolist() == [0.5] * 3
 
     def test_rejects_a_nan_p(self):
         # p < 1 is False for NaN, which then summed |d|**nan into nan
@@ -353,15 +362,31 @@ def _whole_grid_errors(plan):
     return errors
 
 
+def test_level_spacing_is_formed_once_per_level(monkeypatch):
+    # with the bits of the norm of M^-j, which perfbench's replay forms itself
+    module = sys.modules["dilsamp.dilation"]
+    calls, norm = [], module.operator_norm
+    monkeypatch.setattr(module, "operator_norm", lambda a: calls.append(a) or norm(a))
+    plan = StudyPlan(hat(1), dyadic(1), ExactRule(), gaussian(1), j_min=1, j_max=4)
+    assert convergence_study(plan).errors == convergence_study(plan).errors
+    assert len(calls) == 4
+    for j in range(1, 5):
+        spacing = analysis.level_grid(plan, study_domain(plan), j)[1]
+        assert spacing == norm(plan.dilation.power(-j)) / plan.grid_per_scale
+
+
 class TestStreamedErrors:
     # the 2-d unbounded boxes are kept small by the coarse tolerance
     PLANS = {
-        # per-axis compact kernel, one term and two
+        # the axis operator on a compact generator, one term and two, and on
+        # complex values, whose differences take a buffer of their own
         "hat2-dyadic": StudyPlan(hat(2), dyadic(2), ExactRule(), gaussian(2),
                                  j_min=1, j_max=3, grid_per_scale=4),
         "bspline3-dyadic": StudyPlan(bspline3_2d(0.3, 0.8), dyadic(2), ExactRule(),
                                      gaussian(2), j_min=1, j_max=2, grid_per_scale=4),
-        # per-axis unbounded kernel, one term and two
+        "bspline4-odd": StudyPlan(bspline4_1d(0.2, 0.5, -0.1), dyadic(1), ExactRule(),
+                                  gaussian(1), j_min=1, j_max=3, grid_per_scale=4),
+        # the axis operator on an unbounded generator, one term and two
         "sinc2-1d": StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), gaussian(1),
                               j_min=1, j_max=3, grid_per_scale=4),
         "twoscale-2d": StudyPlan(sinc_squared_twoscale(2), dyadic(2), ExactRule(),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dilsamp import Grid, expand, study_domain
+from dilsamp import Grid, coefficients, evaluate, lattice_support, study_domain
 from dilsamp import expansion
 from dilsamp.analysis import level_grid
 from dilsamp.cli import main
@@ -220,8 +220,9 @@ class TestExpand:
         plan, _ = parse_config(json.dumps(doc)).build_plan()
         domain = study_domain(plan)
         grid, _ = level_grid(plan, domain, 1)
-        vals = expand(plan.generator, plan.dilation, 1, plan.rule, plan.signal, domain,
-                      grid).values
+        g, m = plan.generator, plan.dilation
+        cs = coefficients(plan.rule, plan.signal, m, 1, lattice_support(g, m, 1, domain))
+        vals = evaluate(g, m, 1, cs, grid)
         fmt = lambda v: format(float(v), ".17g")
         whole = "".join(",".join([fmt(c) for c in pt] + [fmt(v.real), fmt(v.imag)]) + "\n"
                         for pt, v in zip(np.asarray(grid), vals))

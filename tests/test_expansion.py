@@ -18,6 +18,7 @@ from dilsamp import (
     Grid,
     Lattice,
     MissingCoefficientError,
+    StudyPlan,
     ball_operator,
     bspline3_2d,
     bspline4_1d,
@@ -27,7 +28,6 @@ from dilsamp import (
     dilation,
     dyadic,
     evaluate,
-    expand,
     gaussian,
     hat,
     laplace1d,
@@ -39,9 +39,10 @@ from dilsamp import (
     quincunx,
     sinc_squared,
     sinc_squared_twoscale,
+    study_domain,
     triadic,
 )
-from dilsamp import expansion
+from dilsamp import analysis, expansion
 from dilsamp._arrays import map_rows
 from dilsamp._quadrature import QuadSpec, ball_rule
 
@@ -147,11 +148,11 @@ class TestLatticeSupport:
         f = gaussian(1)
         domain = Box.centered(1.0, 1)
         x = np.linspace(-0.95, 0.95, 41).reshape(-1, 1)
-        res = expand(g, m, 2, ExactRule(), f, domain, x)
+        values = _expand(g, m, 2, ExactRule(), f, domain, x)
         dense = np.zeros(len(x), dtype=complex)
         for k in range(-30, 31):
             dense += complex(f(np.array([[k / 4.0]]))[0]) * g.spatial(4.0 * x - k)
-        assert np.max(np.abs(res.values - dense)) < 1e-14
+        assert np.max(np.abs(values - dense)) < 1e-14
 
 
 def _at(cs, k):
@@ -339,8 +340,8 @@ class TestEvaluation:
         m = dyadic(1)
         domain = Box.centered(2.0, 1)
         x = np.linspace(-1.5, 1.5, 101).reshape(-1, 1)
-        res = expand(hat(1), m, 3, ExactRule(), f, domain, x)
-        assert np.max(np.abs(res.values - f.eval(x))) < 1e-10
+        values = _expand(hat(1), m, 3, ExactRule(), f, domain, x)
+        assert np.max(np.abs(values - f.eval(x))) < 1e-10
 
     def test_interpolatory_generator_matches_samples_on_the_lattice(self):
         g = sinc_squared(1)
@@ -349,21 +350,24 @@ class TestEvaluation:
         m = dyadic(1)
         j = 2
         pts = np.array([[-0.5], [0.0], [0.75]])  # lattice points over 4
-        res = expand(g, m, j, ExactRule(), f, Box.centered(1.0, 1), pts)
-        assert np.max(np.abs(res.values - f(pts))) < 1e-12
+        values = _expand(g, m, j, ExactRule(), f, Box.centered(1.0, 1), pts)
+        assert np.max(np.abs(values - f(pts))) < 1e-12
 
-    def test_expansion_result_fields(self):
-        f = gaussian(1)
-        res = expand(hat(1), dyadic(1), 1, ExactRule(), f, Box.centered(1.0, 1),
-                     np.array([[0.3]]))
-        assert res.level == 1
-        cs = res.coefficients
-        assert cs.lattice == lattice_support(hat(1), dyadic(1), 1, Box.centered(1.0, 1))
+    def test_coefficients_on_the_support_and_their_values(self):
+        f, g, m, domain = gaussian(1), hat(1), dyadic(1), Box.centered(1.0, 1)
+        cs = coefficients(ExactRule(), f, m, 1, lattice_support(g, m, 1, domain))
+        assert cs.lattice == Lattice([-3], [7])
         assert len(cs) == len(cs.lattice) == cs.values.size
         assert cs.values.shape == cs.lattice.shape
         assert np.array_equal(np.asarray(cs), cs.values)
-        assert res.points.shape == (1, 1)
-        assert res.values.shape == (1,)
+        values = evaluate(g, m, 1, cs, np.array([[0.3]]))
+        assert values.shape == (1,)
+
+
+def _expand(g, m, j, rule, f, domain, points):
+    """``Q_j f`` at the points, from coefficients on the lattice support."""
+    cs = coefficients(rule, f, m, j, lattice_support(g, m, j, domain))
+    return evaluate(g, m, j, cs, points)
 
 
 def _general(g, m, j, cs, points):
@@ -372,7 +376,7 @@ def _general(g, m, j, cs, points):
     generator contracts its span (trimmed) as rows, as in ``evaluate``."""
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     if g.support_radius is None:
-        return expansion._span_terms(g, expansion._span(g, cs), y.T, True)
+        return expansion._span_terms(g, expansion._span(g, cs), y.T)
     return expansion._rows_kernel(g, cs, len(y))(y.T)
 
 
@@ -382,6 +386,38 @@ def _expansion_on_grid(g, m, j, halfwidth=1.5):
     lattice = lattice_support(g, m, j, domain, 1e-10 if g.d == 1 else 1e-2)
     cs = coefficients(ExactRule(), gaussian(g.d), m, j, lattice)
     return cs, make_grid(domain, operator_norm(m.power(-j)) / 8)
+
+
+def _lip_sup(factor, reach):
+    """A 1-d factor's Lipschitz constant and sup on ``[-reach, reach]``,
+    sampled at a step of ``1e-5``."""
+    x = np.linspace(-reach, reach, int(2e5 * reach) + 1)
+    v = np.asarray(factor(x))
+    return np.max(np.abs(np.diff(v))) / (x[1] - x[0]), np.max(np.abs(v))
+
+
+def _phase_bound(g, m, j, cs, grid):
+    """Per point, ``32 * 2**-52 * (1 + max|y|) * Lip(phi) * sum|c_k|``:
+    ``Lip`` in the max norm of the mapped coordinates ``y``, bounded by the
+    sum over terms and axes of the factor's ``Lip`` times the other
+    factors' sups, with 1% to spare for the sampling, and the sum over the
+    coefficients the point reaches (the span, for an unbounded
+    generator)."""
+    reach = g.support_radius or 4.0
+    lip = 0.0
+    for factors in g.terms:
+        ls = [_lip_sup(f, reach) for f in factors]
+        lip += sum(l * math.prod(s for b, (_, s) in enumerate(ls) if b != a)
+                   for a, (l, _) in enumerate(ls))
+    mj = np.asarray(m.power(j), dtype=float)
+    top = max(np.abs(s * x).max() for s, x in zip(mj.diagonal(), grid.axes))
+    if g.support_radius is None:
+        reached = np.abs(expansion._span(g, cs).values).sum()
+    else:
+        box = lambda x: (np.abs(x) <= g.support_radius).astype(float)
+        within = dataclasses.replace(g, terms=((box,) * g.d,))
+        reached = _general(within, m, j, Coefficients(cs.lattice, np.abs(cs.values)), grid)
+    return 32 * 2.0**-52 * (1 + top) * 1.01 * lip * reached
 
 
 class TestPerAxisEvaluation:
@@ -411,23 +447,25 @@ class TestPerAxisEvaluation:
         "sinc2-dyadic", "bspline3-dyadic", "twoscale2-dyadic"])
     def test_matches_the_general_path(self, g, m, j, monkeypatch):
         cs, grid = _expansion_on_grid(g, m, j)
-        ref = _general(g, m, j, cs, grid)
-        # rows take the general path in d >= 2; in 1-d they form a one-axis
-        # grid, whose per-axis sum is the general path's arithmetic
-        assert np.array_equal(evaluate(g, m, j, cs, np.asarray(grid)), ref)
+        ref, bound = _general(g, m, j, cs, grid), _phase_bound(g, m, j, cs, grid)
+        rows = evaluate(g, m, j, cs, np.asarray(grid))
         calls = []
         monkeypatch.setattr(expansion, "_rows_kernel",
                             lambda *a: calls.append(a))
         got = evaluate(g, m, j, cs, grid)
         assert not calls
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(cs.values))
-        if g.d == 1:
-            assert np.array_equal(got, ref)
+        # a grid point's value follows its phase, within the stated bound of
+        # the general path's (measured: at most 6.7e-16, on twoscale2-dyadic,
+        # and at most 0.017 of the bound, on hat1-triadic); rows take the
+        # general path in d >= 2, and in 1-d they form the same one-axis grid
+        assert np.all(np.abs(got - ref) <= bound)
+        assert np.array_equal(rows, got if g.d == 1 else ref)
 
     def test_odd_quincunx_level_takes_the_general_path(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         cs, grid = _expansion_on_grid(g, m, j)
-        monkeypatch.setattr(expansion, "_axes_kernel", None)
+        monkeypatch.setattr(expansion, "_operator", None)
         assert np.array_equal(evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid))
 
     def test_missing_coefficient_detected(self):
@@ -443,13 +481,97 @@ class TestPerAxisEvaluation:
             evaluate(hat(2), dyadic(2), 0, cs, Grid(([0.3],)))
 
 
+class TestAxisOperator:
+    # the benchmark's four studies
+    PLANS = {
+        "ball2d": StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), gaussian(2),
+                            operator=ball_operator(2, 2, 0.5), j_max=5),
+        "kink1d": StudyPlan(hat(1), dyadic(1), FalsifiedRule(0.5), laplace1d(1 / 3),
+                            operator=ball_operator(1, 1, 0.5), mode="falsified1d", j_max=7),
+        "sinc1d": StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), gaussian(1), j_max=5),
+        "quincunx": StudyPlan(hat(2), quincunx(), DifferentialRule(ball_operator(2, 2, 0.5)),
+                              gaussian(2), j_max=8),
+    }
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_study_levels_take_the_operator(self, name, monkeypatch):
+        # every level's grid takes the axis operator, but quincunx's odd
+        # levels, where M^j is not diagonal, which take the general kernel
+        plan = self.PLANS[name]
+        domain = study_domain(plan)
+        operator, rows_kernel = expansion._operator, expansion._rows_kernel
+        for j in range(plan.j_min, plan.j_max + 1):
+            calls = []
+            spy = lambda f: lambda *a: calls.append(f.__name__) or f(*a)
+            general = name == "quincunx" and j % 2
+            monkeypatch.setattr(expansion, "_operator", None if general else spy(operator))
+            monkeypatch.setattr(expansion, "_rows_kernel", spy(rows_kernel) if general else None)
+            for _ in analysis.level_slabs(plan, domain, j)[2]:
+                pass
+            assert calls == ["_rows_kernel" if general else "_operator"]
+
+    @pytest.mark.parametrize("g,m,j", TestPerAxisEvaluation.CASES[:-1] + [
+        (hat(1), dyadic(1), 6), (sinc_squared_twoscale(2), dyadic(2), 1)],
+        ids=["hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
+             "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even",
+             "sinc2-dyadic", "bspline3-dyadic", "hat1-level6", "twoscale2-dyadic"])
+    def test_slabs_do_not_change_the_values(self, g, m, j, monkeypatch):
+        # slabs of one row, of fewer rows than a period, of a period and a
+        # part, of several periods and a shorter last slab, and the default
+        cs, grid = _expansion_on_grid(g, m, j)
+        ref = evaluate(g, m, j, cs, grid)
+        for size in (1, 3 * len(grid) // grid.axes[0].size, 97, 997):
+            monkeypatch.setattr(expansion, "_ROWS", size)
+            assert np.array_equal(evaluate(g, m, j, cs, grid), ref)
+
+    @pytest.mark.parametrize("axis,low,k", [(0, True, -6), (1, False, 6)])
+    def test_a_truncated_box_names_the_missing_coordinate(self, axis, low, k):
+        # the study grid of halfwidth 1.5 at level 2 maps into [-5.92, 5.97]
+        # on both axes: the box [-7, 7] less one row at the far end is still
+        # enough, with the values' bits, and less two rows is not
+        g, m, j = hat(2), dyadic(2), 2
+        cs, grid = _expansion_on_grid(g, m, j)
+        ref = evaluate(g, m, j, cs, grid)
+        for cut in (1, 2):
+            keep = [slice(None)] * 2
+            keep[axis] = slice(cut, None) if low else slice(None, -cut)
+            origin = np.add(cs.lattice.origin, [cut * low * (a == axis) for a in range(2)])
+            box = Coefficients(Lattice(origin, cs.values[tuple(keep)].shape),
+                               cs.values[tuple(keep)])
+            if cut == 1:
+                assert np.array_equal(evaluate(g, m, j, box, grid), ref)
+                continue
+            missing = rf"^'no coefficient for lattice coordinate \[{k}\] on axis {axis}'$"
+            with pytest.raises(MissingCoefficientError, match=missing):
+                evaluate(g, m, j, box, grid)
+
+    @pytest.mark.parametrize("name,j,peak", [("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6)])
+    def test_workspace_memory(self, name, j, peak):
+        # below the peaks measured with the per-tap kernel, which kept whole
+        # axes of taps (4.70 MB on kink1d at level 7, 0.81 MB on ball2d at
+        # level 5; observed here: 1.6 and 0.4 MB)
+        plan = self.PLANS[name]
+        domain = study_domain(plan)
+        g, m = plan.generator, plan.dilation
+        grid = analysis.level_grid(plan, domain, j)[0]
+        cs = coefficients(plan.rule, plan.signal, m, j, lattice_support(g, m, j, domain))
+        tracemalloc.start()
+        try:
+            for _ in expansion.evaluate_slabs(g, m, j, cs, grid):
+                pass
+            got = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got < peak
+
+
 _SHEAR = dilation([[3, 1], [0, 3]])
 
 
 def _spatial_taps(g, m, j, cs, points):
     """The general kernel's sum with each tap's value from ``g.spatial``."""
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
-    k0, width = expansion._taps(g, y)
+    k0, width = np.ceil(y - g.support_radius - 1e-9).astype(np.int64), expansion._width(g)
     origin, acc = np.asarray(cs.lattice.origin), np.zeros(len(y), dtype=complex)
     for off in np.ndindex(*(width,) * g.d):
         k = k0 + off
@@ -615,19 +737,16 @@ class TestPointChecks:
         pts = [[0.25] * g.d, [bad] + [0.0] * (g.d - 1)]
         with pytest.raises(ValueError, match="must be finite"):
             evaluate(g, m, 1, cs, pts)
-        with pytest.raises(ValueError, match="must be finite"):
-            # the coarse tolerance keeps an unbounded generator's box small
-            expand(g, m, 1, ExactRule(), gaussian(g.d), Box.centered(2, g.d), pts, 1e-3)
 
-    def test_expand_checks_the_points_before_the_lattice_box(self, monkeypatch):
-        # at the default tolerance this box would hold about 4e9 coefficients
+    def test_points_are_checked_before_the_span_and_the_kernels(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("lattice_support ran before the point check")
+            raise AssertionError("the span or a kernel ran before the point check")
 
-        monkeypatch.setattr(expansion, "lattice_support", unreachable)
-        with pytest.raises(ValueError, match="must be finite"):
-            expand(sinc_squared(2), quincunx(), 1, ExactRule(), gaussian(2),
-                   Box.centered(2, 2), [[np.nan, 0.0]])
+        for name in ("_span", "_operator", "_rows_kernel"):
+            monkeypatch.setattr(expansion, name, unreachable)
+        for g, m, cs in self.CASES:
+            with pytest.raises(ValueError, match="must be finite"):
+                evaluate(g, m, 1, cs, [[np.nan] + [0.0] * (g.d - 1)])
 
     @pytest.mark.parametrize("g,m,cs", CASES, ids=IDS)
     def test_points_mapping_past_two_to_the_53_rejected(self, g, m, cs):
@@ -874,7 +993,7 @@ class TestUnboundedEvaluation:
         cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))
         # the span sum serves the grid and its rows: neither compact kernel runs
         monkeypatch.setattr(expansion, "_rows_kernel", None)
-        monkeypatch.setattr(expansion, "_axes_kernel", None)
+        monkeypatch.setattr(expansion, "_tap_phases", None)
         for pts in (grid, np.asarray(grid)):
             assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
 
@@ -912,11 +1031,11 @@ class TestUnboundedEvaluation:
             finally:
                 tracemalloc.stop()
         assert peaks["grid"] < 1.5 * peaks["rows"]
-        # each point is summed on its own, so the chunks keep the bits of
-        # the rows and of one sum over the first 400 rows of axis 0
+        # no axis has a period, so the grid takes the rows' span sum; each
+        # point is summed on its own, so the chunks keep the bits of the
+        # rows and of the grid of the first 400 rows of axis 0 alone
         assert np.array_equal(values["grid"], values["rows"])
-        head = expansion._span_terms(g, cs, [2.0 * grid.axes[0][:400], 2.0 * grid.axes[1]],
-                                     False)
+        head = evaluate(g, m, 1, cs, Grid([grid.axes[0][:400], grid.axes[1]]))
         assert np.array_equal(values["grid"][: head.size], head)
 
 

@@ -45,6 +45,12 @@ def test_imports_from_dilsamp_are_exported(name, source):
     assert not missing, f"{name} imports names missing from dilsamp.__all__: {missing}"
 
 
+def test_the_expand_wrapper_is_gone():
+    # lattice_support, coefficients and evaluate are the calls; nothing
+    # called the wrapper or its result type
+    assert not {"expand", "ExpansionResult"} & (set(dilsamp.__all__) | set(dir(dilsamp)))
+
+
 def test_every_exported_name_resolves():
     assert len(set(dilsamp.__all__)) == len(dilsamp.__all__)
     assert [n for n in dilsamp.__all__ if not hasattr(dilsamp, n)] == []

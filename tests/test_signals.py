@@ -78,6 +78,18 @@ class TestGridEvaluation:
         ulp = np.finfo(float).eps * np.abs(ref)
         assert np.all(np.abs(got - ref) <= 4 * ulp * (1 + u))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_slabs_share_one_buffer_with_the_grid_bits(self, d):
+        grid = make_grid(Box.centered(4.2, d), 0.2 if d == 3 else 0.05)
+        f, n = gaussian(d), len(grid) // grid.axes[0].size
+        ref, values = f.eval(grid), f.on_grid(grid)
+        first = None
+        for lo, hi, part in grid.slabs(7):
+            got = values(part)
+            first = got if first is None else first
+            assert np.shares_memory(got, first)
+            assert np.array_equal(got, ref[lo * n : hi * n])
+
     def test_signal_without_factor_takes_the_rows(self):
         grid = Grid((np.linspace(-1, 1, 7),))
         f = laplace1d(0.3)
