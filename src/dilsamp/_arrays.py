@@ -47,17 +47,6 @@ def map_rows(rows: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def map_grid(grid, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``map_rows(grid.points(), a).T``, with its bits, into ``out`` (rows
-    contiguous), each product ``x * a[i, j]`` formed once per coordinate."""
-    for i, ai in enumerate(a):
-        col = out[i].reshape([x.size for x in grid.axes])
-        col[...] = (grid.axes[0] * ai[0]).reshape((-1,) + (1,) * (grid.d - 1))
-        for j in range(1, grid.d):
-            col += (grid.axes[j] * ai[j]).reshape((-1,) + (1,) * (grid.d - j - 1))
-    return out
-
-
 def real_bilinear(op, a, b):
     """``op(a, b)`` for a bilinear ``op`` of real arrays (``np.matmul``, or
     ``np.vecdot``, which then sums ``a * b`` unconjugated), a complex

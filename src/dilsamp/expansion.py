@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._arrays import Grid, Lattice, as_rows, map_grid, map_rows, real_bilinear
+from ._arrays import Grid, Lattice, as_rows, map_rows, real_bilinear
 from ._quadrature import QuadSpec, ball_rule
 from .diffop import DiffOperator, apply_to_signal
 from .dilation import Dilation
@@ -40,9 +41,7 @@ _CHUNK = 1 << 17
 # Table entries per tile of the rows' span sum, and values per call of a
 # factor in the general kernel.
 _TILE = 1 << 13
-# Points per slab of the general kernel, which keeps per-axis tables of
-# width x slab entries; on a shared 2-vCPU host quincunx level 7 (577,600
-# points) took 0.027-0.034 s at 2**15, 0.040-0.049 s at 2**17.
+# Points per slab (quincunx level 7 took 10.0 ms at 2**15, 9.9 ms at 2**17)
 _ROWS = 1 << 15
 _EDGE = 1e-9
 # Closer than this to a lattice coordinate, an unbounded generator's tap is
@@ -332,19 +331,15 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     c_k`` from the box within ``1e-9`` of a lattice point ``k`` outside the
     span, so ``sinc_squared`` gives its samples there bit for bit.
 
-    A tensor grid (a ``Grid``, or any points in 1-d) under a diagonal
-    ``M^j`` takes the axis operator (:func:`_operator`).  A study grid under
-    dyadic or triadic ``M``, or quincunx ``M`` at an even level, has the
-    period ``P = grid_per_scale`` on every axis (:func:`_period`), and each
-    point is summed at ``y[i % P] + i // P``, within ``2**-48 * (1 +
-    max|y|)`` of its mapped ``y[i]``.  So its value follows its grid's
-    phase, within ``32 * 2**-52 * (1 + max|y|) * Lip(phi) * sum|c_k|`` of
-    the general kernel's (the sum over the coefficients it reaches; ``Lip``
-    in the max norm).  An axis without a period takes one phase per point.
-    Rows in ``d >= 2``, a non-diagonal ``M^j``, and an unbounded generator
-    on a grid with an axis without a period take the general kernels, where
-    a point's value does not depend on the other points: taps with
-    ``g.spatial``'s bits (:func:`_rows_kernel`), or the span summed one
+    A tensor grid (a ``Grid``, or any points in 1-d) takes the axis
+    operator (:func:`_operator`) on its lines (:func:`_lines`), a point
+    summed within ``2**-48 * (1 + |M^j| max|x|)`` of its mapped ``y``: its
+    value is within ``32 * 2**-52 * (1 + |M^j| max|x|) * Lip(phi) *
+    sum|c_k|`` of the general kernel's (the sum over the coefficients it
+    reaches; ``Lip`` in the max norm).  A non-diagonal ``M^j`` needs axes
+    of one spacing, compact support and sums along all lines but the first
+    of ``7 * 2**15`` values at most.  Other points take the general kernels:
+    taps with ``g.spatial``'s bits (:func:`_rows_kernel`), or the span one
     axis at a time (:func:`_span_terms`).
 
     No value depends on its slab (:func:`evaluate_slabs`).  Values are real
@@ -370,11 +365,12 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
 
     A slab of a :class:`Grid` is a sub-grid of whole rows along axis 0,
     about ``_ROWS`` (2**15) points (at least one row; whole periods where
-    axis 0 has a shorter period); of rows ``(n, d)``, at most ``_ROWS``
+    axis 0 has a shorter period, at most ``_TILE`` table entries where an
+    unbounded generator's has none); of rows ``(n, d)``, at most ``_ROWS``
     rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
-    overwrites.  The span, the axis operator's tables and box checks and
-    the general kernel's workspace are formed before the first slab, so
-    the memory beyond the box is about one slab's, or two periods'.
+    overwrites.  Tables, box checks, the span and workspaces are formed
+    before the first slab: the memory beyond the box is about one slab's or
+    two periods' (and the box summed along all lines but one, if skew).
     """
     return _slabs(g, m, j, cs, _checked(g, cs, points))
 
@@ -401,36 +397,46 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     if unbounded:
         span = _span(g, cs)
         hits = _lattice_terms(g, cs, span)
-    if np.array_equal(mj, np.diag(mj.diagonal())):
-        if d == 1 and not isinstance(points, Grid):
-            points = Grid(points.T)
-        if isinstance(points, Grid):
-            axes = [s * x for s, x in zip(mj.diagonal(), points.axes)]
-            for y in axes:
-                _check_reach(y, bound)
-            periods = [_period(y) for y in axes]
-            if not unbounded or all(periods):
-                kernel = _operator(g, axes, periods, span if unbounded else cs)
-                rows = points.slab_rows(_ROWS)
-                if rows > periods[0] > 0:
-                    rows = periods[0] * round(rows / periods[0])
-                for lo, hi, part in points.slabs(rows):
-                    vals = kernel(lo, hi)
-                    if unbounded:
-                        hits(vals, [axes[0][lo:hi]] + axes[1:], rows=False)
-                    yield part, vals
-                return
+    if d == 1 and not isinstance(points, Grid):
+        points = Grid(points.T)
+    lines = _lines(mj, points) if isinstance(points, Grid) else None
+    skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
+    # T and its gather buffer within 14 * 2**15 values: below the general kernel's workspace
+    if skew and (unbounded or (lines[0][0][-1] - lines[0][0][0] + 2 * _width(g)) * math.prod(
+            v.size for v, _, _ in lines[1:]) > 7 * 2**15):
+        lines = None
+    if lines is not None:
+        _check_reach(np.concatenate([v for v, _, _ in lines]), bound)
+        periods = [0 if skew and not a else _period(v) for a, (v, _, _) in enumerate(lines)]
+        kernel = _operator(g, lines, periods, span if unbounded else cs, points if skew else None)
+        rows = points.slab_rows(_ROWS)
+        if rows > periods[0] > 0:
+            rows = periods[0] * round(rows / periods[0])
+        elif unbounded and not periods[0]:  # axis 0's table is formed per slab
+            rows = max(1, min(rows, _TILE // span.values.shape[0]))
+        ys = unbounded and [v[:: r[a]] for a, (v, r, _) in enumerate(lines)]
+        for lo, hi, part in points.slabs(rows):
+            vals = kernel(lo, hi)
+            if unbounded:
+                hits(vals, [ys[0][lo:hi]] + ys[1:], rows=False)
+            yield part, vals
+        return
     if isinstance(points, Grid):
         rows = points.slab_rows(_ROWS)
-        y = np.empty((d, rows * (len(points) // points.axes[0].size)))
         parts = lambda: (part for *_, part in points.slabs(rows))
-        mapped = lambda part: map_grid(part, mj, y[:, : len(part)])
-        columns = points.axes
+        columns, n = points.axes, rows * (len(points) // points.axes[0].size)
     else:
-        y = np.empty((d, min(len(points), _ROWS)))
         parts = lambda: (points[lo : lo + _ROWS] for lo in range(0, len(points), _ROWS))
-        mapped = lambda part: map_rows(part, mj, y[:, : len(part)].T).T
-        columns = points.T
+        columns, n = points.T, min(len(points), _ROWS)
+    y = np.empty((d, n))
+    def mapped(part):
+        if not isinstance(part, Grid):
+            return map_rows(part, mj, y[:, : len(part)].T).T
+        for o, ai in zip(y, mj):  # the per-axis products summed in map_rows' order
+            ps = [x * a for x, a in zip(part.axes, ai)]
+            np.add.outer(reduce(np.add.outer, ps[:-1]), ps[-1],
+                         out=o[: len(part)].reshape([x.size for x in part.axes]))
+        return y[:, : len(part)]
     # |M^j| max|x| bounds every mapped coordinate; map the points only past it
     reach = [max(-x.min(), x.max()) for x in columns]
     if np.any(np.abs(mj) @ reach >= bound):
@@ -443,9 +449,37 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
                                                 for lo in range(0, y.shape[1], step)]),
                                 y, rows=True)
     else:
-        kernel = _rows_kernel(g, cs, y.shape[1])
+        kernel = _rows_kernel(g, cs, n)
     for part in parts():
         yield part, kernel(mapped(part))
+
+
+def _lines(mj, grid):
+    """A grid's mapped coordinates as lines (or None): per row of ``M^j``, ``v[n0 + r . i]``
+    at point ``i``, ``v`` increasing.  One nonzero maps its axis, ``r = -1`` where it
+    decreases; a row ``g r``, ``gcd(r) = 1``, needs axes of one spacing ``s``, and ``v``
+    steps by ``s g``, within ``2**-48 * (1 + |M^j| max|x|)`` of the mapped points."""
+    axes, lines, sizes = grid.axes, [], [x.size - 1 for x in grid.axes]
+    steps = [(x[-1] - x[0]) / max(1, n) for x, n in zip(axes, sizes)]
+    for row in mj.tolist():
+        nz = [a for a, c in enumerate(row) if c]
+        if len(nz) == 1:
+            v = row[nz[0]] * axes[nz[0]]
+            r = [(-1 if v[-1] < v[0] else 1) * (a == nz[0]) for a in range(len(row))]
+            lines.append((v[:: r[nz[0]]], r, -min(r) * sizes[nz[0]]))
+            continue
+        s = max(abs(steps[a]) for a in nz)
+        dev = sum(abs(c) * np.abs(x - x[0] - math.copysign(s, t) * np.arange(x.size)).max()
+                  for c, x, t in zip(row, axes, steps))
+        if any(c != round(c) for c in row) or dev > _PHASE * (1 + np.abs(row) @ [
+                np.abs(x).max() for x in axes]):
+            return None
+        gcd = math.gcd(*map(int, row))
+        r = [int(c) // gcd * (-1 if t < 0 else 1) for c, t in zip(row, steps)]
+        n0 = -sum(min(k, 0) * n for k, n in zip(r, sizes))
+        lines.append((row @ np.array([x[0] for x in axes]) + s * gcd * np.arange(
+            -n0, 1 + sum(max(k, 0) * n for k, n in zip(r, sizes))), r, n0))
+    return lines
 
 
 def _span(g, cs: Coefficients) -> Coefficients:
@@ -635,20 +669,26 @@ def _tap_phases(g, factor, y, period: int, o: int, n: int, a: int):
     return table, k0
 
 
-def _operator(g, axes, periods, cs: Coefficients):
-    """The axis operator on the grid of mapped axes ``axes``: a function of
-    rows ``lo:hi`` of axis 0 to their values, in a buffer a later call
-    overwrites.  Tables and box checks are formed here (``cs`` is an
-    unbounded generator's span).  A call sums at least two periods of axis
-    0, kept for the next call, from the coefficient rows they take, copied
-    with zeros past the box: per term, the last axis first and axis 0 last
-    (:func:`_stage`), the terms added in order.  Complex coefficients under
-    real tables are summed as their real and imaginary parts."""
-    d, unbounded = g.d, g.support_radius is None
+def _operator(g, lines, periods, cs: Coefficients, grid=None):
+    """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`): a
+    function of rows ``lo:hi`` of axis 0 to their values, in a buffer a
+    later call overwrites.  Tables and box checks are formed here on the
+    lines (``cs`` is an unbounded generator's span).  Per term the rows of
+    the coefficients, zeros past the box, are summed along the last axis
+    first (:func:`_stage`).  Where each line follows its own axis a call
+    sums two periods or more of axis 0, kept for the next; otherwise (the
+    ``grid`` given) a point gathers from the rows summed along the other
+    lines.  Complex coefficients under real tables are summed as real
+    and imaginary parts, the terms added in order."""
+    d, unbounded, skew = g.d, g.support_radius is None, grid is not None
     origin, shape = cs.lattice.origin, cs.values.shape
+    axes, rs, n0 = zip(*lines)
+    flip = [not skew and r[a] < 0 for a, r in enumerate(rs)]
     units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
-    # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i]
-    ops = [[(_sinc_table(f, y[:period], o + n - 1 - np.arange(u + n - 1)), None) if unbounded
+    # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i];
+    # without a period, _stage forms the (points, n) table's rows per call
+    ops = [[(_sinc_table(f, y[:period], o + n - 1 - np.arange(u + n - 1)) if period
+             else (f, y, o + n - 1 - np.arange(n)), None) if unbounded
             else _tap_phases(g, f, y, period, o, n, a) for a, (f, y, period, u, o, n)
             in enumerate(zip(t, axes, periods, units, origin, shape))] for t in g.terms]
     vals, pad = cs.values, [0] * d
@@ -662,7 +702,7 @@ def _operator(g, axes, periods, cs: Coefficients):
                  for a, (o, n, l) in enumerate(zip(origin, shape, pad))]
         inner = tuple(slice(l, l + n) for l, n in zip(pad[1:], shape[1:]))
         ops = [[(table, k - o + l) for (table, k), o, l in zip(t, origin, pad)] for t in ops]
-    kind = np.result_type(*(table for t in ops for table, _ in t))
+    kind = np.dtype(float) if unbounded else np.result_type(*(tab for t in ops for tab, _ in t))
     parts = ([np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)]
              if np.iscomplexobj(vals) and kind.kind != "c"
              else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
@@ -674,74 +714,94 @@ def _operator(g, axes, periods, cs: Coefficients):
             b = bufs[key] = np.empty(math.prod(shape), dtype=dtype)
         return b[: math.prod(shape)].reshape(shape)
 
-    def periods_of(q0, q1):
-        sums = []
-        for c, part in enumerate(parts):
-            total = None
-            for i, t in enumerate(ops):
-                table, k = t[0]
-                if k is None:
-                    r0, r1 = 0, part.shape[0]
-                elif periods[0]:
-                    r0, r1 = int(k[0]) + q0, int(k[0]) + q1 - 1 + table.shape[1]
-                else:
-                    r0, r1 = int(k[q0:q1].min()), int(k[q0:q1].max()) + table.shape[1]
-                if kept.get((c, i), (None,))[0] != (r0, r1):
-                    x = part[r0:r1]
-                    if not unbounded:
-                        x = buffer((c, i), (r1 - r0,) + tuple(width[1:]), part.dtype)
-                        x.fill(0)
-                        a, b = max(r0, pad[0]), min(r1, pad[0] + shape[0])
-                        x[(slice(a - r0, max(a, b) - r0),) + inner] = part[a - pad[0] : b - pad[0]]
-                    for a in range(d - 1, 0, -1):
-                        lead = x.shape[:a]
-                        x = x.reshape(math.prod(lead), x.shape[a], -1)
-                        x = _stage(t[a], periods[a], x, 0, units[a], buffer, (c, i, a))
-                        x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
-                    kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
-                op = (table, None if k is None else k - r0)
-                v = _stage(op, periods[0], kept[c, i][1], q0, q1, buffer, (c, i, 0))
-                total = v if total is None else np.add(total, v, out=total)
-            sums.append(total.reshape(-1))
-        if len(sums) == 1:
-            return sums[0]
-        out = buffer("complex", sums[0].shape, complex)
-        out.real, out.imag = sums
+    def summed(c, i, q0, q1):
+        # term i's axis-0 op, and its rows of part c for axis 0's q0:q1
+        table, k = ops[i][0]
+        if k is None:
+            r0, r1 = 0, parts[c].shape[0]
+        elif periods[0]:
+            r0, r1 = int(k[0]) + q0, int(k[0]) + q1 - 1 + table.shape[1]
+        else:
+            r0, r1 = int(k[q0:q1].min()), int(k[q0:q1].max()) + table.shape[1]
+        if kept.get((c, i), (None,))[0] != (r0, r1):
+            x = parts[c][r0:r1]
+            if not unbounded:
+                x = buffer((c, i), (r1 - r0,) + tuple(width[1:]), x.dtype)
+                x.fill(0)
+                a, b = max(r0, pad[0]), min(r1, pad[0] + shape[0])
+                x[(slice(a - r0, max(a, b) - r0),) + inner] = parts[c][a - pad[0] : b - pad[0]]
+            for a in range(d - 1, 0, -1):
+                lead = x.shape[:a]
+                x = x.reshape(math.prod(lead), x.shape[a], -1)
+                x = _stage(ops[i][a], x, periods[a], 0, units[a], buffer, (c, i, a))
+                x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
+                x = np.flip(x, a) if flip[a] else x
+            kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
+        return (table, None if k is None else k - r0), kept[c, i][1]
+
+    def gathered(c, i, lo, hi):
+        # sum_t table_0[n_0, t] T[start_0[n_0] + t, n_1, ...] at the flat index of tap 0
+        (table, k), x = summed(c, i, 0, axes[0].size)
+        dims, r, x = (hi - lo,) + tuple(y.size for y in grid.axes[1:]), np.array(rs), x.ravel()
+        view = lambda arr, r, n: as_strided(arr[n + r[0] * lo :], dims + arr.shape[1:], tuple(
+            int(v) * arr.strides[0] for v in r) + arr.strides[1:])
+        s = np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
+        at = np.add(view(k * s[0], r[0], n0[0]), view(np.arange(s[0]), r[1:].T @ s[1:],
+                    s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
+        out, table = buffer((c, i, 0), dims, x.dtype), view(table, r[0], n0[0])
+        out[...] = 0
+        for u in range(table.shape[-1]):
+            v = np.take(x[u * s[0] :], at, mode="clip", out=buffer("v", dims, x.dtype))
+            out += np.multiply(v, table[..., u], out=v)
         return out
 
+    term = gathered if skew else lambda c, i, q0, q1: _stage(
+        *summed(c, i, q0, q1), periods[0], q0, q1, buffer, (c, i, 0))
+
     def run(lo, hi):
-        unit = periods[0] or 1
+        unit, n = periods[0] or 1, axes[0].size
+        lo, hi = (n - hi, n - lo) if flip[0] else (lo, hi)
         if block[0] is None or not block[0][0] * unit <= lo < hi <= block[0][1] * unit:
             q0, q1 = lo // unit, -(-hi // unit)
             if periods[0]:
                 # at least two periods: one would make its window BLAS-able
                 q1 = min(max(q1, q0 + 2), units[0])
                 q0 = min(q0, q1 - 2)
-            block[0] = (q0, q1, periods_of(q0, q1))
+            sums = []
+            for c in range(len(parts)):
+                total = term(c, 0, q0, q1)
+                for i in range(1, len(ops)):
+                    np.add(total, term(c, i, q0, q1), out=total)
+                sums.append(total.reshape(-1))
+            if len(sums) > 1:
+                sums = [buffer("complex", sums[0].shape, complex)] + sums
+                sums[0].real, sums[0].imag = sums[1:]
+            block[0] = (q0, q1, sums[0])
         q0, q1, vals = block[0]
         rest = len(vals) // ((q1 - q0) * unit)
-        return vals[(lo - q0 * unit) * rest : (hi - q0 * unit) * rest]
+        vals = vals[(lo - q0 * unit) * rest : (hi - q0 * unit) * rest]
+        return vals.reshape(hi - lo, rest)[::-1].ravel() if flip[0] else vals
 
     return run
 
 
-def _stage(op, period: int, x, q0: int, q1: int, buffer, key):
+def _stage(op, x, period: int, q0: int, q1: int, buffer, key):
     """``op = (table, start)`` summed along axis 1 of ``x``, shaped ``(L,
     m, R)``, for the periods (or points, without a period) ``q0:q1``, into
     a buffer ``(L, points, R)``.  Period ``q`` is one product of the ``(P,
     w)`` table and the window ``x[:, start + q :][:, :w]``, a strided view:
     ``(P, w) @ (w, R)`` by BLAS, or for ``R = 1`` numpy's own loop, which
     sums a point's taps in order; an unbounded generator's window moves on
-    the table instead, ``table[:, q:][:, :m]`` times the reversed span.
-    Without a period each point's taps are gathered one at a time.  Each
-    period's product has the same shapes in every call."""
+    the table instead, ``table[:, q:][:, :m]`` times the reversed span (its
+    row per point, without a period).  Each has the same shapes in every
+    call.  Else taps are gathered one at a time.  ``x`` has the tables' dtype."""
     table, start = op
     (rows, m, rest), nq = x.shape, q1 - q0
     phases = table.shape[0] if period else 1
-    out = buffer(key, (rows, nq * phases, rest), np.result_type(table, x))
+    out = buffer(key, (rows, nq * phases, rest), x.dtype)
     if start is None:
-        s0, s1 = table.strides
-        window = as_strided(table[:, q0:], (nq, phases, m), (s1, s0, s1))
+        window = (as_strided(table[:, q0:], (nq, phases, m), table.strides[1:] + table.strides)
+                  if period else _sinc_table(table[0], table[1][q0:q1], table[2])[:, None])
         z = x.transpose(1, 0, 2).reshape(m, rows * rest)
         prod = np.matmul(window, z, out=buffer(key + ("z",), (nq, phases, rows * rest), out.dtype))
         out[...] = prod.reshape(nq * phases, rows, rest).transpose(1, 0, 2)
@@ -755,7 +815,8 @@ def _stage(op, period: int, x, q0: int, q1: int, buffer, key):
     else:
         out[...] = 0
         for u in range(table.shape[1]):
-            out += np.take(x, start[q0:q1] + u, axis=1) * table[q0:q1, u, None]
+            v = np.take(x, start[q0:q1] + u, 1, buffer("v", out.shape, x.dtype), "clip")
+            out += np.multiply(v, table[q0:q1, u, None], out=v)
     return out
 
 

@@ -397,7 +397,7 @@ def _lip_sup(factor, reach):
 
 
 def _phase_bound(g, m, j, cs, grid):
-    """Per point, ``32 * 2**-52 * (1 + max|y|) * Lip(phi) * sum|c_k|``:
+    """Per point, ``32 * 2**-52 * (1 + |M^j| max|x|) * Lip(phi) * sum|c_k|``:
     ``Lip`` in the max norm of the mapped coordinates ``y``, bounded by the
     sum over terms and axes of the factor's ``Lip`` times the other
     factors' sups, with 1% to spare for the sampling, and the sum over the
@@ -409,8 +409,9 @@ def _phase_bound(g, m, j, cs, grid):
         ls = [_lip_sup(f, reach) for f in factors]
         lip += sum(l * math.prod(s for b, (_, s) in enumerate(ls) if b != a)
                    for a, (l, _) in enumerate(ls))
+    # |M^j| max|x| bounds every mapped coordinate, for any M^j
     mj = np.asarray(m.power(j), dtype=float)
-    top = max(np.abs(s * x).max() for s, x in zip(mj.diagonal(), grid.axes))
+    top = (np.abs(mj) @ [np.abs(x).max() for x in grid.axes]).max()
     if g.support_radius is None:
         reached = np.abs(expansion._span(g, cs).values).sum()
     else:
@@ -421,7 +422,21 @@ def _phase_bound(g, m, j, cs, grid):
 
 
 class TestPerAxisEvaluation:
-    # (generator, dilation, level): M^j is diagonal in every case
+    # (generator, dilation, level): M^j is not diagonal, so axis 0 of the
+    # grid is gathered per point along its line (the lines' indices are
+    # i1 + i2 and i1 - i2 at odd quincunx levels)
+    SKEW = [
+        (hat(2), quincunx(), 3),
+        (bspline3_2d(0.5, 0.5), quincunx(), 3),
+        (hat(2), dilation([[2, 1], [0, 2]]), 2),
+        # M^2 = [[0, -2], [2, 0]] swaps the axes and reverses one, and M^3 =
+        # [[-2, -2], [2, -2]]
+        (hat(2), dilation([[1, -1], [1, 1]]), 2),
+        (hat(2), dilation([[1, -1], [1, 1]]), 3),
+    ]
+    SKEW_IDS = ["hat2-quincunx-odd", "bspline3-quincunx-odd", "hat2-shear",
+                "hat2-rotation-2", "hat2-rotation-3"]
+    # (generator, dilation, level): M^j is diagonal
     CASES = [
         (hat(1), dyadic(1), 3),
         (hat(1), dilation([[-2]]), 3),
@@ -441,10 +456,10 @@ class TestPerAxisEvaluation:
         (sinc_squared_twoscale(2), dyadic(2), 1),
     ]
 
-    @pytest.mark.parametrize("g,m,j", CASES, ids=[
+    @pytest.mark.parametrize("g,m,j", CASES + SKEW, ids=[
         "hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
         "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even",
-        "sinc2-dyadic", "bspline3-dyadic", "twoscale2-dyadic"])
+        "sinc2-dyadic", "bspline3-dyadic", "twoscale2-dyadic"] + SKEW_IDS)
     def test_matches_the_general_path(self, g, m, j, monkeypatch):
         cs, grid = _expansion_on_grid(g, m, j)
         ref, bound = _general(g, m, j, cs, grid), _phase_bound(g, m, j, cs, grid)
@@ -455,16 +470,32 @@ class TestPerAxisEvaluation:
         got = evaluate(g, m, j, cs, grid)
         assert not calls
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(cs.values))
-        # a grid point's value follows its phase, within the stated bound of
-        # the general path's (measured: at most 6.7e-16, on twoscale2-dyadic,
-        # and at most 0.017 of the bound, on hat1-triadic); rows take the
-        # general path in d >= 2, and in 1-d they form the same one-axis grid
+        # a grid point's value follows its phase, or its line, within the
+        # stated bound of the general path's (measured: at most 6.7e-16, on
+        # twoscale2-dyadic, and at most 0.017 of the bound, on hat1-triadic);
+        # rows take the general path in d >= 2, and in 1-d they form the same
+        # one-axis grid
         assert np.all(np.abs(got - ref) <= bound)
         assert np.array_equal(rows, got if g.d == 1 else ref)
 
-    def test_odd_quincunx_level_takes_the_general_path(self, monkeypatch):
-        g, m, j = hat(2), quincunx(), 3
+    def test_a_decreasing_axis_takes_its_period(self, monkeypatch):
+        # M^3 = -8: the mapped axis is the increasing one read back to front,
+        # so its table holds one period of 8 phases, not one per point
+        g, m, j = hat(1), dilation([[-2]]), 3
         cs, grid = _expansion_on_grid(g, m, j)
+        periods, tap_phases = [], expansion._tap_phases
+        monkeypatch.setattr(expansion, "_tap_phases",
+                            lambda *a: periods.append(a[3]) or tap_phases(*a))
+        got = evaluate(g, m, j, cs, grid)
+        assert periods == [8]
+        assert np.all(np.abs(got - _general(g, m, j, cs, grid)) <= _phase_bound(g, m, j, cs, grid))
+
+    def test_a_grid_off_one_spacing_takes_the_general_path(self, monkeypatch):
+        # under a non-diagonal M^j a grid's mapped coordinates lie on lines
+        # only when its axes share one spacing; these do not
+        g, m, j = hat(2), quincunx(), 3
+        cs, _ = _expansion_on_grid(g, m, j)
+        grid = Grid([np.linspace(-1.4, 1.4, 41), np.geomspace(0.01, 1.4, 37)])
         monkeypatch.setattr(expansion, "_operator", None)
         assert np.array_equal(evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid))
 
@@ -495,26 +526,26 @@ class TestAxisOperator:
 
     @pytest.mark.parametrize("name", PLANS)
     def test_study_levels_take_the_operator(self, name, monkeypatch):
-        # every level's grid takes the axis operator, but quincunx's odd
-        # levels, where M^j is not diagonal, which take the general kernel
+        # every level's grid takes the axis operator, quincunx's odd levels,
+        # where M^j is not diagonal, included
         plan = self.PLANS[name]
         domain = study_domain(plan)
-        operator, rows_kernel = expansion._operator, expansion._rows_kernel
+        operator, calls = expansion._operator, []
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
+        monkeypatch.setattr(expansion, "_rows_kernel", None)
         for j in range(plan.j_min, plan.j_max + 1):
-            calls = []
-            spy = lambda f: lambda *a: calls.append(f.__name__) or f(*a)
-            general = name == "quincunx" and j % 2
-            monkeypatch.setattr(expansion, "_operator", None if general else spy(operator))
-            monkeypatch.setattr(expansion, "_rows_kernel", spy(rows_kernel) if general else None)
+            calls.clear()
             for _ in analysis.level_slabs(plan, domain, j)[2]:
                 pass
-            assert calls == ["_rows_kernel" if general else "_operator"]
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("g,m,j", TestPerAxisEvaluation.CASES[:-1] + [
-        (hat(1), dyadic(1), 6), (sinc_squared_twoscale(2), dyadic(2), 1)],
+        (hat(1), dyadic(1), 6), (sinc_squared_twoscale(2), dyadic(2), 1)]
+        + TestPerAxisEvaluation.SKEW,
         ids=["hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
              "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even",
-             "sinc2-dyadic", "bspline3-dyadic", "hat1-level6", "twoscale2-dyadic"])
+             "sinc2-dyadic", "bspline3-dyadic", "hat1-level6", "twoscale2-dyadic"]
+        + TestPerAxisEvaluation.SKEW_IDS)
     def test_slabs_do_not_change_the_values(self, g, m, j, monkeypatch):
         # slabs of one row, of fewer rows than a period, of a period and a
         # part, of several periods and a shorter last slab, and the default
@@ -524,12 +555,16 @@ class TestAxisOperator:
             monkeypatch.setattr(expansion, "_ROWS", size)
             assert np.array_equal(evaluate(g, m, j, cs, grid), ref)
 
-    @pytest.mark.parametrize("axis,low,k", [(0, True, -6), (1, False, 6)])
-    def test_a_truncated_box_names_the_missing_coordinate(self, axis, low, k):
-        # the study grid of halfwidth 1.5 at level 2 maps into [-5.92, 5.97]
-        # on both axes: the box [-7, 7] less one row at the far end is still
-        # enough, with the values' bits, and less two rows is not
-        g, m, j = hat(2), dyadic(2), 2
+    @pytest.mark.parametrize("m,j,axis,low,k", [
+        (dyadic(2), 2, 0, True, -6), (dyadic(2), 2, 1, False, 6),
+        (quincunx(), 3, 0, False, 6), (quincunx(), 3, 1, True, -6)],
+        ids=["dyadic-0", "dyadic-1", "quincunx-odd-0", "quincunx-odd-1"])
+    def test_a_truncated_box_names_the_missing_coordinate(self, m, j, axis, low, k):
+        # the study grid of halfwidth 1.5 maps into [-5.92, 5.97] on both
+        # axes at dyadic level 2, and into [-5.88, 5.84] at quincunx level
+        # 3: the box [-7, 7] less one row at the far end is still enough,
+        # with the values' bits, and less two rows is not
+        g = hat(2)
         cs, grid = _expansion_on_grid(g, m, j)
         ref = evaluate(g, m, j, cs, grid)
         for cut in (1, 2):
@@ -545,11 +580,34 @@ class TestAxisOperator:
             with pytest.raises(MissingCoefficientError, match=missing):
                 evaluate(g, m, j, box, grid)
 
-    @pytest.mark.parametrize("name,j,peak", [("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6)])
+    @pytest.mark.parametrize("n,general", [(2_600, True), (1_300, False)])
+    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, n, general,
+                                                                         monkeypatch):
+        # quincunx level 11 maps a 2 x n strip of one spacing onto two lines
+        # of n + 1 values, the first 96 lattice units long: T[k_0, n_1]
+        # would hold 102 x 2,601 values (265 k, past 7 * 2**15) for the long
+        # strip, which takes the general kernel with its bits, and 51 x
+        # 1,301 (70 k) for the short one, which takes the operator
+        g, m, j = hat(2), quincunx(), 11
+        s = 3.0 / 2599
+        grid = Grid([s * np.arange(2), -1.5 + s * np.arange(n)])
+        lattice = lattice_support(g, m, j, Box((-0.01, -1.51), (0.01, 1.51)))
+        cs = coefficients(ExactRule(), gaussian(2), m, j, lattice)
+        calls, operator = [], expansion._operator
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
+        got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
+        assert bool(calls) != general
+        assert np.array_equal(got, ref) if general else np.all(
+            np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+
+    @pytest.mark.parametrize("name,j,peak", [
+        ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 5.0e6)])
     def test_workspace_memory(self, name, j, peak):
         # below the peaks measured with the per-tap kernel, which kept whole
         # axes of taps (4.70 MB on kink1d at level 7, 0.81 MB on ball2d at
-        # level 5; observed here: 1.6 and 0.4 MB)
+        # level 5), and with the general kernel's workspace at quincunx's
+        # level 7 (5.19 MB); observed here: 1.4, 0.4 and 4.3 MB, the last
+        # mostly T[k_0, n_1] (137 x 1,519 values) and its gather buffer
         plan = self.PLANS[name]
         domain = study_domain(plan)
         g, m = plan.generator, plan.dilation
@@ -582,7 +640,8 @@ def _spatial_taps(g, m, j, cs, points):
 
 
 class TestFactoredTaps:
-    # (dilation, level): M^j is not diagonal, so the general kernel runs
+    # (dilation, level): M^j is not diagonal, so rows take the general
+    # kernel, and a grid the axis operator on its lines
     CASES = [(quincunx(), 1), (quincunx(), 3), (_SHEAR, 2)]
 
     @pytest.mark.parametrize("m,j", CASES, ids=["quincunx-1", "quincunx-3", "shear-2"])
@@ -593,7 +652,9 @@ class TestFactoredTaps:
             for pts in (rows, grid):
                 ref = _spatial_taps(g, m, j, cs, pts)
                 assert np.array_equal(_general(g, m, j, cs, pts), ref)
-                assert np.array_equal(evaluate(g, m, j, cs, pts), ref)
+            assert np.array_equal(evaluate(g, m, j, cs, rows), _spatial_taps(g, m, j, cs, rows))
+            got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
+            assert np.all(np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
 
     def test_missing_coefficient_detected(self):
         cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
@@ -615,15 +676,16 @@ def _trimmed(cs, low):
 
 class TestEdgeTaps:
     """The general kernel masks and checks only the taps that can leave
-    the box, per slab."""
+    the box, per slab of rows."""
 
     def test_only_the_edge_slabs_check_taps(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         # on the box of halfwidth 1.5, the first row of each axis is tapped
         # only by the grid's corner points, where phi is 0, so the trimmed
-        # box misses no coefficient; the first slab holds those corners
+        # box misses no coefficient; the first slab of rows holds those
+        # corners
         cs, _ = _expansion_on_grid(g, m, j)
-        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
+        rows = np.asarray(Grid([np.linspace(-1.5, 1.5, 61)] * 2))
         lat = cs.lattice
         padded = coefficients(ExactRule(), gaussian(2), m, j,
                               Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
@@ -631,13 +693,12 @@ class TestEdgeTaps:
         monkeypatch.setattr(expansion, "_live", lambda *a: calls.append(a) or live(*a))
         monkeypatch.setattr(expansion, "_ROWS", 97)
         for box in (padded, _trimmed(cs, True)):
-            for pts in (grid, np.asarray(grid)):
-                ref = _spatial_taps(g, m, j, box, pts)
-                assert np.array_equal(evaluate(g, m, j, box, pts), ref)
+            ref = _spatial_taps(g, m, j, box, rows)
+            assert np.array_equal(evaluate(g, m, j, box, rows), ref)
         checked = []
         calls.clear()
         for box in (padded, _trimmed(cs, True)):
-            for _ in expansion.evaluate_slabs(g, m, j, box, grid):
+            for _ in expansion.evaluate_slabs(g, m, j, box, rows):
                 checked.append(bool(calls))
                 calls.clear()
         slabs = len(checked) // 2
@@ -651,27 +712,30 @@ class TestEdgeTaps:
         cs, grid = _expansion_on_grid(g, m, j, 1.4)
         monkeypatch.setattr(expansion, "_ROWS", 97)
         missing = r"^'no coefficient for lattice point \[-1  6\]'$"
-        for pts in (grid, np.asarray(grid)):
-            slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), pts)
-            next(slabs)  # the missing point lies in a later slab
-            with pytest.raises(MissingCoefficientError, match=missing):
-                list(slabs)
-            with pytest.raises(MissingCoefficientError, match=missing):
-                evaluate(g, m, j, _trimmed(cs, False), pts)
+        slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), np.asarray(grid))
+        next(slabs)  # the missing point lies in a later slab
+        with pytest.raises(MissingCoefficientError, match=missing):
+            list(slabs)
+        with pytest.raises(MissingCoefficientError, match=missing):
+            evaluate(g, m, j, _trimmed(cs, False), np.asarray(grid))
+        # the grid's tables, checked before its first slab, name the
+        # coordinate and its axis
+        missing = r"^'no coefficient for lattice coordinate \[6\] on axis 0'$"
+        with pytest.raises(MissingCoefficientError, match=missing):
+            next(expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), grid))
 
     def test_workspace_memory(self):
-        # quincunx level 7 on the benchmark's grid: 760 x 760 points in 18
-        # slabs, and one workspace for the level (observed: 5.2 MB; 8.1 MB
-        # with per-axis offset and mask tables and each slab's points formed
-        # as rows)
+        # quincunx level 7's benchmark grid as rows: 760 x 760 points in 18
+        # slabs, and one workspace for the level (observed: 5.3 MB; 8.1 MB
+        # with per-axis offset and mask tables)
         g, m, j = hat(2), quincunx(), 7
         domain = Box.centered(4.2, 2)
-        grid = make_grid(domain, operator_norm(m.power(-j)) / 8)
+        rows = np.asarray(make_grid(domain, operator_norm(m.power(-j)) / 8))
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice_support(g, m, j, domain))
-        assert len(grid) == 577_600
+        assert len(rows) == 577_600
         tracemalloc.start()
         try:
-            for _ in expansion.evaluate_slabs(g, m, j, cs, grid):
+            for _ in expansion.evaluate_slabs(g, m, j, cs, rows):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1014,10 +1078,11 @@ class TestUnboundedEvaluation:
         assert peak < 16e6
 
     def test_grid_memory_is_bounded(self):
-        # 2,000 x 4 points, one slab, on a 201 x 201 span: summed over axis
-        # 0 at once, the grid would hold 201 * 2,000 partial sums (3.2 MB)
-        # several times over (10 MB peak); in chunks of 163 rows it holds
-        # about one slab, as the rows do (observed: 1.4 MB against 1.5 MB)
+        # 2,000 x 4 points on a 201 x 201 span: summed over axis 0 at once,
+        # the grid would hold 201 * 2,000 partial sums (3.2 MB) several times
+        # over (10 MB peak), and axis 0's (points, span) table 3.2 MB; in
+        # slabs of 40 rows, whose table holds at most _TILE entries, it holds
+        # about as much as the rows (observed: 1.34 MB against 1.34 MB)
         rng = np.random.default_rng(3)
         cs = Coefficients(Lattice((-100, -100), (201, 201)), rng.normal(size=(201, 201)))
         g, m = sinc_squared(2), dyadic(2)
@@ -1031,10 +1096,15 @@ class TestUnboundedEvaluation:
             finally:
                 tracemalloc.stop()
         assert peaks["grid"] < 1.5 * peaks["rows"]
-        # no axis has a period, so the grid takes the rows' span sum; each
-        # point is summed on its own, so the chunks keep the bits of the
-        # rows and of the grid of the first 400 rows of axis 0 alone
-        assert np.array_equal(values["grid"], values["rows"])
+        # no axis has a period, so each takes one phase per point: a point's
+        # row of the table times the span, the last axis first, where the
+        # rows sum axis 0 first.  The same terms summed in another order,
+        # over 201 + 201 terms per point, with phi >= 0: within 402 * 2**-52
+        # * sum_k |c_k| phi of the rows' values
+        reached = evaluate(g, m, 1, Coefficients(cs.lattice, np.abs(cs.values)), grid)
+        assert np.all(np.abs(values["grid"] - values["rows"]) <= 402 * 2.0**-52 * reached)
+        # each point's product has the same shapes in every slab, so the
+        # grid of the first 400 rows of axis 0 alone has the same bits
         head = evaluate(g, m, 1, cs, Grid([grid.axes[0][:400], grid.axes[1]]))
         assert np.array_equal(values["grid"][: head.size], head)
 
@@ -1116,8 +1186,9 @@ class TestRealArithmetic:
         ids=["hat1", "hat2-dyadic", "hat2-quincunx", "bspline3", "sinc2-1d", "sinc2-2d",
              "twoscale2-quincunx"])
     def test_kernels_give_the_bits_of_complex_coefficients(self, g, m, j):
-        # a grid under a diagonal M^j takes the per-axis kernel or the span
-        # sum on a grid, rows the general kernel or the span sum on rows
+        # a grid takes the axis operator (a compact generator's under any
+        # M^j) or the span sum on a grid, rows the general kernel or the span
+        # sum on rows
         cs, grid = _expansion_on_grid(g, m, j)
         cz = Coefficients(cs.lattice, cs.values.astype(complex))
         for pts in (grid, np.asarray(grid)):
