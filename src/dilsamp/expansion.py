@@ -338,9 +338,11 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     sum|c_k|`` of the general kernel's (the sum over the coefficients it
     reaches; ``Lip`` in the max norm).  A non-diagonal ``M^j`` needs axes
     of one spacing, compact support and sums along all lines but the first
-    of ``7 * 2**15`` values at most.  Other points take the general kernels:
-    taps with ``g.spatial``'s bits (:func:`_rows_kernel`), or the span one
-    axis at a time (:func:`_span_terms`).
+    of ``7 * 2**15`` values at most over the terms and real parts; an
+    unbounded generator needs a period, or a ``(points, span)`` table of at
+    most ``2**13`` entries, on every axis but axis 0.  Other points take the
+    general kernels: taps with ``g.spatial``'s bits (:func:`_rows_kernel`),
+    or the span one axis at a time (:func:`_span_terms`).
 
     No value depends on its slab (:func:`evaluate_slabs`).  Values are real
     when the coefficients and the factors are, with the bits of the real
@@ -401,13 +403,19 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         points = Grid(points.T)
     lines = _lines(mj, points) if isinstance(points, Grid) else None
     skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
-    # T and its gather buffer within 14 * 2**15 values: below the general kernel's workspace
-    if skew and (unbounded or (lines[0][0][-1] - lines[0][0][0] + 2 * _width(g)) * math.prod(
-            v.size for v, _, _ in lines[1:]) > 7 * 2**15):
+    # the Ts kept, one per term and real part, within 7 * 2**15 values in all: with the
+    # gather's slab buffers, below the general kernel's workspace (17 * 2**15 for hat(2))
+    if skew and (unbounded or (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(
+            v.size for v, _, _ in lines[1:]) * len(g.terms) * (1 + any(np.iscomplexobj(v) for v in [
+            cs.values] + [f(np.zeros(1)) for t in g.terms for f in t])) > 7 * 2**15):
         lines = None
     if lines is not None:
         _check_reach(np.concatenate([v for v, _, _ in lines]), bound)
         periods = [0 if skew and not a else _period(v) for a, (v, _, _) in enumerate(lines)]
+    # an unbounded generator's (points, span) tables, per slab on axis 0 and whole on later
+    # axes without a period, hold at most _TILE entries; else the rows' span sum runs
+    if lines is not None and (not unbounded or all(p or v.size * n <= _TILE for p, (v, _, _), n
+            in zip(periods[1:], lines[1:], span.values.shape[1:]))):
         kernel = _operator(g, lines, periods, span if unbounded else cs, points if skew else None)
         rows = points.slab_rows(_ROWS)
         if rows > periods[0] > 0:
@@ -684,6 +692,10 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None):
     origin, shape = cs.lattice.origin, cs.values.shape
     axes, rs, n0 = zip(*lines)
     flip = [not skew and r[a] < 0 for a, r in enumerate(rs)]
+    # a skew grid's least and greatest index n0 + r . i into each line, and T's strides: the
+    # gather's strided views and taps must read inside the lines and T (checked once T is summed)
+    r, s = np.array(rs), np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
+    ends = skew and np.add(n0, np.sort([0 * r, r * [y.size - 1 for y in grid.axes]], 0).sum(2))
     units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
     # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i];
     # without a period, _stage forms the (points, n) table's rows per call
@@ -737,15 +749,18 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None):
                 x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
                 x = np.flip(x, a) if flip[a] else x
             kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
+            if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]) or (
+                    k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:]
+                    >= x.size):
+                raise IndexError("a gathered index leaves its line or T")
         return (table, None if k is None else k - r0), kept[c, i][1]
 
     def gathered(c, i, lo, hi):
         # sum_t table_0[n_0, t] T[start_0[n_0] + t, n_1, ...] at the flat index of tap 0
         (table, k), x = summed(c, i, 0, axes[0].size)
-        dims, r, x = (hi - lo,) + tuple(y.size for y in grid.axes[1:]), np.array(rs), x.ravel()
+        dims, x = (hi - lo,) + tuple(y.size for y in grid.axes[1:]), x.ravel()
         view = lambda arr, r, n: as_strided(arr[n + r[0] * lo :], dims + arr.shape[1:], tuple(
             int(v) * arr.strides[0] for v in r) + arr.strides[1:])
-        s = np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
         at = np.add(view(k * s[0], r[0], n0[0]), view(np.arange(s[0]), r[1:].T @ s[1:],
                     s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
         out, table = buffer((c, i, 0), dims, x.dtype), view(table, r[0], n0[0])
@@ -814,6 +829,8 @@ def _stage(op, x, period: int, q0: int, q1: int, buffer, key):
             np.matmul(table, window, out=out.reshape(rows, nq, phases, rest))
     else:
         out[...] = 0
+        if start[q0:q1].min() < 0 or start[q0:q1].max() + table.shape[1] > m:
+            raise IndexError("a gathered tap leaves the coefficient rows")
         for u in range(table.shape[1]):
             v = np.take(x, start[q0:q1] + u, 1, buffer("v", out.shape, x.dtype), "clip")
             out += np.multiply(v, table[q0:q1, u, None], out=v)

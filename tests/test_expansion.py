@@ -580,19 +580,39 @@ class TestAxisOperator:
             with pytest.raises(MissingCoefficientError, match=missing):
                 evaluate(g, m, j, box, grid)
 
-    @pytest.mark.parametrize("n,general", [(2_600, True), (1_300, False)])
-    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, n, general,
-                                                                         monkeypatch):
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_a_gathered_index_off_its_line_raises(self, b, monkeypatch):
+        # a skew grid reads its lines and T through strided views: a line
+        # index past the line's values (here n0 moved by one) raises before
+        # any read, where a view would read past its array
+        g, m, j = hat(2), quincunx(), 3
+        cs, grid = _expansion_on_grid(g, m, j)
+        lines = expansion._lines
+        monkeypatch.setattr(expansion, "_lines", lambda *args: [
+            (v, r, n + (a == b)) for a, (v, r, n) in enumerate(lines(*args))])
+        with pytest.raises(IndexError, match="gathered index"):
+            evaluate(g, m, j, cs, grid)
+
+    @pytest.mark.parametrize("g,n,kind,general", [
+        (hat(2), 2_600, float, True), (hat(2), 1_300, float, False),
+        (hat(2), 1_800, float, False), (hat(2), 1_800, complex, True),
+        (bspline3_2d(0.5, 0.5), 1_800, float, True)],
+        ids=["long", "short", "mid", "mid-complex", "mid-two-terms"])
+    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, g, n, kind,
+                                                                         general, monkeypatch):
         # quincunx level 11 maps a 2 x n strip of one spacing onto two lines
-        # of n + 1 values, the first 96 lattice units long: T[k_0, n_1]
-        # would hold 102 x 2,601 values (265 k, past 7 * 2**15) for the long
-        # strip, which takes the general kernel with its bits, and 51 x
-        # 1,301 (70 k) for the short one, which takes the operator
-        g, m, j = hat(2), quincunx(), 11
+        # of n + 1 values, the first 96 lattice units long for n = 2,600:
+        # T[k_0, n_1] would hold 102 x 2,601 values (265 k, past 7 * 2**15),
+        # and that strip takes the general kernel with its bits; 51 x 1,301
+        # (70 k) for n = 1,300, which takes the operator.  At n = 1,800 one T
+        # holds about 131 k values: the operator takes it, but not with
+        # complex coefficients (a T per real part) or two terms (a T each)
+        m, j = quincunx(), 11
         s = 3.0 / 2599
         grid = Grid([s * np.arange(2), -1.5 + s * np.arange(n)])
         lattice = lattice_support(g, m, j, Box((-0.01, -1.51), (0.01, 1.51)))
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice)
+        cs = Coefficients(cs.lattice, cs.values.astype(kind))
         calls, operator = [], expansion._operator
         monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
         got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
@@ -676,71 +696,79 @@ def _trimmed(cs, low):
 
 class TestEdgeTaps:
     """The general kernel masks and checks only the taps that can leave
-    the box, per slab of rows."""
+    the box, per slab: of rows, and of a grid whose mapped coordinates do
+    not lie on lines (here ``_lines`` is patched to say so)."""
 
     def test_only_the_edge_slabs_check_taps(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         # on the box of halfwidth 1.5, the first row of each axis is tapped
         # only by the grid's corner points, where phi is 0, so the trimmed
-        # box misses no coefficient; the first slab of rows holds those
-        # corners
+        # box misses no coefficient; the first slab holds those corners
         cs, _ = _expansion_on_grid(g, m, j)
-        rows = np.asarray(Grid([np.linspace(-1.5, 1.5, 61)] * 2))
+        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
         lat = cs.lattice
         padded = coefficients(ExactRule(), gaussian(2), m, j,
                               Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
         calls, live = [], expansion._live
         monkeypatch.setattr(expansion, "_live", lambda *a: calls.append(a) or live(*a))
+        monkeypatch.setattr(expansion, "_lines", lambda *a: None)
         monkeypatch.setattr(expansion, "_ROWS", 97)
         for box in (padded, _trimmed(cs, True)):
-            ref = _spatial_taps(g, m, j, box, rows)
-            assert np.array_equal(evaluate(g, m, j, box, rows), ref)
-        checked = []
-        calls.clear()
-        for box in (padded, _trimmed(cs, True)):
-            for _ in expansion.evaluate_slabs(g, m, j, box, rows):
-                checked.append(bool(calls))
-                calls.clear()
-        slabs = len(checked) // 2
-        # no tap leaves the padded box; on the trimmed one, only the first
-        # slab, at its edge, has taps that can
-        assert checked == [False] * slabs + [True] + [False] * (slabs - 1)
+            for pts in (grid, np.asarray(grid)):
+                ref = _spatial_taps(g, m, j, box, pts)
+                assert np.array_equal(evaluate(g, m, j, box, pts), ref)
+        for pts in (grid, np.asarray(grid)):
+            checked = []
+            calls.clear()
+            for box in (padded, _trimmed(cs, True)):
+                for _ in expansion.evaluate_slabs(g, m, j, box, pts):
+                    checked.append(bool(calls))
+                    calls.clear()
+            slabs = len(checked) // 2
+            # no tap leaves the padded box; on the trimmed one, only the
+            # first slab, at its edge, has taps that can
+            assert checked == [False] * slabs + [True] + [False] * (slabs - 1)
 
     def test_a_trimmed_box_names_the_missing_point(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         # at halfwidth 1.4 the box's last rows are tapped with phi != 0
         cs, grid = _expansion_on_grid(g, m, j, 1.4)
         monkeypatch.setattr(expansion, "_ROWS", 97)
-        missing = r"^'no coefficient for lattice point \[-1  6\]'$"
-        slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), np.asarray(grid))
-        next(slabs)  # the missing point lies in a later slab
-        with pytest.raises(MissingCoefficientError, match=missing):
-            list(slabs)
-        with pytest.raises(MissingCoefficientError, match=missing):
-            evaluate(g, m, j, _trimmed(cs, False), np.asarray(grid))
-        # the grid's tables, checked before its first slab, name the
-        # coordinate and its axis
+        # the grid on its lines: the tables, checked before its first slab,
+        # name the coordinate and its axis
         missing = r"^'no coefficient for lattice coordinate \[6\] on axis 0'$"
         with pytest.raises(MissingCoefficientError, match=missing):
             next(expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), grid))
+        monkeypatch.setattr(expansion, "_lines", lambda *a: None)
+        missing = r"^'no coefficient for lattice point \[-1  6\]'$"
+        for pts in (grid, np.asarray(grid)):
+            slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), pts)
+            next(slabs)  # the missing point lies in a later slab
+            with pytest.raises(MissingCoefficientError, match=missing):
+                list(slabs)
+            with pytest.raises(MissingCoefficientError, match=missing):
+                evaluate(g, m, j, _trimmed(cs, False), pts)
 
-    def test_workspace_memory(self):
-        # quincunx level 7's benchmark grid as rows: 760 x 760 points in 18
-        # slabs, and one workspace for the level (observed: 5.3 MB; 8.1 MB
-        # with per-axis offset and mask tables)
+    def test_workspace_memory(self, monkeypatch):
+        # quincunx level 7 on the benchmark's grid: 760 x 760 points in 18
+        # slabs, and one workspace for the level (observed: 5.2 MB for the
+        # grid, 5.3 MB for its rows; 8.1 MB with per-axis offset and mask
+        # tables and each slab's points formed as rows)
         g, m, j = hat(2), quincunx(), 7
         domain = Box.centered(4.2, 2)
-        rows = np.asarray(make_grid(domain, operator_norm(m.power(-j)) / 8))
+        grid = make_grid(domain, operator_norm(m.power(-j)) / 8)
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice_support(g, m, j, domain))
-        assert len(rows) == 577_600
-        tracemalloc.start()
-        try:
-            for _ in expansion.evaluate_slabs(g, m, j, cs, rows):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.5e6
+        assert len(grid) == 577_600
+        monkeypatch.setattr(expansion, "_lines", lambda *a: None)
+        for pts in (grid, np.asarray(grid)):
+            tracemalloc.start()
+            try:
+                for _ in expansion.evaluate_slabs(g, m, j, cs, pts):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6.5e6
 
 
 class TestDeadTaps:
@@ -1087,8 +1115,13 @@ class TestUnboundedEvaluation:
         cs = Coefficients(Lattice((-100, -100), (201, 201)), rng.normal(size=(201, 201)))
         g, m = sinc_squared(2), dyadic(2)
         grid = Grid([np.linspace(-40.0, 40.0, 2_000), np.array([-0.3, 0.1, 0.45, 0.8])])
+        # the grid transposed: axis 1's (points, span) table would be whole,
+        # 2,000 x 201 entries (16.9 MB peak with its sums), so the grid
+        # takes the rows' span sum (observed: 1.34 MB against 1.34 MB)
+        flipped = Grid(grid.axes[::-1])
         peaks, values = {}, {}
-        for name, pts in (("grid", grid), ("rows", np.asarray(grid))):
+        for name, pts in (("grid", grid), ("rows", np.asarray(grid)),
+                          ("flipped", flipped), ("flipped rows", np.asarray(flipped))):
             tracemalloc.start()
             try:
                 values[name] = evaluate(g, m, 1, cs, pts)
@@ -1096,11 +1129,13 @@ class TestUnboundedEvaluation:
             finally:
                 tracemalloc.stop()
         assert peaks["grid"] < 1.5 * peaks["rows"]
-        # no axis has a period, so each takes one phase per point: a point's
-        # row of the table times the span, the last axis first, where the
-        # rows sum axis 0 first.  The same terms summed in another order,
-        # over 201 + 201 terms per point, with phi >= 0: within 402 * 2**-52
-        # * sum_k |c_k| phi of the rows' values
+        assert peaks["flipped"] < 1.5 * peaks["flipped rows"]
+        assert np.array_equal(values["flipped"], values["flipped rows"])
+        # axes 0 and 1 have no period, so each takes one phase per point: a
+        # point's row of the table times the span, the last axis first,
+        # where the rows sum axis 0 first.  The same terms summed in another
+        # order, over 201 + 201 terms per point, with phi >= 0: within 402 *
+        # 2**-52 * sum_k |c_k| phi of the rows' values
         reached = evaluate(g, m, 1, Coefficients(cs.lattice, np.abs(cs.values)), grid)
         assert np.all(np.abs(values["grid"] - values["rows"]) <= 402 * 2.0**-52 * reached)
         # each point's product has the same shapes in every slab, so the
