@@ -39,10 +39,14 @@ from .generators import Generator
 
 _CHUNK = 1 << 17
 # Table entries per tile of the rows' span sum, and values per call of a
-# factor in the general kernel.
+# factor in rows mode (_rows_gather).
 _TILE = 1 << 13
 # Points per slab (quincunx level 7 took 10.0 ms at 2**15, 9.9 ms at 2**17)
 _ROWS = 1 << 15
+# A skew grid's T mode keeps one T per term and real part, this many values at
+# most in all (a complex value counted twice), about its slab buffers' size;
+# past it, T would grow with the grid, and line mode gathers from the box.
+_T_VALUES = 7 << 15
 _EDGE = 1e-9
 # Closer than this to a lattice coordinate, an unbounded generator's tap is
 # phi(0): phi(y - k) is within 3.3e-18 * sum|w_i| of it there, and
@@ -335,14 +339,14 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     operator (:func:`_operator`) on its lines (:func:`_lines`), a point
     summed within ``2**-48 * (1 + |M^j| max|x|)`` of its mapped ``y``: its
     value is within ``32 * 2**-52 * (1 + |M^j| max|x|) * Lip(phi) *
-    sum|c_k|`` of the general kernel's (the sum over the coefficients it
-    reaches; ``Lip`` in the max norm).  A non-diagonal ``M^j`` needs axes
-    of one spacing, compact support and sums along all lines but the first
-    of ``7 * 2**15`` values at most over the terms and real parts; an
-    unbounded generator needs a period, or a ``(points, span)`` table of at
-    most ``2**13`` entries, on every axis but axis 0.  Other points take the
-    general kernels: taps with ``g.spatial``'s bits (:func:`_rows_kernel`),
-    or the span one axis at a time (:func:`_span_terms`).
+    sum|c_k|`` of the exact tap sum at ``M^j x`` (the sum over the
+    coefficients it reaches; ``Lip`` in the max norm).  A non-diagonal
+    ``M^j`` needs axes of one spacing and compact support; a point then
+    gathers its taps along its lines.  An unbounded generator needs a
+    period, or a ``(points, span)`` table of at most ``2**13`` entries, on
+    every axis but axis 0.  Other points gather their taps with
+    ``g.spatial``'s bits (:func:`_rows_gather`), or an unbounded
+    generator's span one axis at a time (:func:`_span_terms`).
 
     No value depends on its slab (:func:`evaluate_slabs`).  Values are real
     when the coefficients and the factors are, with the bits of the real
@@ -371,8 +375,10 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
     unbounded generator's has none); of rows ``(n, d)``, at most ``_ROWS``
     rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
     overwrites.  Tables, box checks, the span and workspaces are formed
-    before the first slab: the memory beyond the box is about one slab's or
-    two periods' (and the box summed along all lines but one, if skew).
+    before the first slab (tables and box checks per slab off lines): the
+    memory beyond the box is about one slab's or two periods', plus, if
+    skew, the box summed along all lines but one where that fits, and a
+    zero-padded copy of the box where a tap leaves it.
     """
     return _slabs(g, m, j, cs, _checked(g, cs, points))
 
@@ -403,20 +409,22 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         points = Grid(points.T)
     lines = _lines(mj, points) if isinstance(points, Grid) else None
     skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
-    # the Ts kept, one per term and real part, within 7 * 2**15 values in all: with the
-    # gather's slab buffers, below the general kernel's workspace (17 * 2**15 for hat(2))
-    if skew and (unbounded or (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(
-            v.size for v, _, _ in lines[1:]) * len(g.terms) * (1 + any(np.iscomplexobj(v) for v in [
-            cs.values] + [f(np.zeros(1)) for t in g.terms for f in t])) > 7 * 2**15):
-        lines = None
+    lines = None if skew and unbounded else lines
+    if not unbounded and (skew or lines is None):  # the factors' dtype, each called once
+        kind = np.result_type(*(np.asarray(f(np.zeros(1))) for t in g.terms for f in t))
     if lines is not None:
         _check_reach(np.concatenate([v for v, _, _ in lines]), bound)
-        periods = [0 if skew and not a else _period(v) for a, (v, _, _) in enumerate(lines)]
+        lined = skew and (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(
+            v.size for v, _, _ in lines[1:]) * len(g.terms) * (
+            1 + (np.result_type(cs.values, kind).kind == "c")) > _T_VALUES
+        periods = [0 if skew and (lined or not a) else _period(v)
+                   for a, (v, _, _) in enumerate(lines)]
     # an unbounded generator's (points, span) tables, per slab on axis 0 and whole on later
     # axes without a period, hold at most _TILE entries; else the rows' span sum runs
     if lines is not None and (not unbounded or all(p or v.size * n <= _TILE for p, (v, _, _), n
             in zip(periods[1:], lines[1:], span.values.shape[1:]))):
-        kernel = _operator(g, lines, periods, span if unbounded else cs, points if skew else None)
+        kernel = _operator(g, lines, periods, span if unbounded else cs,
+                           points if skew else None, lined)
         rows = points.slab_rows(_ROWS)
         if rows > periods[0] > 0:
             rows = periods[0] * round(rows / periods[0])
@@ -457,7 +465,7 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
                                                 for lo in range(0, y.shape[1], step)]),
                                 y, rows=True)
     else:
-        kernel = _rows_kernel(g, cs, n)
+        kernel = _rows_gather(g, cs, n, kind)
     for part in parts():
         yield part, kernel(mapped(part))
 
@@ -605,37 +613,6 @@ def _width(g) -> int:
     return int(math.floor(2 * g.support_radius + 2 * _EDGE)) + 1
 
 
-def _dead(g, x) -> bool:
-    """Whether the last tap's arguments ``x = y - (k0 + width - 1)``, in
-    ``(r - width, r - width + 1]`` up to 1e-9 and rounding, all lie at or
-    below ``-r``, off the open support ``(-r, r)`` where every factor is 0."""
-    return bool(x.max() <= -g.support_radius)
-
-
-def _live(phi, inside, k, what):
-    """Whether the tap reaches any lattice point (``phi != 0``); raises if
-    one outside the box does.  ``k()`` gives the tap's lattice points, and
-    is called only to name the missing one."""
-    live = phi != 0
-    if not np.any(live):
-        return False
-    if np.any(live & ~inside):
-        missing = what.format(k()[live & ~inside][0])
-        raise MissingCoefficientError(f"no coefficient for {missing}")
-    return True
-
-
-def _fold(ufunc, arrays, out):
-    """``reduce(ufunc, arrays)``, left to right, written into ``out``."""
-    if len(arrays) == 1:
-        np.copyto(out, arrays[0])
-        return out
-    ufunc(arrays[0], arrays[1], out=out)
-    for a in arrays[2:]:
-        ufunc(out, a, out=out)
-    return out
-
-
 def _period(y) -> int:
     """The period ``1 <= P < len(y)`` of a mapped axis, with every ``y[i]``
     within ``2**-48 * (1 + max|y|)`` of ``y[i % P] + i // P``, or 0."""
@@ -655,47 +632,89 @@ def _tap_phases(g, factor, y, period: int, o: int, n: int, a: int):
     point ``p + q P`` sums ``table[p, u] c[start[p] + q + u]`` over ``u``,
     ``P`` the period or ``len(y)`` (one phase per point).  A period's
     phases share one window, a tap wider since ``k0`` moves by one within
-    it.  A dead last tap is not formed (:func:`_dead`), and a nonzero entry
-    off the box ``o + [0, n)`` raises :class:`MissingCoefficientError`."""
+    it.  The taps are checked against the box ``o + [0, n)``
+    (:func:`_in_box`), and a dead last tap is not formed: its arguments
+    ``y - (k0 + width - 1)``, in ``(r - width, r - width + 1]`` up to 1e-9
+    and rounding, all lie at or below ``-r``, off the open support."""
     phases = y[:period] if period else y
     k0 = np.ceil(phases - g.support_radius - _EDGE)
     x = phases[:, None] - (k0[:, None] + np.arange(_width(g)))
-    if _dead(g, x[:, -1]):
-        x = x[:, :-1]
+    x = x[:, :-1] if x[:, -1].max() <= -g.support_radius else x
     table, k0 = np.asarray(factor(x)), k0.astype(np.int64)
     if period:
         shift = k0 - k0.min()
         wide = np.zeros((period, x.shape[1] + shift.max()), dtype=table.dtype)
         np.put_along_axis(wide, shift[:, None] + np.arange(x.shape[1]), table, axis=1)
         table, k0 = wide, np.full(period, k0.min())
-    # phase p takes the coordinates first + q for its points q < count
-    count = (y.size - np.arange(len(k0))[:, None] - 1) // len(k0) + 1
-    first = k0[:, None] + np.arange(table.shape[1])
-    for k in first[(table != 0) & ((first < o) | (first + count > o + n))][:1]:
-        k = k if not o <= k < o + n else o + n
-        raise MissingCoefficientError(f"no coefficient for lattice coordinate [{k}] on axis {a}")
+    # phase p takes the coordinates k0 + u + q for its points q < count
+    _in_box(table, k0, (y.size - np.arange(len(k0)) - 1) // len(k0) + 1, o, n, a)
     return table, k0
 
 
-def _operator(g, lines, periods, cs: Coefficients, grid=None):
+def _in_box(table, k0, count, o: int, n: int, a: int) -> bool:
+    """Whether the taps ``k0[p] + u + q`` (``u`` below ``table``'s width,
+    ``q < count[p]``) all lie in the box ``o + [0, n)`` on axis ``a``: a
+    range test, then per entry, where a nonzero ``table[p, u]`` off the box
+    raises :class:`MissingCoefficientError`."""
+    if k0.min() >= o and k0.max() + np.max(count) + table.shape[1] - 1 <= o + n:
+        return True
+    first, count = k0[:, None] + np.arange(table.shape[1]), np.reshape(count, (-1, 1))
+    for k in first[(table != 0) & ((first < o) | (first + count > o + n))][:1]:
+        k = int(k if not o <= k < o + n else o + n)
+        raise MissingCoefficientError(f"no coefficient for lattice coordinate [{k}] on axis {a}")
+    return False
+
+
+def _gather(at, taps, out, v, axis=None):
+    """The one per-point gather: ``sum_t src_t[at] * weight_t`` into ``out``
+    over ``taps`` ``(src_t, weight_t)`` in order, one ``take`` per tap (along
+    ``axis``) into ``v``; every index must lie in ``src_t`` (``take`` clips)."""
+    out[...] = 0
+    for src, weight in taps:
+        out += np.multiply(np.take(src, at, axis, v, "clip"), weight, out=v)
+    return out
+
+
+def _taps(flat, tables, strides, phi, part):
+    """Per tap ``t`` of ``d >= 2`` axes, in index order: ``(flat[t .
+    strides:], weight)``, the weight the sum over terms of the product over
+    axes of ``tables[term][axis][t[axis]]``, multiplied in axis order and
+    added in term order as ``g.spatial`` does, in ``phi`` (``part`` for later
+    terms), which the next tap overwrites."""
+    for t in np.ndindex(*map(len, tables[0])):
+        for i, table in enumerate(tables):
+            p = np.multiply(table[0][t[0]], table[1][t[1]], out=part if i else phi)
+            for tab, u in zip(table[2:], t[2:]):
+                np.multiply(p, tab[u], out=p)
+            if i:
+                np.add(phi, p, out=phi)
+        yield flat[np.dot(t, strides) :], phi
+
+
+def _operator(g, lines, periods, cs: Coefficients, grid=None, lined=False):
     """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`): a
     function of rows ``lo:hi`` of axis 0 to their values, in a buffer a
     later call overwrites.  Tables and box checks are formed here on the
     lines (``cs`` is an unbounded generator's span).  Per term the rows of
     the coefficients, zeros past the box, are summed along the last axis
-    first (:func:`_stage`).  Where each line follows its own axis a call
-    sums two periods or more of axis 0, kept for the next; otherwise (the
-    ``grid`` given) a point gathers from the rows summed along the other
-    lines.  Complex coefficients under real tables are summed as real
-    and imaginary parts, the terms added in order."""
+    first (:func:`_stage`); where each line follows its own axis a call sums
+    two periods or more of axis 0, kept for the next.  A skew ``grid``
+    gathers per point along axis 0 (:func:`_gather`) from the rows summed
+    along the other lines (T mode), or, ``lined``, from the box, a tap's
+    weight the product of the lines' tables (line mode, every period 0).
+    Complex coefficients under real tables are summed as real and
+    imaginary parts, the terms added in order."""
     d, unbounded, skew = g.d, g.support_radius is None, grid is not None
     origin, shape = cs.lattice.origin, cs.values.shape
     axes, rs, n0 = zip(*lines)
     flip = [not skew and r[a] < 0 for a, r in enumerate(rs)]
     # a skew grid's least and greatest index n0 + r . i into each line, and T's strides: the
-    # gather's strided views and taps must read inside the lines and T (checked once T is summed)
+    # gathers' strided views and taps must read inside the lines (checked here) and T (once
+    # T is summed)
     r, s = np.array(rs), np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
     ends = skew and np.add(n0, np.sort([0 * r, r * [y.size - 1 for y in grid.axes]], 0).sum(2))
+    if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes])):
+        raise IndexError("a gathered index leaves its line")
     units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
     # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i];
     # without a period, _stage forms the (points, n) table's rows per call
@@ -718,6 +737,11 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None):
     parts = ([np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)]
              if np.iscomplexobj(vals) and kind.kind != "c"
              else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
+    if lined and width != list(shape):  # zeros around the box only where a tap leaves it
+        parts = [np.pad(p, [(l, w - l - n) for l, w, n in zip(pad, width, shape)]) for p in parts]
+    if lined:
+        strides = np.cumprod((1,) + tuple(width[:0:-1]))[::-1]
+        starts = [k * st for (_, k), st in zip(ops[0], strides)]
     bufs, kept, block = {}, {}, [None]
 
     def buffer(key, shape, dtype):
@@ -749,29 +773,42 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None):
                 x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
                 x = np.flip(x, a) if flip[a] else x
             kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
-            if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]) or (
-                    k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:]
-                    >= x.size):
-                raise IndexError("a gathered index leaves its line or T")
+            if skew and (k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:] \
+                    >= x.size:
+                raise IndexError("a gathered index leaves T")
         return (table, None if k is None else k - r0), kept[c, i][1]
 
-    def gathered(c, i, lo, hi):
-        # sum_t table_0[n_0, t] T[start_0[n_0] + t, n_1, ...] at the flat index of tap 0
-        (table, k), x = summed(c, i, 0, axes[0].size)
-        dims, x = (hi - lo,) + tuple(y.size for y in grid.axes[1:]), x.ravel()
-        view = lambda arr, r, n: as_strided(arr[n + r[0] * lo :], dims + arr.shape[1:], tuple(
-            int(v) * arr.strides[0] for v in r) + arr.strides[1:])
-        at = np.add(view(k * s[0], r[0], n0[0]), view(np.arange(s[0]), r[1:].T @ s[1:],
-                    s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
-        out, table = buffer((c, i, 0), dims, x.dtype), view(table, r[0], n0[0])
-        out[...] = 0
-        for u in range(table.shape[-1]):
-            v = np.take(x[u * s[0] :], at, mode="clip", out=buffer("v", dims, x.dtype))
-            out += np.multiply(v, table[..., u], out=v)
+    def total(c, q0, q1):
+        # part c's sum over the terms, for axis 0's q0:q1 (the rows q0:q1 if skew); on(arr, r,
+        # n) is the strided view arr[n + r . i] at the points i of those rows, later axes first
+        dims = skew and (q1 - q0,) + tuple(y.size for y in grid.axes[1:])
+        on = lambda arr, r, n: as_strided(arr[n + r[0] * q0 :], arr.shape[1:] + dims, arr.strides[
+            1:] + tuple(int(v) * arr.strides[0] for v in r))
+        if lined:
+            # a point's flat index, and its taps' factors, read on its lines
+            at = np.add(on(starts[0], r[0], n0[0]), on(starts[1], r[1], n0[1]),
+                        out=buffer("at", dims, np.int64))
+            for a in range(2, d):
+                np.add(at, on(starts[a], r[a], n0[a]), out=at)
+            tables = [[on(tab, r[a], n0[a]) for a, (tab, _) in enumerate(t)] for t in ops]
+            taps = _taps(parts[c].ravel(), tables, strides, buffer("phi", dims, kind),
+                         buffer("part", dims, kind))
+            return _gather(at, taps, buffer((c, 0, 0), dims, parts[c].dtype),
+                           buffer("v", dims, parts[c].dtype))
+        out = None
+        for i in range(len(ops)):
+            (table, k), x = summed(c, i, 0 if skew else q0, axes[0].size if skew else q1)
+            if skew:
+                # sum_u table_0[n_0, u] T[start_0[n_0] + u, n_1, ...] at the flat index of tap 0
+                x = x.ravel()
+                at = np.add(on(k * s[0], r[0], n0[0]), on(np.arange(s[0]), r[1:].T @ s[1:],
+                            s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
+                taps = ((x[u * s[0] :], w) for u, w in enumerate(on(table, r[0], n0[0])))
+                v = _gather(at, taps, buffer((c, i, 0), dims, x.dtype), buffer("v", dims, x.dtype))
+            else:
+                v = _stage((table, k), x, periods[0], q0, q1, buffer, (c, i, 0))
+            out = v if out is None else np.add(out, v, out=out)
         return out
-
-    term = gathered if skew else lambda c, i, q0, q1: _stage(
-        *summed(c, i, q0, q1), periods[0], q0, q1, buffer, (c, i, 0))
 
     def run(lo, hi):
         unit, n = periods[0] or 1, axes[0].size
@@ -782,12 +819,7 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None):
                 # at least two periods: one would make its window BLAS-able
                 q1 = min(max(q1, q0 + 2), units[0])
                 q0 = min(q0, q1 - 2)
-            sums = []
-            for c in range(len(parts)):
-                total = term(c, 0, q0, q1)
-                for i in range(1, len(ops)):
-                    np.add(total, term(c, i, q0, q1), out=total)
-                sums.append(total.reshape(-1))
+            sums = [total(c, q0, q1).reshape(-1) for c in range(len(parts))]
             if len(sums) > 1:
                 sums = [buffer("complex", sums[0].shape, complex)] + sums
                 sums[0].real, sums[0].imag = sums[1:]
@@ -828,96 +860,57 @@ def _stage(op, x, period: int, q0: int, q1: int, buffer, key):
         else:
             np.matmul(table, window, out=out.reshape(rows, nq, phases, rest))
     else:
-        out[...] = 0
         if start[q0:q1].min() < 0 or start[q0:q1].max() + table.shape[1] > m:
             raise IndexError("a gathered tap leaves the coefficient rows")
-        for u in range(table.shape[1]):
-            v = np.take(x, start[q0:q1] + u, 1, buffer("v", out.shape, x.dtype), "clip")
-            out += np.multiply(v, table[q0:q1, u, None], out=v)
+        _gather(start[q0:q1], ((x[:, u:], table[q0:q1, u, None]) for u in range(table.shape[1])),
+                out, buffer("v", out.shape, x.dtype), 1)
     return out
 
 
-def _rows_kernel(g, cs: Coefficients, n: int):
-    """The general kernel of a compact generator, as a function of at most
-    ``n`` mapped points ``y``, coordinate-major ``(d, m)``, to
-    ``sum_k c_k phi(y - k)`` per point, in a buffer the next call overwrites.
-
-    A point's taps are ``k0 + t``, ``0 <= t < width`` per axis, with the
-    floats ``k0 = ceil(y - r - 1e-9)``.  Per axis, a table holds each
-    term's ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of
-    ``_TILE`` values, without a dead last row (:func:`_dead`); a tap with a
-    zero or unformed row on some axis in every term is skipped.  A point's
-    coefficients at tap ``t`` are ``flat[shift(t):]`` at its one flat
-    index, counted from the call's least ``k0``; only the taps that the
-    least or greatest ``k0`` take out of the box are masked and checked
-    (:func:`_live`).  Every buffer is allocated here."""
-    d, width, shape = g.d, _width(g), cs.values.shape
-    strides = [math.prod(shape[a + 1 :]) for a in range(d)]
-    kinds = [[np.asarray(f(np.zeros((1, 1)))).dtype for f in term] for term in g.terms]
-    kind = np.result_type(*(k for ks in kinds for k in ks))
-    # the coefficients, and the sums, in the common dtype of theirs and the
-    # factors': promoted once per level
-    flat = cs.values.astype(np.result_type(cs.values, kind), copy=False).ravel()
+def _rows_gather(g, cs: Coefficients, n: int, kind):
+    """Rows mode: a compact generator's sum at points off lines, as a
+    function of at most ``n`` mapped points ``y``, coordinate-major ``(d,
+    m)``, to ``sum_k c_k phi(y - k)`` per point, in a buffer the next call
+    overwrites.  A point's taps are ``k0 + t``, ``0 <= t < width`` per axis,
+    ``k0 = ceil(y - r - 1e-9)``.  Per axis, a table holds each term's
+    ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of
+    ``_TILE`` values, without a dead last row (:func:`_tap_phases`), and
+    checked against the box (:func:`_in_box`).  The taps are gathered with
+    ``g.spatial``'s bits (:func:`_taps`) from the coefficients, or where a
+    tap leaves the box from a copy with ``width`` zeros around it, ``k0``
+    clipped where no tap reaches the box.  ``kind`` is the factors' dtype."""
+    d, width = g.d, _width(g)
+    vals = cs.values.astype(np.result_type(cs.values, kind), copy=False)
+    flats = {0: vals.ravel()}
     off, arg = np.empty((d, n)), np.empty((width, n))
-    tables = [[np.empty((width, n), dtype=k) for k in ks] for ks in kinds]
-    base, at = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    phi, part = np.empty(n, dtype=kind), np.empty(n, dtype=kind)
-    c, acc = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=flat.dtype)
-    ts = np.arange(width)[:, None]
+    tables = [[np.empty((width, n), dtype=kind) for _ in range(d)] for _ in g.terms]
+    at, phi, part = np.empty(n, dtype=np.int64), np.empty(n, dtype=kind), np.empty(n, dtype=kind)
+    v, acc = np.empty(n, dtype=vals.dtype), np.empty(n, dtype=vals.dtype)
 
     def run(y):
         m = y.shape[1]
-        u, x, index, live, lo, edges = off[:, :m], arg[:, :m], base[:m], [], [], []
-        np.subtract(y, g.support_radius, out=u)
-        np.subtract(u, _EDGE, out=u)
-        np.ceil(u, out=u)
-        for a, (o, na, stride) in enumerate(zip(cs.lattice.origin, shape, strides)):
-            np.add(u[a], ts, out=x)
-            np.subtract(y[a], x, out=x)
-            rows = width - _dead(g, x[-1])
-            step = max(1, _TILE // rows)
+        k0, x, rows, inside = off[:, :m], arg[:, :m], [], True
+        np.ceil(np.subtract(np.subtract(y, g.support_radius, out=k0), _EDGE, out=k0), out=k0)
+        for a, (o, na) in enumerate(zip(cs.lattice.origin, vals.shape)):
+            np.subtract(y[a], np.add(k0[a], np.arange(width)[:, None], out=x), out=x)
+            rows.append(width - (x[-1].max() <= -g.support_radius))
+            step = max(1, _TILE // rows[a])
             for b in range(0, m, step):
                 tile = slice(b, min(b + step, m))
                 for table, term in zip(tables, g.terms):
-                    table[a][:rows, tile] = term[a](x[:rows, tile])
-            live.append([np.pad(table[a][:rows, :m].any(axis=1), (0, width - rows))
-                         for table in tables])
-            # k0 is clipped where no tap is in the box, and counted from the
-            # least; tap t may leave the box unless o <= k0 + t < o + na for all
-            kmin, kmax = u[a].min(), u[a].max()
-            if kmin < o - width or kmax > o + na:
-                kmin = np.clip(u[a], o - width, o + na, out=u[a]).min()
-            lo.append(int(kmin) - o)
-            edges.append([t for t in range(width) if lo[a] + t < 0 or int(kmax) - o + t >= na])
-            np.subtract(u[a], kmin, out=u[a])
-            np.multiply(u[a], stride, out=at[:m] if a else index, casting="unsafe")
-            if a:
-                index += at[:m]
-        k = lambda: np.ceil(y - g.support_radius - _EDGE).T.astype(np.int64) + taps
-        total = acc[:m]
-        total.fill(0)
-        for taps in np.ndindex(*(width,) * d):
-            if not any(all(axis[i][t] for axis, t in zip(live, taps))
-                       for i in range(len(tables))):
-                continue
-            pick = lambda rows: [r[t, :m] for r, t in zip(rows, taps)]
-            # in axis order and term order, as g.spatial multiplies and adds
-            p = _fold(np.multiply, pick(tables[0]), phi[:m])
-            for table in tables[1:]:
-                np.add(p, _fold(np.multiply, pick(table), part[:m]), out=p)
-            shift = sum((l + t) * s for l, t, s in zip(lo, taps, strides))
-            edge = [(a, t) for a, t in enumerate(taps) if t in edges[a]]
-            v, within = c[:m], True
-            if edge:
-                within = np.logical_and.reduce(
-                    [(u[a] >= -lo[a] - t) & (u[a] < shape[a] - lo[a] - t) for a, t in edge])
-                if not _live(p, within, k, "lattice point {}"):
-                    continue
-                np.take(flat, np.add(index, shift, out=at[:m]), out=v, mode="clip")
-            else:
-                np.take(flat[shift:], index, out=v, mode="clip")
-            np.multiply(v, p, out=v)
-            np.add(total, v, out=total, where=within)
-        return total
+                    table[a][: rows[a], tile] = term[a](x[: rows[a], tile])
+            # every term's table is checked: a list, not a short-circuiting generator
+            inside &= all([_in_box(t[a][: rows[a], :m].T, k0[a], 1, o, na, a) for t in tables])
+        pad = 0 if inside else width
+        if pad not in flats:
+            flats[pad] = np.pad(vals, pad).ravel()
+        lo = np.subtract(cs.lattice.origin, pad)[:, None]
+        if pad:
+            np.clip(k0, lo, lo + np.add(vals.shape, width)[:, None], out=k0)
+        strides = np.cumprod((1,) + tuple(np.add(vals.shape[:0:-1], 2 * pad)))[::-1]
+        at[:m] = strides.astype(float) @ np.subtract(k0, lo, out=k0)
+        taps = _taps(flats[pad], [[t[a][: rows[a], :m] for a in range(d)] for t in tables],
+                     strides, phi[:m], part[:m])
+        return _gather(at[:m], taps, acc[:m], v[:m])
 
     return run

@@ -371,13 +371,14 @@ def _expand(g, m, j, rule, f, domain, points):
 
 
 def _general(g, m, j, cs, points):
-    """The rows' sum, called directly: ``evaluate`` takes the per-axis
-    kernel in 1-d and on a grid under a diagonal ``M^j``.  An unbounded
-    generator contracts its span (trimmed) as rows, as in ``evaluate``."""
+    """The sum at each point on its own, independent of ``evaluate``'s
+    gathers: a compact generator's taps from ``g.spatial``
+    (:func:`_spatial_taps`); an unbounded generator contracts its span
+    (trimmed) as rows, as in ``evaluate``."""
+    if g.support_radius is not None:
+        return _spatial_taps(g, m, j, cs, points)
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
-    if g.support_radius is None:
-        return expansion._span_terms(g, expansion._span(g, cs), y.T)
-    return expansion._rows_kernel(g, cs, len(y))(y.T)
+    return expansion._span_terms(g, expansion._span(g, cs), y.T)
 
 
 def _expansion_on_grid(g, m, j, halfwidth=1.5):
@@ -465,7 +466,7 @@ class TestPerAxisEvaluation:
         ref, bound = _general(g, m, j, cs, grid), _phase_bound(g, m, j, cs, grid)
         rows = evaluate(g, m, j, cs, np.asarray(grid))
         calls = []
-        monkeypatch.setattr(expansion, "_rows_kernel",
+        monkeypatch.setattr(expansion, "_rows_gather",
                             lambda *a: calls.append(a))
         got = evaluate(g, m, j, cs, grid)
         assert not calls
@@ -477,6 +478,22 @@ class TestPerAxisEvaluation:
         # one-axis grid
         assert np.all(np.abs(got - ref) <= bound)
         assert np.array_equal(rows, got if g.d == 1 else ref)
+
+    @pytest.mark.parametrize("g,m,j", SKEW, ids=SKEW_IDS)
+    def test_line_mode_matches_the_general_path(self, g, m, j, monkeypatch):
+        # with no room for T a skew grid takes line mode, each point's taps
+        # gathered from the box and weighted by the lines' tables; its values
+        # keep the stated bound and do not depend on the slab
+        cs, grid = _expansion_on_grid(g, m, j)
+        monkeypatch.setattr(expansion, "_T_VALUES", 0)
+        calls, operator = [], expansion._operator
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a[-1]) or operator(*a))
+        got = evaluate(g, m, j, cs, grid)
+        assert calls == [True]
+        assert np.all(np.abs(got - _general(g, m, j, cs, grid)) <= _phase_bound(g, m, j, cs, grid))
+        for size in (1, 97, 997):
+            monkeypatch.setattr(expansion, "_ROWS", size)
+            assert np.array_equal(evaluate(g, m, j, cs, grid), got)
 
     def test_a_decreasing_axis_takes_its_period(self, monkeypatch):
         # M^3 = -8: the mapped axis is the increasing one read back to front,
@@ -532,7 +549,7 @@ class TestAxisOperator:
         domain = study_domain(plan)
         operator, calls = expansion._operator, []
         monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
-        monkeypatch.setattr(expansion, "_rows_kernel", None)
+        monkeypatch.setattr(expansion, "_rows_gather", None)
         for j in range(plan.j_min, plan.j_max + 1):
             calls.clear()
             for _ in analysis.level_slabs(plan, domain, j)[2]:
@@ -555,15 +572,21 @@ class TestAxisOperator:
             monkeypatch.setattr(expansion, "_ROWS", size)
             assert np.array_equal(evaluate(g, m, j, cs, grid), ref)
 
-    @pytest.mark.parametrize("m,j,axis,low,k", [
-        (dyadic(2), 2, 0, True, -6), (dyadic(2), 2, 1, False, 6),
-        (quincunx(), 3, 0, False, 6), (quincunx(), 3, 1, True, -6)],
-        ids=["dyadic-0", "dyadic-1", "quincunx-odd-0", "quincunx-odd-1"])
-    def test_a_truncated_box_names_the_missing_coordinate(self, m, j, axis, low, k):
+    @pytest.mark.parametrize("m,j,axis,low,k,t_values", [
+        (dyadic(2), 2, 0, True, -6, None), (dyadic(2), 2, 1, False, 6, None),
+        (quincunx(), 3, 0, False, 6, None), (quincunx(), 3, 1, True, -6, None),
+        (quincunx(), 3, 0, False, 6, 0), (quincunx(), 3, 1, True, -6, 0)],
+        ids=["dyadic-0", "dyadic-1", "quincunx-odd-0", "quincunx-odd-1",
+             "quincunx-odd-0-lines", "quincunx-odd-1-lines"])
+    def test_a_truncated_box_names_the_missing_coordinate(self, m, j, axis, low, k, t_values,
+                                                          monkeypatch):
         # the study grid of halfwidth 1.5 maps into [-5.92, 5.97] on both
         # axes at dyadic level 2, and into [-5.88, 5.84] at quincunx level
         # 3: the box [-7, 7] less one row at the far end is still enough,
-        # with the values' bits, and less two rows is not
+        # with the values' bits, and less two rows is not; in line mode
+        # (no room for T) the box less one row is gathered zero-padded
+        if t_values is not None:
+            monkeypatch.setattr(expansion, "_T_VALUES", t_values)
         g = hat(2)
         cs, grid = _expansion_on_grid(g, m, j)
         ref = evaluate(g, m, j, cs, grid)
@@ -593,32 +616,47 @@ class TestAxisOperator:
         with pytest.raises(IndexError, match="gathered index"):
             evaluate(g, m, j, cs, grid)
 
-    @pytest.mark.parametrize("g,n,kind,general", [
+    @pytest.mark.parametrize("g,n,kind,lined", [
         (hat(2), 2_600, float, True), (hat(2), 1_300, float, False),
         (hat(2), 1_800, float, False), (hat(2), 1_800, complex, True),
         (bspline3_2d(0.5, 0.5), 1_800, float, True)],
         ids=["long", "short", "mid", "mid-complex", "mid-two-terms"])
-    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, g, n, kind,
-                                                                         general, monkeypatch):
+    def test_a_skew_grid_whose_sums_would_not_fit_gathers_on_its_lines(self, g, n, kind, lined,
+                                                                       monkeypatch):
         # quincunx level 11 maps a 2 x n strip of one spacing onto two lines
         # of n + 1 values, the first 96 lattice units long for n = 2,600:
         # T[k_0, n_1] would hold 102 x 2,601 values (265 k, past 7 * 2**15),
-        # and that strip takes the general kernel with its bits; 51 x 1,301
-        # (70 k) for n = 1,300, which takes the operator.  At n = 1,800 one T
-        # holds about 131 k values: the operator takes it, but not with
-        # complex coefficients (a T per real part) or two terms (a T each)
+        # and that strip takes line mode, no T, the lines' tables gathered per
+        # point; 51 x 1,301 (70 k) for n = 1,300, which takes T mode.  At n =
+        # 1,800 one T holds about 131 k values: T mode takes it, but not with
+        # complex coefficients (a T per real part) or two terms (a T each).
+        # Line mode peaks below rows mode on the same strip (observed 0.44
+        # against 0.95, 0.54 against 0.76 and 0.91 against 1.60 MB)
         m, j = quincunx(), 11
         s = 3.0 / 2599
         grid = Grid([s * np.arange(2), -1.5 + s * np.arange(n)])
         lattice = lattice_support(g, m, j, Box((-0.01, -1.51), (0.01, 1.51)))
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice)
         cs = Coefficients(cs.lattice, cs.values.astype(kind))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                for _ in expansion.evaluate_slabs(g, m, j, cs, grid):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         calls, operator = [], expansion._operator
-        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a[-1]) or operator(*a))
         got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
-        assert bool(calls) != general
-        assert np.array_equal(got, ref) if general else np.all(
-            np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+        assert calls == [lined]
+        assert np.all(np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+        if lined:
+            on_lines = peak()
+            monkeypatch.setattr(expansion, "_lines", lambda *a: None)
+            assert on_lines < peak()
 
     @pytest.mark.parametrize("name,j,peak", [
         ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 5.0e6)])
@@ -647,10 +685,13 @@ _SHEAR = dilation([[3, 1], [0, 3]])
 
 
 def _spatial_taps(g, m, j, cs, points):
-    """The general kernel's sum with each tap's value from ``g.spatial``."""
+    """A compact generator's sum over its ``width**d`` taps per point, each
+    tap's value from ``g.spatial``, taps off the box counted as zero; real
+    when the coefficients and ``phi`` are."""
     y = map_rows(np.asarray(points, dtype=float), np.asarray(m.power(j), dtype=float))
     k0, width = np.ceil(y - g.support_radius - 1e-9).astype(np.int64), expansion._width(g)
-    origin, acc = np.asarray(cs.lattice.origin), np.zeros(len(y), dtype=complex)
+    kind = np.result_type(cs.values, g.spatial(np.zeros((1, g.d))))
+    origin, acc = np.asarray(cs.lattice.origin), np.zeros(len(y), dtype=kind)
     for off in np.ndindex(*(width,) * g.d):
         k = k0 + off
         inside = np.all((k >= origin) & (k < origin + cs.values.shape), axis=1)
@@ -682,7 +723,7 @@ class TestFactoredTaps:
         # outside the box
         x = np.asarray(quincunx().power(-1), dtype=float) @ [0.3, 0.6]
         with pytest.raises(MissingCoefficientError,
-                           match=r"no coefficient for lattice point \[0 1\]"):
+                           match=r"no coefficient for lattice coordinate \[1\] on axis 0"):
             evaluate(hat(2), quincunx(), 1, cs, [x])
 
 
@@ -695,11 +736,12 @@ def _trimmed(cs, low):
 
 
 class TestEdgeTaps:
-    """The general kernel masks and checks only the taps that can leave
-    the box, per slab: of rows, and of a grid whose mapped coordinates do
-    not lie on lines (here ``_lines`` is patched to say so)."""
+    """Points off lines gather per point (rows mode): of rows, and of a grid
+    whose mapped coordinates do not lie on lines (here ``_lines`` is
+    patched to say so).  A tap off the box reads zeros from a padded copy,
+    and its table entry must be zero."""
 
-    def test_only_the_edge_slabs_check_taps(self, monkeypatch):
+    def test_padded_and_trimmed_boxes_give_the_spatial_bits(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
         # on the box of halfwidth 1.5, the first row of each axis is tapped
         # only by the grid's corner points, where phi is 0, so the trimmed
@@ -709,25 +751,37 @@ class TestEdgeTaps:
         lat = cs.lattice
         padded = coefficients(ExactRule(), gaussian(2), m, j,
                               Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
-        calls, live = [], expansion._live
-        monkeypatch.setattr(expansion, "_live", lambda *a: calls.append(a) or live(*a))
         monkeypatch.setattr(expansion, "_lines", lambda *a: None)
         monkeypatch.setattr(expansion, "_ROWS", 97)
-        for box in (padded, _trimmed(cs, True)):
+        pads, pad = [], np.pad
+        monkeypatch.setattr(np, "pad", lambda *a, **k: pads.append(a[1]) or pad(*a, **k))
+        # no tap leaves the padded box; the trimmed one is copied once per
+        # level with width (3) zeros on every side
+        for box, padding in ((padded, []), (_trimmed(cs, True), [3])):
             for pts in (grid, np.asarray(grid)):
+                pads.clear()
                 ref = _spatial_taps(g, m, j, box, pts)
                 assert np.array_equal(evaluate(g, m, j, box, pts), ref)
-        for pts in (grid, np.asarray(grid)):
-            checked = []
-            calls.clear()
-            for box in (padded, _trimmed(cs, True)):
-                for _ in expansion.evaluate_slabs(g, m, j, box, pts):
-                    checked.append(bool(calls))
-                    calls.clear()
-            slabs = len(checked) // 2
-            # no tap leaves the padded box; on the trimmed one, only the
-            # first slab, at its edge, has taps that can
-            assert checked == [False] * slabs + [True] + [False] * (slabs - 1)
+                assert pads == padding
+
+    def test_line_mode_gathers_a_trimmed_box_zero_padded(self, monkeypatch):
+        # on its lines (line mode: no room for T) the grid maps to lines
+        # starting at -6, where the first tap's entry is 0: the box without
+        # its first rows misses no coefficient, and is gathered from a
+        # zero-padded copy with the bits of a box holding every tap
+        g, m, j = hat(2), quincunx(), 3
+        cs, _ = _expansion_on_grid(g, m, j)
+        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
+        lat = cs.lattice
+        padded = coefficients(ExactRule(), gaussian(2), m, j,
+                              Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
+        monkeypatch.setattr(expansion, "_T_VALUES", 0)
+        pads, pad = [], np.pad
+        monkeypatch.setattr(np, "pad", lambda *a, **k: pads.append(a[1]) or pad(*a, **k))
+        ref = evaluate(g, m, j, padded, grid)
+        assert not pads
+        assert np.array_equal(evaluate(g, m, j, _trimmed(cs, True), grid), ref)
+        assert pads == [[(1, 0), (1, 0)]]
 
     def test_a_trimmed_box_names_the_missing_point(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
@@ -739,11 +793,11 @@ class TestEdgeTaps:
         missing = r"^'no coefficient for lattice coordinate \[6\] on axis 0'$"
         with pytest.raises(MissingCoefficientError, match=missing):
             next(expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), grid))
+        # off lines, each slab's tables are checked before its values
         monkeypatch.setattr(expansion, "_lines", lambda *a: None)
-        missing = r"^'no coefficient for lattice point \[-1  6\]'$"
         for pts in (grid, np.asarray(grid)):
             slabs = expansion.evaluate_slabs(g, m, j, _trimmed(cs, False), pts)
-            next(slabs)  # the missing point lies in a later slab
+            next(slabs)  # the missing coordinate is tapped in a later slab
             with pytest.raises(MissingCoefficientError, match=missing):
                 list(slabs)
             with pytest.raises(MissingCoefficientError, match=missing):
@@ -834,7 +888,7 @@ class TestPointChecks:
         def unreachable(*args):
             raise AssertionError("the span or a kernel ran before the point check")
 
-        for name in ("_span", "_operator", "_rows_kernel"):
+        for name in ("_span", "_operator", "_rows_gather"):
             monkeypatch.setattr(expansion, name, unreachable)
         for g, m, cs in self.CASES:
             with pytest.raises(ValueError, match="must be finite"):
@@ -1084,7 +1138,7 @@ class TestUnboundedEvaluation:
         g, m, grid = sinc_squared(2), dyadic(2), self.GRIDS[2]
         cs = Coefficients(Lattice((-5, -5), (11, 11)), np.zeros((11, 11)))
         # the span sum serves the grid and its rows: neither compact kernel runs
-        monkeypatch.setattr(expansion, "_rows_kernel", None)
+        monkeypatch.setattr(expansion, "_rows_gather", None)
         monkeypatch.setattr(expansion, "_tap_phases", None)
         for pts in (grid, np.asarray(grid)):
             assert np.array_equal(evaluate(g, m, 1, cs, pts), np.zeros(len(grid)))
