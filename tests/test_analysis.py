@@ -392,7 +392,8 @@ class TestStreamedErrors:
         "twoscale-2d": StudyPlan(sinc_squared_twoscale(2), dyadic(2), ExactRule(),
                                  gaussian(2), j_min=0, j_max=1, grid_per_scale=4,
                                  truncation_tol=1e-3),
-        # the general kernel at the odd level, compact and unbounded
+        # odd levels: the axis operator's gather on lines (compact) and the
+        # rows' span sum (unbounded)
         "hat2-quincunx": StudyPlan(hat(2), quincunx(), ExactRule(), gaussian(2),
                                    j_min=2, j_max=3, grid_per_scale=4),
         "sinc2-quincunx": StudyPlan(sinc_squared(2), quincunx(), ExactRule(), gaussian(2),

@@ -213,7 +213,7 @@ class TestExpand:
     @pytest.mark.parametrize("rows", [[[2, 0], [0, 2]], [[1, 1], [1, -1]]],
                              ids=["dyadic", "quincunx"])
     def test_slabs_write_the_whole_grid_bytes(self, tmp_path, monkeypatch, rows):
-        # level 1 of quincunx takes the general kernel, dyadic the per-axis
+        # level 1 of quincunx takes the gather on lines, dyadic the per-axis
         doc = dict(STUDY_DOC, dilation={"rows": rows},
                    study={"domain_halfwidth": 1.3, "grid_per_scale": 4})
         cfg = write_doc(tmp_path, doc)

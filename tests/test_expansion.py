@@ -663,8 +663,8 @@ class TestAxisOperator:
     def test_workspace_memory(self, name, j, peak):
         # below the peaks measured with the per-tap kernel, which kept whole
         # axes of taps (4.70 MB on kink1d at level 7, 0.81 MB on ball2d at
-        # level 5), and with the general kernel's workspace at quincunx's
-        # level 7 (5.19 MB); observed here: 1.4, 0.4 and 4.3 MB, the last
+        # level 5), and with the per-point kernel at quincunx's level 7
+        # (5.19 MB; 4.99 MB in rows mode); observed here: 1.4, 0.4 and 4.3 MB, the last
         # mostly T[k_0, n_1] (137 x 1,519 values) and its gather buffer
         plan = self.PLANS[name]
         domain = study_domain(plan)
@@ -1276,8 +1276,8 @@ class TestRealArithmetic:
              "twoscale2-quincunx"])
     def test_kernels_give_the_bits_of_complex_coefficients(self, g, m, j):
         # a grid takes the axis operator (a compact generator's under any
-        # M^j) or the span sum on a grid, rows the general kernel or the span
-        # sum on rows
+        # M^j) or the span sum on a grid; rows take rows mode or the span sum
+        # on rows
         cs, grid = _expansion_on_grid(g, m, j)
         cz = Coefficients(cs.lattice, cs.values.astype(complex))
         for pts in (grid, np.asarray(grid)):
