@@ -43,10 +43,6 @@ _CHUNK = 1 << 17
 _TILE = 1 << 13
 # Points per slab (quincunx level 7 took 10.0 ms at 2**15, 9.9 ms at 2**17)
 _ROWS = 1 << 15
-# A skew grid's T mode keeps one T per term and real part, this many values at
-# most in all (a complex value counted twice), about its slab buffers' size;
-# past it, T would grow with the grid, and line mode gathers from the box.
-_T_VALUES = 7 << 15
 _EDGE = 1e-9
 # Closer than this to a lattice coordinate, an unbounded generator's tap is
 # phi(0): phi(y - k) is within 3.3e-18 * sum|w_i| of it there, and
@@ -341,12 +337,13 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     value is within ``32 * 2**-52 * (1 + |M^j| max|x|) * Lip(phi) *
     sum|c_k|`` of the exact tap sum at ``M^j x`` (the sum over the
     coefficients it reaches; ``Lip`` in the max norm).  A non-diagonal
-    ``M^j`` needs axes of one spacing and compact support; a point then
-    gathers its taps along its lines.  An unbounded generator needs a
-    period, or a ``(points, span)`` table of at most ``2**13`` entries, on
-    every axis but axis 0.  Other points gather their taps with
-    ``g.spatial``'s bits (:func:`_rows_gather`), or an unbounded
-    generator's span one axis at a time (:func:`_span_terms`).
+    ``M^j`` needs axes of one spacing, compact support and sums along all
+    lines but the first of ``7 * 2**15`` values at most over the terms and
+    real parts; an unbounded generator needs a period, or a ``(points,
+    span)`` table of at most ``2**13`` entries, on every axis but axis 0.
+    Other points gather their taps with ``g.spatial``'s bits
+    (:func:`_rows_gather`), or an unbounded generator's span one axis at a
+    time (:func:`_span_terms`).
 
     No value depends on its slab (:func:`evaluate_slabs`).  Values are real
     when the coefficients and the factors are, with the bits of the real
@@ -375,10 +372,9 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
     unbounded generator's has none); of rows ``(n, d)``, at most ``_ROWS``
     rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
     overwrites.  Tables, box checks, the span and workspaces are formed
-    before the first slab (tables and box checks per slab off lines): the
-    memory beyond the box is about one slab's or two periods', plus, if
-    skew, the box summed along all lines but one where that fits, and a
-    zero-padded copy of the box where a tap leaves it.
+    before the first slab (per slab off lines): the memory beyond the box
+    is about one slab's or two periods' (and the box summed along all lines
+    but one, if skew; a zero-padded box off lines, where a tap leaves it).
     """
     return _slabs(g, m, j, cs, _checked(g, cs, points))
 
@@ -409,22 +405,21 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
         points = Grid(points.T)
     lines = _lines(mj, points) if isinstance(points, Grid) else None
     skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
-    lines = None if skew and unbounded else lines
-    if not unbounded and (skew or lines is None):  # the factors' dtype, each called once
-        kind = np.result_type(*(np.asarray(f(np.zeros(1))) for t in g.terms for f in t))
+    kind = np.result_type(*(f(np.zeros(1)) for t in g.terms for f in t))  # the factors' dtype
+    # T mode's Ts, a T per term and real part, hold 7 * 2**15 values at most; else rows mode
+    if skew and (unbounded or (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(v.size for v, _, _
+            in lines[1:]) * len(g.terms) * (1 + (np.result_type(cs.values, kind).kind == "c"))
+            > 7 * 2**15):
+        lines = None
     if lines is not None:
         _check_reach(np.concatenate([v for v, _, _ in lines]), bound)
-        lined = skew and (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(
-            v.size for v, _, _ in lines[1:]) * len(g.terms) * (
-            1 + (np.result_type(cs.values, kind).kind == "c")) > _T_VALUES
-        periods = [0 if skew and (lined or not a) else _period(v)
-                   for a, (v, _, _) in enumerate(lines)]
+        periods = [0 if skew and not a else _period(v) for a, (v, _, _) in enumerate(lines)]
     # an unbounded generator's (points, span) tables, per slab on axis 0 and whole on later
     # axes without a period, hold at most _TILE entries; else the rows' span sum runs
     if lines is not None and (not unbounded or all(p or v.size * n <= _TILE for p, (v, _, _), n
             in zip(periods[1:], lines[1:], span.values.shape[1:]))):
-        kernel = _operator(g, lines, periods, span if unbounded else cs,
-                           points if skew else None, lined)
+        kernel = _operator(g, lines, periods, span if unbounded else cs, kind,
+                           points if skew else None)
         rows = points.slab_rows(_ROWS)
         if rows > periods[0] > 0:
             rows = periods[0] * round(rows / periods[0])
@@ -675,46 +670,26 @@ def _gather(at, taps, out, v, axis=None):
     return out
 
 
-def _taps(flat, tables, strides, phi, part):
-    """Per tap ``t`` of ``d >= 2`` axes, in index order: ``(flat[t .
-    strides:], weight)``, the weight the sum over terms of the product over
-    axes of ``tables[term][axis][t[axis]]``, multiplied in axis order and
-    added in term order as ``g.spatial`` does, in ``phi`` (``part`` for later
-    terms), which the next tap overwrites."""
-    for t in np.ndindex(*map(len, tables[0])):
-        for i, table in enumerate(tables):
-            p = np.multiply(table[0][t[0]], table[1][t[1]], out=part if i else phi)
-            for tab, u in zip(table[2:], t[2:]):
-                np.multiply(p, tab[u], out=p)
-            if i:
-                np.add(phi, p, out=phi)
-        yield flat[np.dot(t, strides) :], phi
-
-
-def _operator(g, lines, periods, cs: Coefficients, grid=None, lined=False):
+def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
     """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`): a
     function of rows ``lo:hi`` of axis 0 to their values, in a buffer a
     later call overwrites.  Tables and box checks are formed here on the
-    lines (``cs`` is an unbounded generator's span).  Per term the rows of
-    the coefficients, zeros past the box, are summed along the last axis
-    first (:func:`_stage`); where each line follows its own axis a call sums
-    two periods or more of axis 0, kept for the next.  A skew ``grid``
-    gathers per point along axis 0 (:func:`_gather`) from the rows summed
-    along the other lines (T mode), or, ``lined``, from the box, a tap's
-    weight the product of the lines' tables (line mode, every period 0).
-    Complex coefficients under real tables are summed as real and
-    imaginary parts, the terms added in order."""
+    lines (``cs`` an unbounded generator's span, ``kind`` the factors'
+    dtype).  Per term the rows of the coefficients, zeros past the box, are
+    summed along the last axis first (:func:`_stage`); where each line
+    follows its own axis a call sums two periods or more of axis 0, kept
+    for the next; otherwise (the ``grid`` given) a point gathers along axis
+    0 (:func:`_gather`) from the rows summed along the other lines.  Complex
+    coefficients under real tables are summed as real and imaginary parts,
+    the terms added in order."""
     d, unbounded, skew = g.d, g.support_radius is None, grid is not None
     origin, shape = cs.lattice.origin, cs.values.shape
     axes, rs, n0 = zip(*lines)
     flip = [not skew and r[a] < 0 for a, r in enumerate(rs)]
     # a skew grid's least and greatest index n0 + r . i into each line, and T's strides: the
-    # gathers' strided views and taps must read inside the lines (checked here) and T (once
-    # T is summed)
+    # gather's strided views and taps must read inside the lines and T (checked once T is summed)
     r, s = np.array(rs), np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
     ends = skew and np.add(n0, np.sort([0 * r, r * [y.size - 1 for y in grid.axes]], 0).sum(2))
-    if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes])):
-        raise IndexError("a gathered index leaves its line")
     units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
     # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i];
     # without a period, _stage forms the (points, n) table's rows per call
@@ -733,15 +708,9 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None, lined=False):
                  for a, (o, n, l) in enumerate(zip(origin, shape, pad))]
         inner = tuple(slice(l, l + n) for l, n in zip(pad[1:], shape[1:]))
         ops = [[(table, k - o + l) for (table, k), o, l in zip(t, origin, pad)] for t in ops]
-    kind = np.dtype(float) if unbounded else np.result_type(*(tab for t in ops for tab, _ in t))
     parts = ([np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)]
              if np.iscomplexobj(vals) and kind.kind != "c"
              else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
-    if lined and width != list(shape):  # zeros around the box only where a tap leaves it
-        parts = [np.pad(p, [(l, w - l - n) for l, w, n in zip(pad, width, shape)]) for p in parts]
-    if lined:
-        strides = np.cumprod((1,) + tuple(width[:0:-1]))[::-1]
-        starts = [k * st for (_, k), st in zip(ops[0], strides)]
     bufs, kept, block = {}, {}, [None]
 
     def buffer(key, shape, dtype):
@@ -773,9 +742,10 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None, lined=False):
                 x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
                 x = np.flip(x, a) if flip[a] else x
             kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
-            if skew and (k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:] \
-                    >= x.size:
-                raise IndexError("a gathered index leaves T")
+            if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]) or (
+                    k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:]
+                    >= x.size):
+                raise IndexError("a gathered index leaves its line or T")
         return (table, None if k is None else k - r0), kept[c, i][1]
 
     def total(c, q0, q1):
@@ -784,17 +754,6 @@ def _operator(g, lines, periods, cs: Coefficients, grid=None, lined=False):
         dims = skew and (q1 - q0,) + tuple(y.size for y in grid.axes[1:])
         on = lambda arr, r, n: as_strided(arr[n + r[0] * q0 :], arr.shape[1:] + dims, arr.strides[
             1:] + tuple(int(v) * arr.strides[0] for v in r))
-        if lined:
-            # a point's flat index, and its taps' factors, read on its lines
-            at = np.add(on(starts[0], r[0], n0[0]), on(starts[1], r[1], n0[1]),
-                        out=buffer("at", dims, np.int64))
-            for a in range(2, d):
-                np.add(at, on(starts[a], r[a], n0[a]), out=at)
-            tables = [[on(tab, r[a], n0[a]) for a, (tab, _) in enumerate(t)] for t in ops]
-            taps = _taps(parts[c].ravel(), tables, strides, buffer("phi", dims, kind),
-                         buffer("part", dims, kind))
-            return _gather(at, taps, buffer((c, 0, 0), dims, parts[c].dtype),
-                           buffer("v", dims, parts[c].dtype))
         out = None
         for i in range(len(ops)):
             (table, k), x = summed(c, i, 0 if skew else q0, axes[0].size if skew else q1)
@@ -876,16 +835,15 @@ def _rows_gather(g, cs: Coefficients, n: int, kind):
     ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of
     ``_TILE`` values, without a dead last row (:func:`_tap_phases`), and
     checked against the box (:func:`_in_box`).  The taps are gathered with
-    ``g.spatial``'s bits (:func:`_taps`) from the coefficients, or where a
-    tap leaves the box from a copy with ``width`` zeros around it, ``k0``
-    clipped where no tap reaches the box.  ``kind`` is the factors' dtype."""
+    ``g.spatial``'s bits from the coefficients, or where a tap leaves the
+    box from a copy with ``width`` zeros around it, ``k0`` clipped where no
+    tap reaches the box.  ``kind`` is the factors' dtype."""
     d, width = g.d, _width(g)
     vals = cs.values.astype(np.result_type(cs.values, kind), copy=False)
     flats = {0: vals.ravel()}
-    off, arg = np.empty((d, n)), np.empty((width, n))
+    off, arg, at = np.empty((d, n)), np.empty((width, n)), np.empty(n, np.int64)
     tables = [[np.empty((width, n), dtype=kind) for _ in range(d)] for _ in g.terms]
-    at, phi, part = np.empty(n, dtype=np.int64), np.empty(n, dtype=kind), np.empty(n, dtype=kind)
-    v, acc = np.empty(n, dtype=vals.dtype), np.empty(n, dtype=vals.dtype)
+    (phi, part), (v, acc) = np.empty((2, n), kind), np.empty((2, n), vals.dtype)
 
     def run(y):
         m = y.shape[1]
@@ -909,8 +867,16 @@ def _rows_gather(g, cs: Coefficients, n: int, kind):
             np.clip(k0, lo, lo + np.add(vals.shape, width)[:, None], out=k0)
         strides = np.cumprod((1,) + tuple(np.add(vals.shape[:0:-1], 2 * pad)))[::-1]
         at[:m] = strides.astype(float) @ np.subtract(k0, lo, out=k0)
-        taps = _taps(flats[pad], [[t[a][: rows[a], :m] for a in range(d)] for t in tables],
-                     strides, phi[:m], part[:m])
-        return _gather(at[:m], taps, acc[:m], v[:m])
+        def taps():  # per tap in index order, weighted as g.spatial multiplies and adds
+            w, q = phi[:m], part[:m]
+            for t in np.ndindex(*rows):
+                for i, table in enumerate(tables):
+                    p = np.multiply(table[0][t[0], :m], table[1][t[1], :m], out=q if i else w)
+                    for tab, u in zip(table[2:], t[2:]):
+                        np.multiply(p, tab[u, :m], out=p)
+                    if i:
+                        np.add(w, p, out=w)
+                yield flats[pad][np.dot(t, strides) :], w
+        return _gather(at[:m], taps(), acc[:m], v[:m])
 
     return run

@@ -479,22 +479,6 @@ class TestPerAxisEvaluation:
         assert np.all(np.abs(got - ref) <= bound)
         assert np.array_equal(rows, got if g.d == 1 else ref)
 
-    @pytest.mark.parametrize("g,m,j", SKEW, ids=SKEW_IDS)
-    def test_line_mode_matches_the_general_path(self, g, m, j, monkeypatch):
-        # with no room for T a skew grid takes line mode, each point's taps
-        # gathered from the box and weighted by the lines' tables; its values
-        # keep the stated bound and do not depend on the slab
-        cs, grid = _expansion_on_grid(g, m, j)
-        monkeypatch.setattr(expansion, "_T_VALUES", 0)
-        calls, operator = [], expansion._operator
-        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a[-1]) or operator(*a))
-        got = evaluate(g, m, j, cs, grid)
-        assert calls == [True]
-        assert np.all(np.abs(got - _general(g, m, j, cs, grid)) <= _phase_bound(g, m, j, cs, grid))
-        for size in (1, 97, 997):
-            monkeypatch.setattr(expansion, "_ROWS", size)
-            assert np.array_equal(evaluate(g, m, j, cs, grid), got)
-
     def test_a_decreasing_axis_takes_its_period(self, monkeypatch):
         # M^3 = -8: the mapped axis is the increasing one read back to front,
         # so its table holds one period of 8 phases, not one per point
@@ -572,21 +556,15 @@ class TestAxisOperator:
             monkeypatch.setattr(expansion, "_ROWS", size)
             assert np.array_equal(evaluate(g, m, j, cs, grid), ref)
 
-    @pytest.mark.parametrize("m,j,axis,low,k,t_values", [
-        (dyadic(2), 2, 0, True, -6, None), (dyadic(2), 2, 1, False, 6, None),
-        (quincunx(), 3, 0, False, 6, None), (quincunx(), 3, 1, True, -6, None),
-        (quincunx(), 3, 0, False, 6, 0), (quincunx(), 3, 1, True, -6, 0)],
-        ids=["dyadic-0", "dyadic-1", "quincunx-odd-0", "quincunx-odd-1",
-             "quincunx-odd-0-lines", "quincunx-odd-1-lines"])
-    def test_a_truncated_box_names_the_missing_coordinate(self, m, j, axis, low, k, t_values,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("m,j,axis,low,k", [
+        (dyadic(2), 2, 0, True, -6), (dyadic(2), 2, 1, False, 6),
+        (quincunx(), 3, 0, False, 6), (quincunx(), 3, 1, True, -6)],
+        ids=["dyadic-0", "dyadic-1", "quincunx-odd-0", "quincunx-odd-1"])
+    def test_a_truncated_box_names_the_missing_coordinate(self, m, j, axis, low, k):
         # the study grid of halfwidth 1.5 maps into [-5.92, 5.97] on both
         # axes at dyadic level 2, and into [-5.88, 5.84] at quincunx level
         # 3: the box [-7, 7] less one row at the far end is still enough,
-        # with the values' bits, and less two rows is not; in line mode
-        # (no room for T) the box less one row is gathered zero-padded
-        if t_values is not None:
-            monkeypatch.setattr(expansion, "_T_VALUES", t_values)
+        # with the values' bits, and less two rows is not
         g = hat(2)
         cs, grid = _expansion_on_grid(g, m, j)
         ref = evaluate(g, m, j, cs, grid)
@@ -616,47 +594,32 @@ class TestAxisOperator:
         with pytest.raises(IndexError, match="gathered index"):
             evaluate(g, m, j, cs, grid)
 
-    @pytest.mark.parametrize("g,n,kind,lined", [
+    @pytest.mark.parametrize("g,n,kind,general", [
         (hat(2), 2_600, float, True), (hat(2), 1_300, float, False),
         (hat(2), 1_800, float, False), (hat(2), 1_800, complex, True),
         (bspline3_2d(0.5, 0.5), 1_800, float, True)],
         ids=["long", "short", "mid", "mid-complex", "mid-two-terms"])
-    def test_a_skew_grid_whose_sums_would_not_fit_gathers_on_its_lines(self, g, n, kind, lined,
-                                                                       monkeypatch):
+    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, g, n, kind,
+                                                                         general, monkeypatch):
         # quincunx level 11 maps a 2 x n strip of one spacing onto two lines
         # of n + 1 values, the first 96 lattice units long for n = 2,600:
         # T[k_0, n_1] would hold 102 x 2,601 values (265 k, past 7 * 2**15),
-        # and that strip takes line mode, no T, the lines' tables gathered per
-        # point; 51 x 1,301 (70 k) for n = 1,300, which takes T mode.  At n =
-        # 1,800 one T holds about 131 k values: T mode takes it, but not with
-        # complex coefficients (a T per real part) or two terms (a T each).
-        # Line mode peaks below rows mode on the same strip (observed 0.44
-        # against 0.95, 0.54 against 0.76 and 0.91 against 1.60 MB)
+        # and that strip takes rows mode with g.spatial's bits; 51 x 1,301
+        # (70 k) for n = 1,300, which takes the operator.  At n = 1,800 one T
+        # holds about 131 k values: the operator takes it, but not with
+        # complex coefficients (a T per real part) or two terms (a T each)
         m, j = quincunx(), 11
         s = 3.0 / 2599
         grid = Grid([s * np.arange(2), -1.5 + s * np.arange(n)])
         lattice = lattice_support(g, m, j, Box((-0.01, -1.51), (0.01, 1.51)))
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice)
         cs = Coefficients(cs.lattice, cs.values.astype(kind))
-
-        def peak():
-            tracemalloc.start()
-            try:
-                for _ in expansion.evaluate_slabs(g, m, j, cs, grid):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         calls, operator = [], expansion._operator
-        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a[-1]) or operator(*a))
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
         got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
-        assert calls == [lined]
-        assert np.all(np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
-        if lined:
-            on_lines = peak()
-            monkeypatch.setattr(expansion, "_lines", lambda *a: None)
-            assert on_lines < peak()
+        assert bool(calls) != general
+        assert np.array_equal(got, ref) if general else np.all(
+            np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
 
     @pytest.mark.parametrize("name,j,peak", [
         ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 5.0e6)])
@@ -701,8 +664,8 @@ def _spatial_taps(g, m, j, cs, points):
 
 
 class TestFactoredTaps:
-    # (dilation, level): M^j is not diagonal, so rows take the general
-    # kernel, and a grid the axis operator on its lines
+    # (dilation, level): M^j is not diagonal, so rows take rows mode, and
+    # a grid the axis operator on its lines
     CASES = [(quincunx(), 1), (quincunx(), 3), (_SHEAR, 2)]
 
     @pytest.mark.parametrize("m,j", CASES, ids=["quincunx-1", "quincunx-3", "shear-2"])
@@ -710,21 +673,31 @@ class TestFactoredTaps:
         rows = np.random.default_rng(j).uniform(-1.5, 1.5, size=(500, 2))
         for g in (hat(2), bspline3_2d(0.3, 0.8)):
             cs, grid = _expansion_on_grid(g, m, j)
-            for pts in (rows, grid):
-                ref = _spatial_taps(g, m, j, cs, pts)
-                assert np.array_equal(_general(g, m, j, cs, pts), ref)
-            assert np.array_equal(evaluate(g, m, j, cs, rows), _spatial_taps(g, m, j, cs, rows))
+            for pts in (rows, np.asarray(grid)):
+                assert np.array_equal(evaluate(g, m, j, cs, pts), _spatial_taps(g, m, j, cs, pts))
             got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
             assert np.all(np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
 
     def test_missing_coefficient_detected(self):
         cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
-        # M x = (0.3, 0.6): phi(M x - (0, 1)) is nonzero, and (0, 1) is
-        # outside the box
+        # M x = (0.3, 0.6): the hat's factors at lattice coordinate 1 are
+        # nonzero on both axes (0.3 and 0.6), and 1 is outside the box
         x = np.asarray(quincunx().power(-1), dtype=float) @ [0.3, 0.6]
         with pytest.raises(MissingCoefficientError,
                            match=r"no coefficient for lattice coordinate \[1\] on axis 0"):
             evaluate(hat(2), quincunx(), 1, cs, [x])
+
+    def test_a_vanishing_factor_does_not_excuse_a_missing_coordinate(self):
+        # the box is checked per axis, on rows as on a grid's lines: a
+        # nonzero factor at a coordinate off the box raises even where the
+        # other axis's factor vanishes at every tap, so that phi(y - k) = 0
+        g = hat(2)
+        g = dataclasses.replace(g, terms=((g.terms[0][0], lambda x: 0.0 * x),))
+        cs = Coefficients(Lattice([0, 0], [1, 1]), [[1.0]])
+        missing = r"^'no coefficient for lattice coordinate \[1\] on axis 0'$"
+        for pts in ([[0.3, 0.0]], Grid([np.array([0.3]), np.array([0.0])])):
+            with pytest.raises(MissingCoefficientError, match=missing):
+                evaluate(g, dyadic(2), 0, cs, pts)
 
 
 def _trimmed(cs, low):
@@ -763,25 +736,6 @@ class TestEdgeTaps:
                 ref = _spatial_taps(g, m, j, box, pts)
                 assert np.array_equal(evaluate(g, m, j, box, pts), ref)
                 assert pads == padding
-
-    def test_line_mode_gathers_a_trimmed_box_zero_padded(self, monkeypatch):
-        # on its lines (line mode: no room for T) the grid maps to lines
-        # starting at -6, where the first tap's entry is 0: the box without
-        # its first rows misses no coefficient, and is gathered from a
-        # zero-padded copy with the bits of a box holding every tap
-        g, m, j = hat(2), quincunx(), 3
-        cs, _ = _expansion_on_grid(g, m, j)
-        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
-        lat = cs.lattice
-        padded = coefficients(ExactRule(), gaussian(2), m, j,
-                              Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
-        monkeypatch.setattr(expansion, "_T_VALUES", 0)
-        pads, pad = [], np.pad
-        monkeypatch.setattr(np, "pad", lambda *a, **k: pads.append(a[1]) or pad(*a, **k))
-        ref = evaluate(g, m, j, padded, grid)
-        assert not pads
-        assert np.array_equal(evaluate(g, m, j, _trimmed(cs, True), grid), ref)
-        assert pads == [[(1, 0), (1, 0)]]
 
     def test_a_trimmed_box_names_the_missing_point(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
