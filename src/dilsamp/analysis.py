@@ -33,6 +33,7 @@ from .expansion import (
     coefficients,
     evaluate_slabs,
     lattice_support,
+    tail_coefficients,
 )
 from .generators import Generator
 
@@ -322,11 +323,13 @@ def level_grid(plan: StudyPlan, domain: Box, j: int):
 
 def level_slabs(plan: StudyPlan, domain: Box, j: int):
     """Level ``j``'s grid, its spacing, and ``Q_j f`` on it slab by slab
-    (:func:`evaluate_slabs`), from coefficients on the lattice support."""
+    (:func:`evaluate_slabs`), from coefficients on the lattice support,
+    limited by the signal's tail where that applies
+    (:func:`tail_coefficients`)."""
     g, m = plan.generator, plan.dilation
     grid, spacing = level_grid(plan, domain, j)
     lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
-    cs = coefficients(plan.rule, plan.signal, m, j, lattice)
+    cs = tail_coefficients(plan.rule, plan.signal, g, m, j, lattice)
     return grid, spacing, evaluate_slabs(g, m, j, cs, grid)
 
 

@@ -51,6 +51,10 @@ _NEAR = 1e-9
 # An unbounded generator's span sum leaves out coefficient tails whose
 # summed |c_k| stays at most this share of max|c_k| / sup|phi|.
 _SPAN_SHARE = 2.0**-53
+# A box limited by the signal's tail leaves out coefficients whose summed
+# |c_k| stays at most this share of max|c_k| / sup|phi|: far below the
+# span's, so that the span still decides which coefficients are summed.
+_BOX_SHARE = 2.0**-80
 # A mapped axis's period holds to within this share of 1 + max|y| (16 ulps).
 _PHASE = 2.0**-48
 # Lattice boxes stay below this, so that lattice indices are exact int64.
@@ -260,11 +264,16 @@ def lattice_support(
     ``|x| < 1e-9``, 0 included, :func:`evaluate` takes the value at 0), and
     its reach per coordinate is ``R = sqrt(decay_const / truncation_tol)``:
     by ``|phi| <= decay_const / x**2``, each omitted translate has
-    ``|phi| <= truncation_tol`` on the domain.  That bounds neither its
-    term ``c_k phi`` nor the omitted sum, about
-    ``2 * decay_const * max|c_k| / R`` (6e-6 for ``sinc_squared`` at 1e-10).
-    Within the box, :func:`evaluate` leaves out at most ``2**-53 *
-    max|c_k|`` at any point.
+    ``|phi| <= truncation_tol`` on the domain.
+
+    A study (:func:`dilsamp.analysis.level_slabs`) limits that box by the
+    signal's tail (:func:`tail_coefficients`) where the signal has a
+    ``tail`` majorant, the rule is exact or ball-averaged and ``M^-j`` is
+    diagonal: the coefficients it leaves out, over all of ``Z^d``, sum to
+    ``sum |c_k| <= 2**-80 * max|c_k| / sup|phi|``, with ``max|c_k|`` over
+    the box, so they change no point's value by more than ``2**-80 *
+    max|c_k|``.  With the span :func:`evaluate` sums, a value is within
+    ``(2**-53 + 2**-80) * max|c_k|`` of the sum over all of ``Z^d``.
     """
     if domain.d != g.d:
         raise ValueError("domain dimension does not match the generator")
@@ -274,6 +283,93 @@ def lattice_support(
             raise ValueError("truncation tolerance must be positive")
         reach = math.sqrt(g.decay_const / truncation_tol)
     return _image_box(m, j, domain, reach)
+
+
+def tail_coefficients(
+    rule: CoefficientRule, f, g: Generator, m: Dilation, j: int, box: Lattice
+) -> Coefficients:
+    """The rule's coefficients on ``box`` (:func:`lattice_support`'s),
+    limited by the signal's tail where the generator is unbounded, the
+    signal has a ``tail`` majorant (:class:`dilsamp.signals.Signal`), the
+    rule is exact or ball-averaged and ``M^-j`` is diagonal; else on
+    ``box`` itself.
+
+    The limited box (:func:`_tail_box`) is chosen for ``2**-81 * top /
+    sup|phi|``, ``top = 1`` first, and kept when the bound on the ``|c_k|``
+    it leaves out is at most ``2**-80 * max|c_k| / sup|phi|`` on its own
+    coefficients.  Otherwise it is chosen again for ``top = max|c_k|``; a
+    box that cannot grow, cut by ``box`` itself, is kept as it is, and
+    past that cut ``truncation_tol`` bounds each term as in ``box``.  A
+    NaN or inf coefficient keeps the box: it reaches every value anyway.
+    """
+    a = np.asarray(m.power(-j), dtype=float)
+    if (g.support_radius is not None or getattr(f, "tail", None) is None
+            or not math.isfinite(f.T0) or isinstance(rule, DifferentialRule)
+            or not np.array_equal(a, np.diag(a.diagonal()))):
+        return coefficients(rule, f, m, j, box)
+    sup, top, lattice = _sup(g), 1.0, None
+    while True:
+        limited = _tail_box(rule, f, m, j, box, _BOX_SHARE / 2 * top / sup)
+        if limited is None:
+            return coefficients(rule, f, m, j, box)
+        if limited[0] == lattice:
+            return cs
+        lattice, omitted = limited
+        cs = coefficients(rule, f, m, j, lattice)
+        top = float(np.abs(cs.values).max())
+        if not omitted > _BOX_SHARE * top / sup:
+            return cs
+
+
+def _tail_box(rule, f, m: Dilation, j: int, box: Lattice, budget: float):
+    """The sub-box of ``box`` past which ``f.tail`` bounds the summed
+    ``|c_k|`` by ``budget``, and that bound; None if it is empty.
+
+    Under a diagonal ``M^-j = diag(s)``, ``|c_k| <= prod_i t_i(|k_i|)``
+    with ``t_i(n) = tail(max(s_i n - w, 0))``: an exact sample reads ``f``
+    at ``M^-j k`` (``w = 0``), a ball average (positive weights summing to
+    1) within ``w = h ||M^-j||`` of it.  A log-concave ``t_i`` has
+    non-increasing ratios, so its sum past ``n`` is at most ``t_i(n + 1) /
+    (1 - t_i(n + 2) / t_i(n + 1))``.  Past the box on axis ``a`` the
+    coefficients sum to at most ``A_a prod_{b != a} B_b``, with ``A_a`` the
+    sum of ``t_a`` off the box's range and ``B_b`` the sum over ``Z``; the
+    half-width ``n_a`` on each axis takes ``1 / d`` of the budget.
+    """
+    s = np.abs(np.asarray(m.power(-j), dtype=float).diagonal())
+    w = rule.h * m.norm(-j) if isinstance(rule, FalsifiedRule) else 0.0
+    caps = [max(-o, o + n - 1) for o, n in zip(box.origin, box.shape)]
+
+    def terms(a, fits):
+        """``t_a(0..n)`` and the bound on its sum past ``n``: from ``n`` at
+        ``T0``, doubled up to ``caps[a]`` until ``fits(t, past)``."""
+        n = min(caps[a], max(1, math.ceil((f.T0 + w) / s[a])))
+        while True:
+            t = f.tail(np.maximum(s[a] * np.arange(n + 3) - w, 0.0))
+            q = t[n + 2] / t[n + 1] if t[n + 1] > 0 else 0.0
+            past = t[n + 1] / (1.0 - q) if q < 1 else math.inf
+            if n >= caps[a] or fits(t[: n + 1], past):
+                return t[: n + 1], past
+            n = min(2 * n, caps[a])
+
+    whole = lambda t, past: 2 * (t.sum() + past) - t[0]
+    # each axis's sum over Z, for the others' shares
+    sums = [whole(*terms(a, lambda t, past: past <= 2**-20 * t[0])) for a in range(len(s))]
+    d, lo, hi, outs = len(s), [], [], []
+    for a, (o, size) in enumerate(zip(box.origin, box.shape)):
+        share = budget / d / math.prod(sums[:a] + sums[a + 1:])
+        t, past = terms(a, lambda t, past: 4 * past <= share)
+        # both sides' sums past n, for n = 0 .. len(t) - 1, smallest first
+        beyond = 2 * (np.append(np.cumsum(t[:0:-1])[::-1], 0.0) + past)
+        half = int(np.argmax(beyond <= share)) if beyond[-1] <= share else len(t) - 1
+        lo.append(max(o, -half))
+        hi.append(min(o + size - 1, half))
+        if lo[a] > hi[a]:
+            return None
+        off = np.abs(np.r_[-(len(t) - 1) : lo[a], hi[a] + 1 : len(t)])
+        outs.append((t[off].sum() + 2 * past, whole(t, past)))
+    omitted = sum(out * math.prod(b for _, b in outs[:a] + outs[a + 1:])
+                  for a, (out, _) in enumerate(outs))
+    return Lattice(lo, np.subtract(hi, lo) + 1), omitted
 
 
 def coefficients(
@@ -329,7 +425,8 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     unbounded generator sums a span fixed per level (:func:`_span`), which
     leaves out at most ``2**-53 * max|c_k|`` at any point, and adds ``phi(0)
     c_k`` from the box within ``1e-9`` of a lattice point ``k`` outside the
-    span, so ``sinc_squared`` gives its samples there bit for bit.
+    span, so ``sinc_squared`` gives its samples bit for bit at the lattice
+    points of the box, and only there: outside it, ``c_k`` is not summed.
 
     A tensor grid (a ``Grid``, or any points in 1-d) takes the axis
     operator (:func:`_operator`) on its lines (:func:`_lines`), a point
@@ -509,8 +606,7 @@ def _span(g, cs: Coefficients) -> Coefficients:
     vals = vals[tuple(map(slice, first, stop))]
     mod = np.abs(vals)
     top = mod.max()
-    sup = sum(math.prod(sum(abs(w) for w, _ in f.pairs) for f in factors)
-              for factors in g.terms)
+    sup = _sup(g)
     if 0 < top < math.inf and sup > 0:
         # relative to max|c_k|, so that no marginal sum overflows; at most
         # 1 / (2 d) per end, below the marginal that holds max|c_k| = 1
@@ -523,6 +619,13 @@ def _span(g, cs: Coefficients) -> Coefficients:
             first[a], stop[a] = first[a] + lo, stop[a] - cut
         vals = cs.values[tuple(map(slice, first, stop))]
     return Coefficients(Lattice(np.add(cs.lattice.origin, first), stop - first), vals)
+
+
+def _sup(g) -> float:
+    """A bound on an unbounded generator's ``sup|phi|``: the sum over terms
+    of the product over axes of ``sum_i |w_i|``."""
+    return sum(math.prod(sum(abs(w) for w, _ in f.pairs) for f in factors)
+               for factors in g.terms)
 
 
 def _lattice_terms(g, cs: Coefficients, span: Coefficients):

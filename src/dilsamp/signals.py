@@ -2,8 +2,9 @@
 
 Each signal carries vectorized evaluation, exact derivatives where they
 exist, and the metadata the rate predictions need: the admissible spectral
-decay pair ``(decay_N, decay_eps)`` and an effective support halfwidth
-``T0`` outside of which the signal is below 1e-12.
+decay pair ``(decay_N, decay_eps)``, an effective support halfwidth
+``T0`` outside of which the signal is below 1e-12, and, where ``T0`` is
+finite, a tail majorant that bounds it everywhere.
 
 Kinked signals record their kink locations so quadratures can split there
 and studies can keep the kink off the sampling lattice via ``offset``.
@@ -34,7 +35,10 @@ class Signal:
     function with ``f(x) = prod_i factor(x_i)``, or None if there is none;
     the counterpart of a generator's one rank-1 term in
     :attr:`Generator.terms`.  ``pointwise`` evaluates points ``(..., d)``;
-    :meth:`eval` also takes a :class:`Grid`.
+    :meth:`eval` also takes a :class:`Grid`.  ``tail`` is a non-increasing,
+    log-concave function on ``t >= 0`` with ``|f(x)| <= prod_i
+    tail(|x_i|)`` everywhere, or None; it limits an unbounded generator's
+    coefficient box (:func:`dilsamp.expansion.tail_coefficients`).
     """
 
     name: str
@@ -47,6 +51,7 @@ class Signal:
     T0: float
     kinks: tuple = ()
     factor: Optional[Callable] = None
+    tail: Optional[Callable] = None
 
     def eval(self, x):
         """Values at points ``(..., d)``, or on a :class:`Grid` in
@@ -97,6 +102,7 @@ def gaussian(d: int = 1) -> Signal:
     ``exp(-pi * (t * t))``: bit for bit the rows' value in 1-d, and within
     ``4 * (1 + pi |x|^2)`` ulps of it in higher dimensions, since ``exp``
     turns the rounding of its argument into a relative error that size.
+    The factor is also the tail majorant.
     """
 
     def _factor(t):
@@ -135,6 +141,7 @@ def gaussian(d: int = 1) -> Signal:
         T0=3.2,
         kinks=(),
         factor=_factor,
+        tail=_factor,
     )
 
 
@@ -150,7 +157,8 @@ def laplace1d(offset: float = 0.0) -> Signal:
     """``exp(-|x - offset|)`` on the line; not differentiable at the kink.
 
     The transform decays like ``|xi|**-2`` so the admissible pair is
-    ``decay_N = 0`` with ``decay_eps`` up to 1.
+    ``decay_N = 0`` with ``decay_eps`` up to 1.  The tail majorant is
+    ``exp(-u)``, ``u = max(t - |offset|, 0)``.
     """
 
     def _eval(x):
@@ -176,6 +184,7 @@ def laplace1d(offset: float = 0.0) -> Signal:
         decay_eps=1.0,
         T0=28.0 + abs(offset),
         kinks=(offset,),
+        tail=lambda t: np.exp(-np.maximum(t - abs(offset), 0.0)),
     )
 
 
@@ -184,8 +193,13 @@ def matern1d(offset: float = 0.0) -> Signal:
 
     Third derivatives jump at the kink; the transform is
     ``4 / (1 + 4 pi^2 xi^2)**2``, so ``decay_N = 2`` with ``decay_eps``
-    up to 1.
+    up to 1.  The tail majorant is ``(1 + u) exp(-u)``, ``u = max(t -
+    |offset|, 0)``; it reaches 1e-12 at ``u = 31.0999``.
     """
+
+    def _tail(t):
+        u = np.maximum(t - abs(offset), 0.0)
+        return (1.0 + u) * np.exp(-u)
 
     def _eval(x):
         pts = as_points(x, 1)
@@ -220,8 +234,9 @@ def matern1d(offset: float = 0.0) -> Signal:
         deriv_order=2,
         decay_N=2,
         decay_eps=1.0,
-        T0=31.0 + abs(offset),
+        T0=31.1 + abs(offset),
         kinks=(offset,),
+        tail=_tail,
     )
 
 

@@ -460,3 +460,22 @@ def test_criterion_13_property_suite(criterion):
         "all five property suites hold" if not failed
         else f"failing: {', '.join(failed)}",
     )
+
+
+def test_criterion_14_band_limited_sampling_in_two_dimensions(criterion):
+    # the signal's tail limits the coefficient box: 283 x 283 points at
+    # level 5, where the generator's reach alone would take 64,059 x 64,059
+    rep = convergence_study(StudyPlan(
+        generator=sinc_squared(2),
+        dilation=dyadic(2),
+        rule=ExactRule(),
+        signal=gaussian(2),
+        j_min=1,
+        j_max=5,
+    ))
+    ok = rep.predicted_rate == 1.0 and abs(rep.fitted_slope - 1.0) <= 0.25
+    criterion(
+        14, ok,
+        f"2-d sinc^2 sampling slope {rep.fitted_slope:.4f} within 1 +/- 0.25 "
+        f"(verdict {rep.verdict})",
+    )

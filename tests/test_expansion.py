@@ -23,6 +23,7 @@ from dilsamp import (
     bspline3_2d,
     bspline4_1d,
     coefficients,
+    convergence_study,
     delta_operator,
     diagonal,
     dilation,
@@ -32,14 +33,17 @@ from dilsamp import (
     hat,
     laplace1d,
     lattice_support,
+    lp_distance,
     make_grid,
     matern1d,
+    named_generators,
     operator_norm,
     polynomial,
     quincunx,
     sinc_squared,
     sinc_squared_twoscale,
     study_domain,
+    tail_coefficients,
     triadic,
 )
 from dilsamp import analysis, expansion
@@ -1150,6 +1154,147 @@ class TestUnboundedEvaluation:
         # grid of the first 400 rows of axis 0 alone has the same bits
         head = evaluate(g, m, 1, cs, Grid([grid.axes[0][:400], grid.axes[1]]))
         assert np.array_equal(values["grid"][: head.size], head)
+
+
+def _tail_boxes(g, m, j, rule, f, tol=1e-10):
+    """The coefficients on the study's box before and after the signal
+    limits it."""
+    wide = lattice_support(g, m, j, study_domain(StudyPlan(g, m, rule, f)), tol)
+    return coefficients(rule, f, m, j, wide), tail_coefficients(rule, f, g, m, j, wide)
+
+
+def _left_out(wide, cs):
+    """``|c_k|`` of the coefficients in ``wide`` outside the box of ``cs``,
+    after checking that the two agree inside it."""
+    lo = np.subtract(cs.lattice.origin, wide.lattice.origin)
+    inside = np.zeros(wide.values.shape, bool)
+    inside[tuple(map(slice, lo, lo + cs.values.shape))] = True
+    assert np.array_equal(wide.values[inside], cs.values.ravel())
+    return np.abs(wide.values[~inside])
+
+
+def _study_box(plan, j, monkeypatch):
+    """The coefficient box that level ``j`` of a study evaluates."""
+    seen = []
+    monkeypatch.setattr(analysis, "evaluate_slabs",
+                        lambda g, m, j, cs, grid: seen.append(cs.lattice))
+    analysis.level_slabs(plan, study_domain(plan), j)
+    return seen[0]
+
+
+# the catalog's compact generators, at their default parameters
+_COMPACT = [g for g in (make() for make in named_generators.values()) if g.support_radius]
+
+
+class TestTailBox:
+    # the box leaves out sum |c_k| <= 2**-80 * max|c_k| / sup|phi| over all
+    # of Z^d, and the span 2**-53 * max|c_k| at any point
+    SHARE, SPAN = 2.0**-80, 2.0**-53
+    # (generator, dilation, level, rule, signal, truncation_tol); the 2-d
+    # generator's box is kept small by the coarse tolerance
+    CASES = [(sinc_squared(1), dyadic(1), j, ExactRule(), f, 1e-10)
+             for f in (gaussian(1), laplace1d(1.0 / 3.0), matern1d(0.3)) for j in range(1, 6)]
+    # ball averages: off its kink, laplace's majorant has slack on one side
+    CASES += [(sinc_squared(1), dyadic(1), j, FalsifiedRule(0.5), laplace1d(x0), 1e-10)
+              for j, x0 in ((1, 1.0 / 3.0), (4, 1.0 / 3.0), (2, 0.0))]
+    CASES += [(sinc_squared(2), dyadic(2), 2, ExactRule(), gaussian(2), 1e-3),
+              (sinc_squared_twoscale(1), triadic(1), 2, ExactRule(), matern1d(0.3), 1e-10)]
+    IDS = [f"{g.name}{g.d}-{f.name}{''.join(f'@{x:.2g}' for x in f.kinks)}-"
+           f"{type(r).__name__[:5]}-j{j}" for g, _, j, r, f, _ in CASES]
+
+    @pytest.mark.parametrize("g,m,j,rule,f,tol", CASES, ids=IDS)
+    def test_omitted_sum_is_within_the_share(self, g, m, j, rule, f, tol):
+        wide, cs = _tail_boxes(g, m, j, rule, f, tol)
+        omitted = _left_out(wide, cs)
+        # not vacuous: nonzero coefficients are left out
+        assert np.count_nonzero(omitted) and len(cs) < len(wide)
+        sup = sum(math.prod(sum(abs(w) for w, _ in f.pairs) for f in t) for t in g.terms)
+        assert math.fsum(omitted) * sup <= self.SHARE * np.abs(cs.values).max()
+
+    @pytest.mark.parametrize("g,m,j,rule,f,tol", CASES, ids=IDS)
+    def test_the_box_bounds_what_it_leaves_out(self, g, m, j, rule, f, tol):
+        # the bound _tail_box states, by brute force on the generator's box,
+        # for a coarse budget: a box small enough that the bound is not all
+        # slack
+        wide = coefficients(rule, f, m, j, lattice_support(
+            g, m, j, study_domain(StudyPlan(g, m, rule, f)), tol))
+        budget = 2.0**-40
+        lattice, bound = expansion._tail_box(rule, f, m, j, wide.lattice, budget)
+        omitted = _left_out(wide, coefficients(rule, f, m, j, lattice))
+        assert math.fsum(omitted) <= bound <= budget
+
+    @pytest.mark.parametrize("g,m,j,rule,f,tol", CASES, ids=IDS)
+    def test_values_within_the_stated_total(self, g, m, j, rule, f, tol):
+        wide, cs = _tail_boxes(g, m, j, rule, f, tol)
+        grid = make_grid(study_domain(StudyPlan(g, m, rule, f)), 0.37)
+        # within 1e-9 of lattice points just outside the box, and on them
+        ks = [np.add(cs.lattice.origin, cs.values.shape), np.subtract(cs.lattice.origin, 3)]
+        ks += [np.where(np.arange(g.d) == 0, k[0], 0) for k in ks]
+        near = [np.asarray(k, float) + gap for k in ks for gap in (0.0, 4e-10, -9e-10)]
+        rows = map_rows(np.array(near), np.asarray(m.power(-j), dtype=float))
+        bound = (self.SPAN + self.SHARE) * np.abs(cs.values).max()
+        for pts in (grid, rows):
+            assert np.abs(evaluate(g, m, j, cs, pts) - evaluate(g, m, j, wide, pts)).max() <= bound
+
+    @pytest.mark.parametrize("f", [gaussian(1), laplace1d(1.0 / 3.0), matern1d(0.3)],
+                             ids=["gaussian", "laplace", "matern"])
+    def test_study_errors_are_the_wide_box_errors(self, f):
+        # bit for bit: the benchmark's replay builds the generator's box
+        plan = StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), f, j_min=1, j_max=5)
+        domain = study_domain(plan)
+        for j, err in zip(range(1, 6), convergence_study(plan).errors):
+            grid, spacing = analysis.level_grid(plan, domain, j)
+            cs = coefficients(plan.rule, f, plan.dilation, j,
+                              lattice_support(plan.generator, plan.dilation, j, domain))
+            qv = evaluate(plan.generator, plan.dilation, j, cs, grid)
+            assert lp_distance(f.eval(grid), qv, math.inf, spacing, 1) == err
+
+    PLANS = {
+        "sinc2-polynomial": StudyPlan(sinc_squared(1), dyadic(1), ExactRule(),
+                                      polynomial(1, {(0,): 1.0, (2,): -0.5}),
+                                      domain_halfwidth=2.0),
+        "sinc2-differential": StudyPlan(sinc_squared(1), dyadic(1),
+                                        DifferentialRule(ball_operator(1, 2, 0.5)), gaussian(1)),
+        "sinc2-quincunx": StudyPlan(sinc_squared(2), quincunx(), ExactRule(), gaussian(2),
+                                    truncation_tol=1e-3),
+        **{f"{g.name}-{type(rule).__name__}": StudyPlan(g, dyadic(g.d), rule, gaussian(g.d))
+           for g in _COMPACT for rule in (ExactRule(), FalsifiedRule(0.5))},
+    }
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_other_studies_keep_the_generators_box(self, name, monkeypatch):
+        plan = self.PLANS[name]
+        box = _study_box(plan, 1, monkeypatch)
+        g, m = plan.generator, plan.dilation
+        assert box == lattice_support(g, m, 1, study_domain(plan), plan.truncation_tol)
+
+    def test_a_band_limited_study_limits_its_box(self, monkeypatch):
+        plan = StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), gaussian(1))
+        box = _study_box(plan, 5, monkeypatch)
+        assert box == Lattice((-136,), (273,))
+
+    def test_a_box_over_the_share_is_chosen_again(self, monkeypatch):
+        # max|c_k| = 1e-3, below the first guess of 1: the first box leaves
+        # out more than 2**-80 * 1e-3, so a wider one is chosen for 1e-3
+        g, m, j = sinc_squared(1), dyadic(1), 3
+        f0 = gaussian(1)
+        f = dataclasses.replace(f0, pointwise=lambda x: 1e-3 * f0.pointwise(x),
+                                factor=lambda t: 1e-3 * f0.factor(t),
+                                tail=lambda t: 1e-3 * f0.tail(t))
+        calls, rule = [], ExactRule()
+        real = expansion.coefficients
+        monkeypatch.setattr(expansion, "coefficients",
+                            lambda *a: calls.append(a[-1]) or real(*a))
+        wide, cs = _tail_boxes(g, m, j, rule, f)
+        assert len(calls) == 2 and len(calls[0]) < len(calls[1]) == len(cs)
+        sums = [math.fsum(_left_out(wide, c)) for c in (real(rule, f, m, j, calls[0]), cs)]
+        assert sums[0] > self.SHARE * 1e-3 >= sums[1]
+
+    def test_a_box_cut_by_the_tolerance_is_the_generators_box(self):
+        # the reach sqrt(decay_const / 0.1) = 1 keeps the box inside the tail's
+        g, m, j, f = sinc_squared(1), dyadic(1), 3, gaussian(1)
+        box = lattice_support(g, m, j, Box.centered(1.5, 1), 0.1)
+        assert tail_coefficients(ExactRule(), f, g, m, j, box).lattice == box
 
 
 def _bits(values):

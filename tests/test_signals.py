@@ -184,5 +184,55 @@ class TestPolynomial:
             polynomial(2, {(1,): 1.0})
 
 
+class TestTails:
+    # every catalog signal with a finite T0, its kink on either side of 0
+    SIGNALS = [gaussian(1), gaussian(2), laplace1d(0.0), laplace1d(1.0 / 3.0),
+               laplace1d(-0.7), matern1d(0.0), matern1d(0.3), matern1d(-1.2)]
+    IDS = ["gauss1", "gauss2", "laplace", "laplace-1/3", "laplace--0.7", "matern",
+           "matern-0.3", "matern--1.2"]
+
+    @staticmethod
+    def _points(f, reach, n):
+        # rows on the axes and on the diagonals of the box [-reach, reach]^d
+        t = np.linspace(-reach, reach, n)
+        rows = [np.eye(f.d)[a] * t[:, None] for a in range(f.d)] + [np.repeat(t[:, None], f.d, 1)]
+        return np.concatenate(rows)
+
+    def test_every_finite_support_signal_has_a_tail(self):
+        for name, make in named_signals.items():
+            f = make()
+            assert math.isfinite(f.T0) and f.tail is not None, name
+        assert polynomial(1, {(1,): 1.0}).tail is None
+
+    @pytest.mark.parametrize("f", SIGNALS, ids=IDS)
+    def test_below_1e_12_at_t0(self, f):
+        # on the faces of the box [-T0, T0]^d and past them, by the signal
+        # and by its majorant
+        for reach in (f.T0, 1.01 * f.T0, 2 * f.T0):
+            x = np.concatenate([np.eye(f.d) * s * reach for s in (-1, 1)])
+            assert np.abs(f.eval(x)).max() < 1e-12
+        assert f.tail(f.T0) < 1e-12
+
+    @pytest.mark.parametrize("f", SIGNALS, ids=IDS)
+    def test_the_majorant_bounds_the_signal(self, f):
+        # the gaussian's majorant is the signal itself, equal up to rounding
+        x = self._points(f, 1.5 * f.T0, 6001)
+        bound = np.prod(f.tail(np.abs(x)), axis=-1) * (1 + 2.0**-40)
+        assert np.all(np.abs(f.eval(x)) <= bound)
+
+    @pytest.mark.parametrize("f", SIGNALS, ids=IDS)
+    def test_the_majorant_is_non_increasing_and_log_concave(self, f):
+        t = np.linspace(0.0, 1.5 * f.T0, 3001)
+        v = f.tail(t)
+        assert np.all(np.diff(v) <= 0) and np.all(v > 0)
+        assert np.all(np.diff(np.log(v), 2) <= 1e-12)
+
+    def test_matern_t0_passes_the_root_of_its_tail(self):
+        # (1 + u) exp(-u) = 1e-12 at u = 31.0999, so T0 = 31 was short
+        bound = lambda u: (1 + u) * math.exp(-u)
+        assert bound(31.0) > 1e-12 > bound(31.1)
+        assert matern1d(0.4).T0 == 31.1 + 0.4
+
+
 def test_catalog_names():
     assert set(named_signals) == {"gaussian", "laplace1d", "matern1d"}
