@@ -30,6 +30,7 @@ from .expansion import (
     ExactRule,
     FalsifiedRule,
     _image_box,
+    _level,
     coefficients,
     evaluate_slabs,
     lattice_support,
@@ -39,6 +40,8 @@ from .generators import Generator
 
 _ANCHOR = 1.0 / math.sqrt(2.0)
 _FLOOR = 1e-12
+# Below this a level's maximum does not limit the points it evaluates.
+_TINY = 2.0**-1000
 
 
 def make_grid(domain: Box, spacing: float) -> Grid:
@@ -77,8 +80,9 @@ def lp_distance(fv, qv, p: float, spacing: float, d: int) -> float:
 
 class _Lp:
     """An ``L_p`` distance given slab by slab: per slab of ``f - Q_j f``,
-    reduced in that array, which it overwrites: ``|f - Q_j f|``, then its
-    maximum or the sum of its ``p``-th powers."""
+    reduced in that array, which it may overwrite: its largest modulus, on
+    real values ``max(max, -min)`` without forming ``|f - Q_j f|``, or the
+    sum of the ``p``-th powers of ``|f - Q_j f|``."""
 
     def __init__(self, p: float, level: int | None = None):
         if not p >= 1:
@@ -86,16 +90,21 @@ class _Lp:
         self.p, self.level, self.total, self.n = p, level, 0.0, 0
 
     def add(self, diff) -> None:
-        mod = np.abs(diff, out=diff) if diff.dtype == float else np.abs(diff).astype(float)
-        top = mod.max(initial=0.0)
+        real = diff.dtype == float
+        if math.isinf(self.p) and real:
+            # np.maximum keeps a NaN from either side, where max() would drop it
+            top = np.maximum(diff.max(initial=0.0), -diff.min(initial=0.0))
+        else:
+            diff = np.abs(diff, out=diff) if real else np.abs(diff).astype(float)
+            top = diff.max(initial=0.0)
         if not math.isfinite(top):
             at = "" if self.level is None else f" at level {self.level}"
             raise ValueError(f"non-finite difference{at}: max |f - Q_j f| is {top}")
         if math.isinf(self.p):
             self.total = max(self.total, float(top))
         else:
-            self.total += float(np.sum(np.power(mod, self.p, out=mod)))
-        self.n += mod.size
+            self.total += float(np.sum(np.power(diff, self.p, out=diff)))
+        self.n += diff.size
 
     def result(self, spacing: float, d: int) -> float:
         if self.n == 0:
@@ -326,24 +335,91 @@ def level_slabs(plan: StudyPlan, domain: Box, j: int):
     (:func:`evaluate_slabs`), from coefficients on the lattice support,
     limited by the signal's tail where that applies
     (:func:`tail_coefficients`)."""
+    grid, spacing, cs = _level_coefficients(plan, domain, j)
+    return grid, spacing, evaluate_slabs(plan.generator, plan.dilation, j, cs, grid)
+
+
+def _level_coefficients(plan: StudyPlan, domain: Box, j: int):
     g, m = plan.generator, plan.dilation
     grid, spacing = level_grid(plan, domain, j)
     lattice = lattice_support(g, m, j, domain, plan.truncation_tol)
-    cs = tail_coefficients(plan.rule, plan.signal, g, m, j, lattice)
-    return grid, spacing, evaluate_slabs(g, m, j, cs, grid)
+    return grid, spacing, tail_coefficients(plan.rule, plan.signal, g, m, j, lattice)
 
 
 def _level_error(plan: StudyPlan, domain: Box, j: int) -> float:
     """Level ``j``'s error, reduced slab by slab; what the level allocated
-    is freed on return, before the next level's coefficients."""
-    grid, spacing, slabs = level_slabs(plan, domain, j)
-    signal, lp = plan.signal.on_grid(grid), _Lp(plan.p, j)
-    for part, qv in slabs:
-        fv = signal(part)
+    is freed on return, before the next level's coefficients.
+
+    At ``p = inf`` the error is a maximum, and a level evaluates only part
+    of its grid where its generator is compact and takes the axis operator
+    (:func:`expansion._level`), its signal has per-axis values
+    (:meth:`Signal.on_grid`), and its coefficients, factor values and tap
+    bound ``S`` are finite.  A seed comes first: the period of axis 0's
+    rows (one row without a period) that holds the peak of ``|f_0|``.  Its
+    maximum ``m`` is at most the level's.  A point whose ``S
+    max|c_k|`` over its taps plus ``|f(x)|`` is at most ``m' = m (1 -
+    2**-40)`` has ``|f - Q_j f| < m``, rounding included, so only the box
+    around the other points is evaluated: those with ``S |c_k| > m'/2`` at
+    a tap (:func:`expansion._reach`) or ``prod_i |f_i(x_i)| > m'/2``
+    (:func:`_signal_reach`), on the last axis formed only there.  The error
+    is the whole grid's maximum, bit for bit.  Finite ``p``, unbounded
+    generators, rows mode, signals of ``d >= 2`` without a factor and grids
+    of one slab (one operator call either way) evaluate the whole grid."""
+    g = plan.generator
+    grid, spacing, cs = _level_coefficients(plan, domain, j)
+    level = _level(g, plan.dilation, j, cs, grid)
+    values, axes = plan.signal.on_grid(grid)
+    shape, lp = tuple(x.size for x in grid.axes), _Lp(plan.p, j)
+
+    def add(lo, hi, box=()):
+        # Q_j f at the rows lo:hi and the ranges box of the later axes (all
+        # where none), formed only there on the last axis
+        sub = (slice(lo, hi),) + tuple(slice(a, b) for a, b in box)
+        qv = level.run(lo, hi, box[-1] if box else None).reshape((hi - lo,) + shape[1:])
+        qv = qv[(slice(None),) + sub[1:]]
+        fv = values(sub + (slice(None),) * (len(shape) - len(sub))).reshape(qv.shape)
         # f - Q_j f in the signal's buffer where it holds the difference
         fits = fv.flags.writeable and np.can_cast(qv.dtype, fv.dtype)
         lp.add(np.subtract(fv, qv, out=fv) if fits else fv - qv)
-    return lp.result(spacing, plan.generator.d)
+
+    # a grid of one slab is one operator call either way: a seed and boxes only add to it
+    mods = (math.isinf(plan.p) and level.reach and axes and level.rows < shape[0]
+            and [np.abs(v) for v in axes])
+    peaks = mods and [int(v.argmax()) for v in mods]
+    tops = mods and [float(v[i]) for v, i in zip(mods, peaks)]  # NaN where one is
+    if not (mods and all(map(math.isfinite, tops))):
+        for lo, hi, _ in level.slabs():
+            add(lo, hi)
+        return lp.result(spacing, g.d)
+    unit = min(level.unit, level.rows)
+    s0 = peaks[0] - peaks[0] % unit
+    add(s0, min(s0 + unit, shape[0]))
+    half = lp.total * (1 - 2**-40) / 2
+    # near the subnormals rounding is not relative: there, the whole grid
+    near = level.reach(half) if half >= _TINY else [(-math.inf, math.inf)] * len(shape)
+    boxes = [_signal_reach(mods, tops, half)]
+    if near:  # a box of points; make_grid's axes increase
+        boxes.append([(int(np.searchsorted(x, a)), int(np.searchsorted(x, b, "right")))
+                      for x, (a, b) in zip(grid.axes, near)])
+    boxes = [box for box in boxes if all(lo < hi for lo, hi in box)]
+    if boxes:
+        (r0, r1), *box = [(min(b[a][0] for b in boxes), max(b[a][1] for b in boxes))
+                          for a in range(len(shape))]
+        for a, b, _ in level.slabs(r0, r1):
+            add(a, b, tuple(box))
+    return lp.result(spacing, g.d)
+
+
+def _signal_reach(mods, tops, t: float):
+    """One index range ``(lo, hi)`` per axis (``lo >= hi`` where none)
+    outside which ``|f(x)| <= prod_i mods_i`` is at most ``t``, ``tops``
+    the largest of each ``mods_i``."""
+    out = []
+    for a, v in enumerate(mods):
+        rest = math.prod(tops[:a] + tops[a + 1:])
+        on = v > (t / rest if rest else math.inf)
+        out.append((int(on.argmax()), on.size - int(on[::-1].argmax())) if on.any() else (0, 0))
+    return out
 
 
 def convergence_study(plan: StudyPlan) -> ConvergenceReport:
@@ -352,15 +428,21 @@ def convergence_study(plan: StudyPlan) -> ConvergenceReport:
     The prediction is made before the first level, so a plan without one
     raises ``ValueError`` before any work.  Each level's error is reduced
     slab by slab (:func:`evaluate_slabs`): per slab, ``Q_j f``, then ``f``
-    in one buffer per level, then ``|f - Q_j f|`` in that buffer, into the
+    in one buffer per level, then ``f - Q_j f`` in that buffer, into the
     running maximum or ``p``-th power sum (:func:`lp_distance`'s bits at
     ``p = inf``; at finite ``p`` within ``1e-13`` relative of it in the
     tests).  So a level holds its coefficient box and one slab's
     workspace, and a non-finite difference raises ``ValueError`` naming the
-    level.  The verdict is ``pass`` when the fitted slope is within
-    ``slope_tolerance`` of the prediction, ``fail`` otherwise, and
-    ``inconclusive`` when fewer than three levels survive the fit filters
-    (pre-asymptotic skip plus the round-off floor).
+    level.  At ``p = inf`` with a compact generator on the axis operator,
+    a signal with per-axis values and a grid of more than one slab, a level
+    evaluates a seed of a period's rows at the peak of ``|f|``, then only
+    the box of points where ``S max|c_k|`` over the taps plus ``|f|`` can
+    reach the seed's maximum (``S`` bounds ``sum_k |phi(y - k)|``): its
+    error is the whole grid's, bit for bit (:func:`_level_error`).  The
+    verdict is ``pass`` when the fitted slope is within ``slope_tolerance``
+    of the prediction, ``fail`` otherwise, and ``inconclusive`` when fewer
+    than three levels survive the fit filters (pre-asymptotic skip plus the
+    round-off floor).
     """
     g = plan.generator
     domain = study_domain(plan)

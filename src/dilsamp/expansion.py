@@ -352,9 +352,10 @@ def _tail_box(rule, f, m: Dilation, j: int, box: Lattice, budget: float):
             n = min(2 * n, caps[a])
 
     whole = lambda t, past: 2 * (t.sum() + past) - t[0]
-    # each axis's sum over Z, for the others' shares
-    sums = [whole(*terms(a, lambda t, past: past <= 2**-20 * t[0])) for a in range(len(s))]
+    # each axis's sum over Z, for the others' shares; in 1-d there are none
     d, lo, hi, outs = len(s), [], [], []
+    sums = [whole(*terms(a, lambda t, past: past <= 2**-20 * t[0])) for a in range(d)
+            ] if d > 1 else []
     for a, (o, size) in enumerate(zip(box.origin, box.shape)):
         share = budget / d / math.prod(sums[:a] + sums[a + 1:])
         t, past = terms(a, lambda t, past: 4 * past <= share)
@@ -465,11 +466,12 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
 
     A slab of a :class:`Grid` is a sub-grid of whole rows along axis 0,
     about ``_ROWS`` (2**15) points (at least one row; whole periods where
-    axis 0 has a shorter period, at most ``_TILE`` table entries where an
-    unbounded generator's has none); of rows ``(n, d)``, at most ``_ROWS``
-    rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
+    axis 0 has a shorter period and more rows, at most ``_TILE`` table
+    entries where an unbounded generator's has none); of rows ``(n, d)``,
+    at most ``_ROWS`` rows.  ``values`` has :func:`evaluate`'s bits, in a buffer a later slab
     overwrites.  Tables, box checks, the span and workspaces are formed
-    before the first slab (per slab off lines): the memory beyond the box
+    before the first slab (per slab off lines), by one evaluator per call
+    (:func:`_level`) that gives each slab's rows: the memory beyond the box
     is about one slab's or two periods' (and the box summed along all lines
     but one, if skew; a zero-padded box off lines, where a tap leaves it).
     """
@@ -492,6 +494,48 @@ def _checked(g, cs: Coefficients, points):
 def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     if not len(points):
         return
+    level = _level(g, m, j, cs, points)
+    for lo, hi, part in level.slabs():
+        yield part, level.run(lo, hi)
+
+
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """A level's evaluator on checked points (:func:`_level`).
+
+    ``run(lo, hi, cols=None)`` gives the values at the rows ``lo:hi`` of
+    ``points`` (along axis 0 of a grid, with every point of the later axes)
+    with :func:`evaluate`'s bits, which no range changes, in a buffer a
+    later call overwrites.  On the axis operator of a compact generator,
+    ``cols``, a range of the last axis's points, limits the values formed
+    to those; the others are then unspecified.  ``rows`` rows make a slab,
+    and ``unit`` is axis 0's period (1 without).  ``reach``, on that
+    operator, maps a threshold ``t`` to a box of points outside which no
+    value exceeds ``t`` (:func:`_reach`); elsewhere it is None."""
+
+    points: object
+    run: object
+    rows: int
+    unit: int = 1
+    reach: object = None
+
+    def part(self, lo: int, hi: int):
+        """The points of the rows ``lo:hi``: a sub-grid, or rows."""
+        return self.points.rows(lo, hi) if isinstance(self.points, Grid) else self.points[lo:hi]
+
+    def slabs(self, lo: int = 0, hi: int | None = None):
+        """``(start, stop, part)`` per slab of ``rows`` rows from row 0
+        that meets the rows ``lo:hi``, for its rows among them, in order."""
+        if hi is None:
+            hi = self.points.axes[0].size if isinstance(self.points, Grid) else len(self.points)
+        for a in range(lo - lo % self.rows, hi, self.rows):
+            a, b = max(a, lo), min(a + self.rows, hi)
+            yield a, b, self.part(a, b)
+
+
+def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
+    """:func:`evaluate`'s evaluator on checked, non-empty ``points``: tables,
+    box checks, the span and workspaces formed once, here."""
     d, unbounded = g.d, g.support_radius is None
     mj = np.asarray(m.power(j), dtype=float)
     bound = _REACH if unbounded else _REACH - (_width(g) + 1)
@@ -515,27 +559,26 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     # axes without a period, hold at most _TILE entries; else the rows' span sum runs
     if lines is not None and (not unbounded or all(p or v.size * n <= _TILE for p, (v, _, _), n
             in zip(periods[1:], lines[1:], span.values.shape[1:]))):
-        kernel = _operator(g, lines, periods, span if unbounded else cs, kind,
-                           points if skew else None)
+        kernel, taps = _operator(g, lines, periods, span if unbounded else cs, kind,
+                                 points if skew else None)
         rows = points.slab_rows(_ROWS)
-        if rows > periods[0] > 0:
+        if points.axes[0].size > rows > periods[0] > 0:
             rows = periods[0] * round(rows / periods[0])
         elif unbounded and not periods[0]:  # axis 0's table is formed per slab
             rows = max(1, min(rows, _TILE // span.values.shape[0]))
-        ys = unbounded and [v[:: r[a]] for a, (v, r, _) in enumerate(lines)]
-        for lo, hi, part in points.slabs(rows):
-            vals = kernel(lo, hi)
-            if unbounded:
-                hits(vals, [ys[0][lo:hi]] + ys[1:], rows=False)
-            yield part, vals
-        return
+        if not unbounded:
+            return _Level(points, kernel, rows, periods[0] or 1, _reach(g, m, j, cs, taps))
+        ys = [v[:: r[a]] for a, (v, r, _) in enumerate(lines)]
+        run = lambda lo, hi, cols=None: hits(kernel(lo, hi), [ys[0][lo:hi]] + ys[1:], rows=False)
+        return _Level(points, run, rows, periods[0] or 1)
     if isinstance(points, Grid):
         rows = points.slab_rows(_ROWS)
-        parts = lambda: (part for *_, part in points.slabs(rows))
         columns, n = points.axes, rows * (len(points) // points.axes[0].size)
     else:
-        parts = lambda: (points[lo : lo + _ROWS] for lo in range(0, len(points), _ROWS))
+        rows = _ROWS
         columns, n = points.T, min(len(points), _ROWS)
+    # the kernel, formed below once the points are checked
+    level = _Level(points, lambda lo, hi, cols=None: kernel(mapped(level.part(lo, hi))), rows)
     y = np.empty((d, n))
     def mapped(part):
         if not isinstance(part, Grid):
@@ -548,7 +591,7 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
     # |M^j| max|x| bounds every mapped coordinate; map the points only past it
     reach = [max(-x.min(), x.max()) for x in columns]
     if np.any(np.abs(mj) @ reach >= bound):
-        for part in parts():
+        for *_, part in level.slabs():
             _check_reach(mapped(part), bound)
     if unbounded:
         # chunks of axis 0 whose sums over it fill about one slab
@@ -558,8 +601,37 @@ def _slabs(g, m: Dilation, j: int, cs: Coefficients, points):
                                 y, rows=True)
     else:
         kernel = _rows_gather(g, cs, n, kind)
-    for part in parts():
-        yield part, kernel(mapped(part))
+    return level
+
+
+def _reach(g, m: Dilation, j: int, cs: Coefficients, taps: float):
+    """Where a compact generator's sum can exceed ``t``: a function of ``t``
+    to a box ``[(lo, hi)]`` of points ``x``, one range per axis (None if
+    empty), outside which every point's taps have ``taps * |c_k| <= t``,
+    ``taps`` a bound on ``sum_k |phi(y - k)|`` at the grid's mapped points.
+    The lattice box of the other ``k`` is widened by ``r + 2``, past the
+    reach of a point's taps and of its mapped ``y``'s rounding, and mapped
+    back by ``M^-j`` to the box of its corners.  With a coefficient or
+    ``taps`` not finite, every point."""
+    a, d = np.asarray(m.power(-j), dtype=float), g.d
+    widen = g.support_radius + 2
+
+    def reach(t):
+        mod = np.abs(cs.values)
+        top = mod.max()
+        if not (math.isfinite(taps) and math.isfinite(top)):
+            return [(-math.inf, math.inf)] * d
+        if not taps * top > t:
+            return None
+        live, box = mod > t / taps, []
+        for i, o in enumerate(cs.lattice.origin):
+            on = live.any(axis=tuple(b for b in range(d) if b != i)) if d > 1 else live
+            box.append((o + int(on.argmax()) - widen,
+                        o + on.size - 1 - int(on[::-1].argmax()) + widen))
+        x = np.asarray(list(product(*box)), dtype=float) @ a.T
+        return list(zip(x.min(axis=0), x.max(axis=0)))
+
+    return reach
 
 
 def _lines(mj, grid):
@@ -774,17 +846,21 @@ def _gather(at, taps, out, v, axis=None):
 
 
 def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
-    """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`): a
-    function of rows ``lo:hi`` of axis 0 to their values, in a buffer a
-    later call overwrites.  Tables and box checks are formed here on the
-    lines (``cs`` an unbounded generator's span, ``kind`` the factors'
-    dtype).  Per term the rows of the coefficients, zeros past the box, are
-    summed along the last axis first (:func:`_stage`); where each line
-    follows its own axis a call sums two periods or more of axis 0, kept
-    for the next; otherwise (the ``grid`` given) a point gathers along axis
-    0 (:func:`_gather`) from the rows summed along the other lines.  Complex
-    coefficients under real tables are summed as real and imaginary parts,
-    the terms added in order."""
+    """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`),
+    and for a compact generator a bound on ``sum_k |phi(y - k)|`` at its
+    points from its tables (None if unbounded).  The operator is a function
+    ``run(lo, hi, cols=None)`` of rows ``lo:hi`` of axis 0 to their values,
+    in a buffer a later call overwrites; given ``cols``, a range of the last
+    axis's points, it forms the values only there, with the bits of all of
+    them, and leaves the others unspecified.  Tables and box checks are
+    formed here on the lines (``cs`` an unbounded generator's span, ``kind``
+    the factors' dtype).  Per term the rows of the coefficients, zeros past
+    the box, are summed along the last axis first (:func:`_stage`); where
+    each line follows its own axis a call sums two periods or more of axis
+    0, kept for the next; otherwise (the ``grid`` given) a point gathers
+    along axis 0 (:func:`_gather`) from the rows summed along the other
+    lines.  Complex coefficients under real tables are summed as real and
+    imaginary parts, the terms added in order."""
     d, unbounded, skew = g.d, g.support_radius is None, grid is not None
     origin, shape = cs.lattice.origin, cs.values.shape
     axes, rs, n0 = zip(*lines)
@@ -800,10 +876,14 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
              else (f, y, o + n - 1 - np.arange(n)), None) if unbounded
             else _tap_phases(g, f, y, period, o, n, a) for a, (f, y, period, u, o, n)
             in enumerate(zip(t, axes, periods, units, origin, shape))] for t in g.terms]
-    vals, pad = cs.values, [0] * d
+    vals, pad, taps = cs.values, [0] * d, None
     if unbounded:
         vals = vals[(slice(None, None, -1),) * d]
     else:
+        # sum_k |phi(y - k)| at every point is at most the sum over terms of
+        # the products over axes of a phase's largest sum of |table| (a bound)
+        taps = sum(math.prod(float(np.abs(table).sum(axis=1).max()) for table, _ in t)
+                   for t in ops)
         # pad zeros before the box on each axis, and zeros after it to width
         pad = [max(0, o - min(int(t[a][1].min()) for t in ops)) for a, o in enumerate(origin)]
         width = [l + max(n, max(int(t[a][1].max()) + t[a][0].shape[1] for t in ops) - o
@@ -816,14 +896,15 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
              else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
     bufs, kept, block = {}, {}, [None]
 
-    def buffer(key, shape, dtype):
+    def buffer(key, shape, dtype, new=np.empty):
         b = bufs.get(key)
         if b is None or b.size < math.prod(shape) or b.dtype != dtype:
-            b = bufs[key] = np.empty(math.prod(shape), dtype=dtype)
+            b = bufs[key] = new(math.prod(shape), dtype=dtype)
         return b[: math.prod(shape)].reshape(shape)
 
-    def summed(c, i, q0, q1):
-        # term i's axis-0 op, and its rows of part c for axis 0's q0:q1
+    def summed(c, i, q0, q1, cols):
+        # term i's axis-0 op, and its rows of part c for axis 0's q0:q1, on the last axis
+        # formed at its points cols:  the others hold values of earlier calls, or zeros
         table, k = ops[i][0]
         if k is None:
             r0, r1 = 0, parts[c].shape[0]
@@ -831,7 +912,8 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
             r0, r1 = int(k[0]) + q0, int(k[0]) + q1 - 1 + table.shape[1]
         else:
             r0, r1 = int(k[q0:q1].min()), int(k[q0:q1].max()) + table.shape[1]
-        if kept.get((c, i), (None,))[0] != (r0, r1):
+        hit = kept.get((c, i))
+        if hit is None or hit[0] != (r0, r1) or not _covers(hit[1], cols):
             x = parts[c][r0:r1]
             if not unbounded:
                 x = buffer((c, i), (r1 - r0,) + tuple(width[1:]), x.dtype)
@@ -839,62 +921,88 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
                 a, b = max(r0, pad[0]), min(r1, pad[0] + shape[0])
                 x[(slice(a - r0, max(a, b) - r0),) + inner] = parts[c][a - pad[0] : b - pad[0]]
             for a in range(d - 1, 0, -1):
-                lead = x.shape[:a]
+                lead, unit = x.shape[:a], periods[a] or 1
                 x = x.reshape(math.prod(lead), x.shape[a], -1)
-                x = _stage(ops[i][a], x, periods[a], 0, units[a], buffer, (c, i, a))
-                x = x[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
+                u0, u1 = 0, units[a]
+                if a == d - 1 and cols is not None:
+                    # the last axis's sums run in numpy's own loop (R = 1) over two
+                    # periods or more, a point's taps in order: the bits of all of them
+                    n = axes[a].size
+                    c0, c1 = (n - cols[1], n - cols[0]) if flip[a] else cols
+                    u0, u1 = c0 // unit, -(-c1 // unit)
+                    if periods[a]:
+                        u1 = min(max(u1, u0 + 2), units[a])
+                        u0 = min(u0, u1 - 2)
+                out = buffer((c, i, a), (x.shape[0], units[a] * unit, x.shape[2]), x.dtype,
+                             np.zeros)
+                _stage(ops[i][a], x, periods[a], u0, u1, buffer, (c, i, a),
+                       out[:, u0 * unit : u1 * unit])
+                x = out[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
                 x = np.flip(x, a) if flip[a] else x
-            kept[c, i] = (r0, r1), x.reshape(1, r1 - r0, -1)
+            kept[c, i] = (r0, r1), cols, x.reshape(1, r1 - r0, -1)
             if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]) or (
                     k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:]
                     >= x.size):
                 raise IndexError("a gathered index leaves its line or T")
-        return (table, None if k is None else k - r0), kept[c, i][1]
+        return (table, None if k is None else k - r0), kept[c, i][2]
 
-    def total(c, q0, q1):
+    def total(c, q0, q1, cols):
         # part c's sum over the terms, for axis 0's q0:q1 (the rows q0:q1 if skew); on(arr, r,
-        # n) is the strided view arr[n + r . i] at the points i of those rows, later axes first
-        dims = skew and (q1 - q0,) + tuple(y.size for y in grid.axes[1:])
-        on = lambda arr, r, n: as_strided(arr[n + r[0] * q0 :], arr.shape[1:] + dims, arr.strides[
-            1:] + tuple(int(v) * arr.strides[0] for v in r))
-        out = None
+        # n) is the strided view arr[n + r . i] at the points i of those rows and of cols on
+        # the last axis (all if None), later axes first
+        c0, c1 = cols or (0, grid.axes[-1].size if skew else 0)
+        dims = skew and (q1 - q0,) + tuple(y.size for y in grid.axes[1:-1]) + (c1 - c0,)
+        on = lambda arr, r, n: as_strided(arr[n + r[0] * q0 + r[-1] * c0 :], arr.shape[
+            1:] + dims, arr.strides[1:] + tuple(int(v) * arr.strides[0] for v in r))
+        out = whole = None
         for i in range(len(ops)):
-            (table, k), x = summed(c, i, 0 if skew else q0, axes[0].size if skew else q1)
+            (table, k), x = summed(c, i, 0 if skew else q0, axes[0].size if skew else q1,
+                                   None if skew else cols)
             if skew:
-                # sum_u table_0[n_0, u] T[start_0[n_0] + u, n_1, ...] at the flat index of tap 0
+                # sum_u table_0[n_0, u] T[start_0[n_0] + u, n_1, ...] at the flat index of tap
+                # 0, into the columns cols of the rows (the others of earlier calls, or zeros)
                 x = x.ravel()
                 at = np.add(on(k * s[0], r[0], n0[0]), on(np.arange(s[0]), r[1:].T @ s[1:],
                             s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
                 taps = ((x[u * s[0] :], w) for u, w in enumerate(on(table, r[0], n0[0])))
-                v = _gather(at, taps, buffer((c, i, 0), dims, x.dtype), buffer("v", dims, x.dtype))
+                v = buffer((c, i, 0), dims[:-1] + (grid.axes[-1].size,), x.dtype, np.zeros)
+                whole = v if whole is None else whole
+                v = _gather(at, taps, v[..., c0:c1], buffer("v", dims, x.dtype))
             else:
                 v = _stage((table, k), x, periods[0], q0, q1, buffer, (c, i, 0))
             out = v if out is None else np.add(out, v, out=out)
-        return out
+        return out if whole is None else whole
 
-    def run(lo, hi):
+    def run(lo, hi, cols=None):
         unit, n = periods[0] or 1, axes[0].size
         lo, hi = (n - hi, n - lo) if flip[0] else (lo, hi)
-        if block[0] is None or not block[0][0] * unit <= lo < hi <= block[0][1] * unit:
+        if block[0] is None or not (block[0][0] * unit <= lo < hi <= block[0][1] * unit
+                                    and _covers(block[0][2], cols)):
             q0, q1 = lo // unit, -(-hi // unit)
             if periods[0]:
                 # at least two periods: one would make its window BLAS-able
                 q1 = min(max(q1, q0 + 2), units[0])
                 q0 = min(q0, q1 - 2)
-            sums = [total(c, q0, q1).reshape(-1) for c in range(len(parts))]
+            sums = [total(c, q0, q1, cols).reshape(-1) for c in range(len(parts))]
             if len(sums) > 1:
                 sums = [buffer("complex", sums[0].shape, complex)] + sums
                 sums[0].real, sums[0].imag = sums[1:]
-            block[0] = (q0, q1, sums[0])
-        q0, q1, vals = block[0]
+            block[0] = (q0, q1, cols, sums[0])
+        q0, q1, _, vals = block[0]
         rest = len(vals) // ((q1 - q0) * unit)
         vals = vals[(lo - q0 * unit) * rest : (hi - q0 * unit) * rest]
         return vals.reshape(hi - lo, rest)[::-1].ravel() if flip[0] else vals
 
-    return run
+    return run, taps
 
 
-def _stage(op, x, period: int, q0: int, q1: int, buffer, key):
+def _covers(have, cols) -> bool:
+    """Whether values formed at the last axis's points ``have`` (all if
+    None) hold those at ``cols``."""
+    return have is None or cols is not None and have[0] <= cols[0] and cols[1] <= have[1]
+
+
+def _stage(op, x, period: int, q0: int, q1: int, buffer, key, out=None):
     """``op = (table, start)`` summed along axis 1 of ``x``, shaped ``(L,
     m, R)``, for the periods (or points, without a period) ``q0:q1``, into
     a buffer ``(L, points, R)``.  Period ``q`` is one product of the ``(P,
@@ -903,11 +1011,12 @@ def _stage(op, x, period: int, q0: int, q1: int, buffer, key):
     sums a point's taps in order; an unbounded generator's window moves on
     the table instead, ``table[:, q:][:, :m]`` times the reversed span (its
     row per point, without a period).  Each has the same shapes in every
-    call.  Else taps are gathered one at a time.  ``x`` has the tables' dtype."""
+    call.  Else taps are gathered one at a time.  ``x`` has the tables' dtype;
+    ``out``, if given, a view ``(L, points, R)``, receives the sums."""
     table, start = op
     (rows, m, rest), nq = x.shape, q1 - q0
     phases = table.shape[0] if period else 1
-    out = buffer(key, (rows, nq * phases, rest), x.dtype)
+    out = buffer(key, (rows, nq * phases, rest), x.dtype) if out is None else out
     if start is None:
         window = (as_strided(table[:, q0:], (nq, phases, m), table.strides[1:] + table.strides)
                   if period else _sinc_table(table[0], table[1][q0:q1], table[2])[:, None])

@@ -59,32 +59,40 @@ class Signal:
         its values on the axes, otherwise ``pointwise`` on the grid's rows."""
         if not isinstance(x, Grid):
             return self.pointwise(x)
-        return self.on_grid(x)(x)
+        return self.on_grid(x)[0](tuple(slice(None) for _ in x.axes))
 
     def on_grid(self, grid: Grid):
-        """:meth:`eval` on the slabs of ``grid`` (:meth:`Grid.slabs`), as a
-        function of a slab: the factor's values on the axes past the first
-        are formed here, once, and each call forms its outer product with
-        the values on the slab's first axis, with :meth:`eval`'s bits, in
+        """:meth:`eval` on sub-boxes of ``grid``: ``(values, axes)``.
+
+        ``axes`` holds the per-axis values, formed here once: the factor's
+        on every axis, or a 1-d signal's own values; None for a signal of
+        ``d >= 2`` without a factor.  ``values(box)``, ``box`` one slice per
+        axis, gives the values at the sub-grid ``grid.axes[i][box[i]]`` in
+        :meth:`Grid.points` order, with :meth:`eval`'s bits (the outer
+        product of ``axes``, or ``pointwise`` on the sub-grid's rows), in
         one buffer that the next call overwrites."""
         if grid.d != self.d:
             raise ValueError(f"grid of dimension {grid.d}, expected {self.d}")
-        if self.factor is None:
-            return lambda slab: self.pointwise(slab.points())
-        rest, buf = [self.factor(x) for x in grid.axes[1:]], [np.empty(0)]
+        if self.factor is None and self.d > 1:
+            rows = lambda box: Grid([x[s] for x, s in zip(grid.axes, box)]).points()
+            return (lambda box: self.pointwise(rows(box))), None
+        axes = ([self.factor(x) for x in grid.axes] if self.factor is not None
+                else [self.pointwise(grid.axes[0][:, None])])
+        buf = [np.empty(0)]
 
-        def values(slab):
-            parts = [self.factor(slab.axes[0])] + rest
-            if not rest:
-                return parts[0]
+        def values(box):
+            parts = [v[s] for v, s in zip(axes, box)]
             size = math.prod(map(len, parts))
             if buf[0].size < size:
                 buf[0] = np.empty(size, dtype=np.result_type(*parts))
             out = buf[0][:size].reshape(tuple(map(len, parts)))
-            return np.multiply.outer(reduce(np.multiply.outer, parts[:-1]), parts[-1],
-                                     out=out).ravel()
+            if len(parts) == 1:
+                out[...] = parts[0]
+            else:
+                np.multiply.outer(reduce(np.multiply.outer, parts[:-1]), parts[-1], out=out)
+            return out.ravel()
 
-        return values
+        return values, axes
 
     def __call__(self, x):
         return self.eval(as_points(x, self.d))

@@ -9,6 +9,7 @@ import pytest
 
 from dilsamp import (
     Box,
+    Coefficients,
     ExactRule,
     FalsifiedRule,
     Lattice,
@@ -347,16 +348,16 @@ class TestDeviationStudy:
             deviation_study(plan)
 
 
-def _whole_grid_errors(plan):
+def _whole_grid_errors(plan, edit=lambda cs, j: cs):
     """Each level's error from the whole grid's values: the public calls, in
-    the order the study makes them."""
+    the order the study makes them, the coefficients changed by ``edit``."""
     g, m, f = plan.generator, plan.dilation, plan.signal
     domain = study_domain(plan)
     errors = []
     for j in range(plan.j_min, plan.j_max + 1):
         grid, spacing = analysis.level_grid(plan, domain, j)
-        cs = coefficients(plan.rule, f, m, j,
-                          lattice_support(g, m, j, domain, plan.truncation_tol))
+        cs = edit(coefficients(plan.rule, f, m, j,
+                               lattice_support(g, m, j, domain, plan.truncation_tol)), j)
         qv = evaluate(g, m, j, cs, grid)
         errors.append(lp_distance(f.eval(grid), qv, plan.p, spacing, g.d))
     return errors
@@ -398,7 +399,23 @@ class TestStreamedErrors:
                                    j_min=2, j_max=3, grid_per_scale=4),
         "sinc2-quincunx": StudyPlan(sinc_squared(2), quincunx(), ExactRule(), gaussian(2),
                                     j_min=0, j_max=1, grid_per_scale=2, truncation_tol=1e-3),
+        # p = inf levels that the bound cuts to a sub-box: a wide box, two terms,
+        # complex values, quincunx's odd levels (a gather on lines), and a 1-d
+        # signal without a factor
+        "hat2-wide": StudyPlan(hat(2), dyadic(2), ExactRule(), gaussian(2), j_min=1, j_max=3,
+                               grid_per_scale=4, domain_halfwidth=9.0),
+        "bspline3-wide": StudyPlan(bspline3_2d(0.3, 0.8), dyadic(2), ExactRule(), gaussian(2),
+                                   j_min=1, j_max=2, grid_per_scale=4, domain_halfwidth=7.0),
+        "bspline4-wide": StudyPlan(bspline4_1d(0.2, 0.5, -0.1), dyadic(1), ExactRule(),
+                                   gaussian(1), j_min=1, j_max=4, grid_per_scale=4,
+                                   domain_halfwidth=12.0),
+        "hat2-quincunx-odd": StudyPlan(hat(2), quincunx(), ExactRule(), gaussian(2), j_min=1,
+                                       j_max=5, grid_per_scale=4, domain_halfwidth=6.0),
+        "kink-wide": StudyPlan(hat(1), dyadic(1), FalsifiedRule(0.5), laplace1d(1 / 3),
+                               operator=ball_operator(1, 1, 0.5), mode="falsified1d",
+                               j_min=1, j_max=4, grid_per_scale=4),
     }
+    CUT = ["hat2-wide", "bspline3-wide", "bspline4-wide", "hat2-quincunx-odd", "kink-wide"]
 
     # points per slab: the default, one row per slab, and sizes that leave
     # a shorter last slab (97 on the 1-d grids, 997 on the 2-d ones)
@@ -420,6 +437,73 @@ class TestStreamedErrors:
         assert uneven(self.PLANS["sinc2-1d"], 97)
         assert uneven(self.PLANS["hat2-dyadic"], 997)
         assert uneven(self.PLANS["hat2-quincunx"], 997)
+
+    @staticmethod
+    def _evaluated(plan, monkeypatch):
+        """Per level, the points whose difference the study reduced, and the grid's."""
+        seen, add = [], analysis._Lp.add
+        monkeypatch.setattr(analysis._Lp, "add",
+                            lambda lp, diff: seen.append((lp.level, diff.size)) or add(lp, diff))
+        convergence_study(plan)
+        domain = study_domain(plan)
+        return [(sum(n for j, n in seen if j == level),
+                 len(analysis.level_grid(plan, domain, level)[0]))
+                for level in range(plan.j_min, plan.j_max + 1)]
+
+    @pytest.mark.parametrize("name", CUT)
+    def test_the_bound_cuts_the_grid(self, name, monkeypatch):
+        # every level of several slabs is cut; hat2-wide's first level is one
+        # slab, so it is evaluated whole, and its others hold most points
+        rows = None if name == "hat2-wide" else 97
+        if rows is not None:
+            monkeypatch.setattr(expansion, "_ROWS", rows)
+        counts = self._evaluated(self.PLANS[name], monkeypatch)
+        assert all(n < whole for n, whole in counts[rows is None:]), counts
+        if rows is None:
+            assert counts[0][0] == counts[0][1] <= expansion._ROWS
+            assert sum(n for n, _ in counts) < sum(whole for _, whole in counts) / 2
+
+    @pytest.mark.parametrize("change", [dict(p=2.0), dict(generator=sinc_squared(2),
+                                                          truncation_tol=1e-3, j_max=2), {}],
+                             ids=["finite-p", "unbounded", "one-slab"])
+    def test_finite_p_unbounded_generators_and_one_slab_take_the_whole_grid(
+            self, change, monkeypatch):
+        if not change:
+            monkeypatch.setattr(expansion, "_ROWS", 2**30)
+        plan = dataclasses.replace(self.PLANS["hat2-wide"], **change)
+        assert all(n == whole for n, whole in self._evaluated(plan, monkeypatch))
+
+    @staticmethod
+    def _edited(value):
+        # one coefficient at the box's edge, two lattice units in, where f and
+        # every other coefficient are about 0
+        def edit(cs, j):
+            vals = cs.values.copy()
+            vals[2, vals.shape[1] // 3] = value
+            return Coefficients(cs.lattice, vals)
+        return edit
+
+    @pytest.mark.parametrize("rows", [None, 97])
+    def test_a_maximum_far_from_the_seed(self, rows, monkeypatch):
+        plan, edit = self.PLANS["hat2-wide"], self._edited(0.5)
+        ref = _whole_grid_errors(plan, edit)
+        tail = analysis.tail_coefficients
+        monkeypatch.setattr(analysis, "tail_coefficients",
+                            lambda rule, f, g, m, j, box: edit(tail(rule, f, g, m, j, box), j))
+        if rows is not None:
+            monkeypatch.setattr(expansion, "_ROWS", rows)
+        got = convergence_study(plan).errors
+        assert got == tuple(ref)
+        assert all(0.25 < e <= 0.5 for e in got)
+
+    def test_a_nan_coefficient_fails_the_level(self, monkeypatch):
+        # at the edge, where the bound would skip a finite coefficient
+        plan, edit = self.PLANS["hat2-wide"], self._edited(np.nan)
+        tail = analysis.tail_coefficients
+        monkeypatch.setattr(analysis, "tail_coefficients", lambda rule, f, g, m, j, box: (
+            edit if j == 2 else lambda cs, j: cs)(tail(rule, f, g, m, j, box), j))
+        with pytest.raises(ValueError, match="non-finite difference at level 2"):
+            convergence_study(plan)
 
     @pytest.mark.parametrize("name", ["hat2-dyadic", "hat2-quincunx"])
     def test_finite_p_within_the_stated_bound(self, name, monkeypatch):

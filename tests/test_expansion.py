@@ -108,11 +108,10 @@ class TestGrid:
         per_row = len(grid) // 5
         for size, rows in ((1, 1), (3 * per_row - 1, 2), (10**6, 5)):
             assert grid.slab_rows(size) == rows
-            slabs = list(grid.slabs(rows))
-            assert [(lo, hi) for lo, hi, _ in slabs] == [
-                (lo, min(lo + rows, 5)) for lo in range(0, 5, rows)]
-            assert np.array_equal(np.concatenate([s.points() for *_, s in slabs]),
-                                  grid.points())
+            starts = range(0, 5, rows)
+            slabs = [grid.rows(lo, min(lo + rows, 5)) for lo in starts]
+            assert [s.axes[0].size for s in slabs] == [min(rows, 5 - lo) for lo in starts]
+            assert np.array_equal(np.concatenate([s.points() for s in slabs]), grid.points())
 
     def test_rejects_an_empty_axis(self):
         with pytest.raises(ValueError, match="at least one point"):
@@ -624,6 +623,33 @@ class TestAxisOperator:
         assert bool(calls) != general
         assert np.array_equal(got, ref) if general else np.all(
             np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+
+    # the compact cases, and a 2-d grid whose last axis the operator reverses
+    RANGES = [c for c in TestPerAxisEvaluation.CASES + TestPerAxisEvaluation.SKEW
+              if c[0].support_radius] + [(hat(2), dilation([[2, 0], [0, -2]]), 3)]
+
+    @pytest.mark.parametrize("g,m,j", RANGES, ids=[
+        "hat1-dyadic", "hat1-minus2", "hat1-triadic", "bspline4-ball", "bspline4-odd",
+        "hat2-dyadic", "hat2-diag23", "hat3-dyadic", "hat2-quincunx-even", "bspline3-dyadic"]
+        + TestPerAxisEvaluation.SKEW_IDS + ["hat2-flipped-last"])
+    def test_row_and_column_ranges_keep_the_grid_bits(self, g, m, j):
+        # any rows, and any points of the last axis where given, after any
+        # earlier call, against the whole grid's values
+        cs, grid = _expansion_on_grid(g, m, j)
+        shape = tuple(x.size for x in grid.axes)
+        ref = evaluate(g, m, j, cs, grid).reshape(shape)
+        level = expansion._level(g, m, j, cs, grid)
+        rng = np.random.default_rng(7)
+        # random ranges, then the same rows at other points and at all of them
+        calls = [sorted(rng.choice(shape[0] + 1, 2, replace=False)) + [None if g.d == 1 or (
+            rng.random() < 0.25) else tuple(sorted(rng.choice(shape[-1] + 1, 2, replace=False)))]
+            for _ in range(16)]
+        if g.d > 1:
+            calls += [[1, 3, (0, 2)], [1, 3, (shape[-1] - 2, shape[-1])], [1, 3, None]]
+        for lo, hi, cols in calls:
+            got = level.run(lo, hi, cols).reshape((hi - lo,) + shape[1:])
+            at = (Ellipsis, slice(*cols)) if cols else Ellipsis
+            assert np.array_equal(got[at], ref[lo:hi][at])
 
     @pytest.mark.parametrize("name,j,peak", [
         ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 5.0e6)])
@@ -1156,6 +1182,61 @@ class TestUnboundedEvaluation:
         assert np.array_equal(values["grid"][: head.size], head)
 
 
+class TestReach:
+    """The majorants a p = inf level limits its points by: outside the box
+    that ``_reach`` gives for ``t``, no value exceeds ``t``, and outside the
+    signal's box no ``prod_i |f_i(x_i)|`` does."""
+
+    # dyadic and quincunx (an odd level: a gather on lines), two terms,
+    # complex tables, and 1-d
+    CASES = [(hat(2), dyadic(2), 3), (hat(2), quincunx(), 3),
+             (bspline3_2d(0.3, 0.8), dyadic(2), 2), (bspline4_1d(0.2, 0.5, -0.1), dyadic(1), 3),
+             (hat(1), dyadic(1), 4)]
+
+    @pytest.mark.parametrize("g,m,j", CASES, ids=["hat2", "hat2-quincunx", "bspline3",
+                                                  "bspline4", "hat1"])
+    def test_no_value_outside_the_box_exceeds_t(self, g, m, j):
+        domain = Box.centered(3.0, g.d)
+        grid = make_grid(domain, m.norm(-j) / 4)
+        box = lattice_support(g, m, j, domain)
+        # small noise and one spike, a third of the way into the box
+        vals = np.random.default_rng(0).uniform(-1e-3, 1e-3, box.shape)
+        vals[tuple(n // 3 for n in box.shape)] = 1.0
+        cs = Coefficients(box, vals)
+        level = expansion._level(g, m, j, cs, grid)
+        got = np.abs(evaluate(g, m, j, cs, grid)).reshape([x.size for x in grid.axes])
+        for t in (0.5, 0.05, 2e-3):
+            ranges = level.reach(t)
+            inside = np.ones(got.shape, bool)
+            for a, (x, (lo, hi)) in enumerate(zip(grid.axes, ranges)):
+                inside &= np.expand_dims((lo <= x) & (x <= hi), tuple(
+                    b for b in range(g.d) if b != a))
+            assert np.all(got[~inside] <= t) and got[inside].max() > t
+            assert not inside.all()
+        assert level.reach(2.0) is None
+
+    def test_a_non_finite_coefficient_reaches_every_point(self):
+        g, m, j, domain = hat(2), dyadic(2), 2, Box.centered(2.0, 2)
+        grid = make_grid(domain, 0.1)
+        cs = coefficients(ExactRule(), gaussian(2), m, j, lattice_support(g, m, j, domain))
+        vals = cs.values.copy()
+        vals[0, 0] = np.nan
+        level = expansion._level(g, m, j, Coefficients(cs.lattice, vals), grid)
+        assert level.reach(0.5) == [(-math.inf, math.inf)] * 2
+
+    def test_no_signal_value_outside_its_box_exceeds_t(self):
+        rng = np.random.default_rng(1)
+        mods = [np.abs(rng.standard_normal(n)) * np.exp(-np.linspace(-3, 3, n) ** 2)
+                for n in (40, 57)]
+        prod = np.multiply.outer(*mods)
+        for t in (0.1, 0.5, prod.max() * 0.99):
+            ranges = analysis._signal_reach(mods, [v.max() for v in mods], t)
+            inside = np.zeros(prod.shape, bool)
+            inside[tuple(slice(lo, hi) for lo, hi in ranges)] = True
+            assert np.all(prod[~inside] <= t) and prod[inside].max() > t
+        assert analysis._signal_reach(mods, [v.max() for v in mods], prod.max()) == [(0, 0)] * 2
+
+
 def _tail_boxes(g, m, j, rule, f, tol=1e-10):
     """The coefficients on the study's box before and after the signal
     limits it."""
@@ -1222,6 +1303,21 @@ class TestTailBox:
         lattice, bound = expansion._tail_box(rule, f, m, j, wide.lattice, budget)
         omitted = _left_out(wide, coefficients(rule, f, m, j, lattice))
         assert math.fsum(omitted) <= bound <= budget
+
+    @pytest.mark.parametrize("g,m,j,rule,f,tol", CASES[:15], ids=IDS[:15])
+    def test_a_1d_box_forms_the_tail_once_per_half_width(self, g, m, j, rule, f, tol):
+        # in 1-d no other axis takes a share, so no sum over Z is formed: each
+        # f.tail call is one half-width n of the box's own search, t(0..n + 2),
+        # from ceil(T0 / s) doubled; the box and its bits are those of the sums'
+        calls, passes, tail_box = [], [], expansion._tail_box
+        counted = dataclasses.replace(f, tail=lambda t: calls.append(len(t)) or f.tail(t))
+        wide, cs = _tail_boxes(g, m, j, rule, f, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "_tail_box", lambda *a: passes.append(1) or tail_box(*a))
+            got = tail_coefficients(rule, counted, g, m, j, wide.lattice)
+        assert got.lattice == cs.lattice and np.array_equal(got.values, cs.values)
+        n0 = math.ceil(f.T0 * 2**j)
+        assert passes == [1] and [n - 3 for n in calls] == [n0 << i for i in range(len(calls))]
 
     @pytest.mark.parametrize("g,m,j,rule,f,tol", CASES, ids=IDS)
     def test_values_within_the_stated_total(self, g, m, j, rule, f, tol):

@@ -80,15 +80,34 @@ class TestGridEvaluation:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_slabs_share_one_buffer_with_the_grid_bits(self, d):
+        # slabs of whole rows, and boxes cut on every axis
         grid = make_grid(Box.centered(4.2, d), 0.2 if d == 3 else 0.05)
-        f, n = gaussian(d), len(grid) // grid.axes[0].size
-        ref, values = f.eval(grid), f.on_grid(grid)
+        f, shape = gaussian(d), tuple(x.size for x in grid.axes)
+        ref = f.eval(grid).reshape(shape)
+        values, axes = f.on_grid(grid)
+        assert all(np.array_equal(v, f.factor(x)) for v, x in zip(axes, grid.axes))
         first = None
-        for lo, hi, part in grid.slabs(7):
-            got = values(part)
-            first = got if first is None else first
-            assert np.shares_memory(got, first)
-            assert np.array_equal(got, ref[lo * n : hi * n])
+        for lo in range(0, shape[0], 7):
+            for box in [(slice(lo, lo + 7),) + (slice(None),) * (d - 1),
+                        (slice(lo, lo + 7),) + (slice(3, 17),) * (d - 1)]:
+                got = values(box)
+                first = got if first is None else first
+                assert np.shares_memory(got, first)
+                assert np.array_equal(got, ref[box].ravel())
+
+    def test_per_axis_values_of_a_signal_without_factor(self):
+        grid = make_grid(Box.centered(2.0, 2), 0.1)
+        f = dataclasses.replace(gaussian(2), factor=None)
+        values, axes = f.on_grid(grid)
+        assert axes is None
+        box = (slice(4, 9), slice(2, 30))
+        sub = Grid([x[s] for x, s in zip(grid.axes, box)])
+        assert np.array_equal(values(box), f.pointwise(sub.points()))
+        # in 1-d the signal's own values are its per-axis values
+        line = make_grid(Box.centered(2.0, 1), 0.1)
+        values, (axis,) = laplace1d(0.3).on_grid(line)
+        assert np.array_equal(axis, laplace1d(0.3).eval(line.points()))
+        assert np.array_equal(values((slice(5, 9),)), axis[5:9])
 
     def test_signal_without_factor_takes_the_rows(self):
         grid = Grid((np.linspace(-1, 1, 7),))
