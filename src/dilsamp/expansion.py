@@ -38,6 +38,8 @@ from .dilation import Dilation
 from .generators import Generator
 
 _CHUNK = 1 << 17
+# Lattice points per side of a tile of the per-axis ball average (_average_axes)
+_SIDE = 16
 # Table entries per tile of the rows' span sum, and values per call of a
 # factor in rows mode (_rows_gather).
 _TILE = 1 << 13
@@ -144,11 +146,8 @@ def ball_average(f, centers, radius: float, quad: QuadSpec = QuadSpec()) -> np.n
 def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
     """Averages ``(1/V_h) integral_{|t|<=h} f(base + A t) dt`` for each base.
 
-    ``bases`` is rows ``(n, d)`` or a :class:`Grid` (values in
-    :meth:`Grid.points` order).  On a grid in ``d >= 2``, for a signal with
-    a per-axis ``factor``, the rule runs per axis (:func:`_average_axes`);
-    it agrees with the rows to ``1e-13 * max|c|``.  Otherwise one
-    vectorized pass applies the unsplit rule to every base, in chunks.
+    ``bases`` is rows ``(n, d)``.  One vectorized pass applies the unsplit
+    rule to every base, in chunks.
     In dimension 1 the signal's declared kinks then sit at the offsets
     ``t = (x0 - base) / A``; only the bases with such an offset strictly
     inside ``(-h, h)`` are recomputed with the segment rule split there,
@@ -162,10 +161,6 @@ def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
     d = a.shape[0]
     nodes, weights = ball_rule(d, h, quad)
     mapped = nodes @ a.T
-    if isinstance(bases, Grid):
-        if d >= 2 and getattr(f, "factor", None) is not None:
-            return _average_axes(f.factor, bases, mapped, weights)
-        bases = bases.points()
     out = np.empty(0)
     step = max(1, _CHUNK // max(1, len(weights)))
     for lo in range(0, bases.shape[0], step):
@@ -187,24 +182,50 @@ def _pullback_average(f, bases, a: np.ndarray, h: float, quad: QuadSpec):
     return out
 
 
-def _average_axes(factor, bases: Grid, mapped: np.ndarray, weights: np.ndarray):
-    """The rule's sums ``sum_n w_n prod_i factor(b_i + mapped[n, i])`` on a
-    grid of bases: one table ``(L_i, N)`` of factor values per axis, then,
-    per tile of at most ``_CHUNK`` products, the weighted product of the
-    leading axes' rows times the last axis's table (one matmul)."""
-    tables = [factor(x[:, None] + mapped[:, i]) for i, x in enumerate(bases.axes)]
-    last = tables.pop().T
-    lead = tuple(len(x) for x in bases.axes[:-1])
-    rows = math.prod(lead)
-    out = np.empty((rows, last.shape[1]), dtype=np.result_type(weights, last, *tables))
-    step = max(1, _CHUNK // len(weights))
-    for lo in range(0, rows, step):
-        idx = np.unravel_index(np.arange(lo, min(lo + step, rows)), lead)
-        acc = weights * tables[0][idx[0]]
-        for t, i in zip(tables[1:], idx[1:]):
-            acc *= t[i]
-        out[lo : lo + step] = real_bilinear(np.matmul, acc, last)
-    return out.ravel()
+def _average_axes(factor, lattice: Lattice, a: np.ndarray, rule: FalsifiedRule):
+    """The ball averages ``sum_n w_n prod_i factor(s_i k_i + (A t_n)_i)``
+    at the lattice points ``k`` of a box, ``A = M^-j = diag(s)``, in
+    :meth:`Lattice.points` order.  The last two axes go in tiles of
+    ``_SIDE x _SIDE`` lattice points, anchored at multiples of ``_SIDE``:
+    per index of the earlier axes, a tile is the weighted product of the
+    leading axes' factor rows times the last axis's, one matmul of the
+    fixed shape ``(_SIDE, N) @ (N, _SIDE)``, batched over a row of tiles.
+    A tile's rows are those of its own lattice points, inside the box or
+    not, so a coefficient meets the same operands at the same place of a
+    product of the same shape in any box that holds it, and has the same
+    bits there; a single matmul over the box would not (its bits follow the
+    box's shape).  Factor values are formed ``_SIDE`` lattice points at a
+    time: the last axis's, for the tiles' columns, once; the earlier axes'
+    per product, or, in ``d >= 3``, the penultimate axis's once."""
+    nodes, weights = ball_rule(lattice.d, rule.h, rule.quad)
+    mapped, side, n, d = nodes @ a.T, _SIDE, len(weights), lattice.d
+    # the lattice coordinates of the last two axes' tiles
+    ks = [np.arange(o - o % side, o + size + -(o + size) % side)
+          for o, size in zip(lattice.origin[-2:], lattice.shape[-2:])]
+
+    def rows(i, k, cols=False):
+        # factor values on axis i at the coordinates k, (len(k), N), or
+        # (N, len(k)) with cols; side coordinates a call
+        parts = [factor(mapped[:, i][:, None] + x) if cols else factor(x[:, None] + mapped[:, i])
+                 for x in (a[i, i] * k[c : c + side] for c in range(0, len(k), side))]
+        return np.concatenate(parts, axis=int(cols))
+
+    right = rows(d - 1, ks[1], cols=True).reshape(n, -1, side).transpose(1, 0, 2)
+    pen = rows(d - 2, ks[0]) if d > 2 else None
+    out = np.empty(lattice.shape[:-2] + (len(ks[0]), len(ks[1])),
+                   dtype=np.result_type(weights, right))
+    step = side * max(1, _TILE // (side * n))  # penultimate rows per product
+    for idx in np.ndindex(*lattice.shape[:-2]):
+        acc = weights
+        for i, k in enumerate(idx):
+            acc = acc * factor(a[i, i] * (lattice.origin[i] + k) + mapped[:, i])
+        for lo in range(0, len(ks[0]), step):
+            part = rows(d - 2, ks[0][lo : lo + step]) if pen is None else pen[lo : lo + step]
+            prod = real_bilinear(np.matmul, (acc * part).reshape(-1, 1, side, n), right)
+            out[idx][lo : lo + step] = prod.transpose(0, 2, 1, 3).reshape(-1, out.shape[-1])
+    box = tuple(slice(o - k[0], o - k[0] + size)
+                for k, o, size in zip(ks, lattice.origin[-2:], lattice.shape[-2:]))
+    return out[(...,) + box].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +323,7 @@ def tail_coefficients(
     past that cut ``truncation_tol`` bounds each term as in ``box``.  A
     NaN or inf coefficient keeps the box: it reaches every value anyway.
     """
-    a = np.asarray(m.power(-j), dtype=float)
-    if (g.support_radius is not None or getattr(f, "tail", None) is None
-            or not math.isfinite(f.T0) or isinstance(rule, DifferentialRule)
-            or not np.array_equal(a, np.diag(a.diagonal()))):
+    if g.support_radius is not None or not _tail_bounds(rule, f, m, j):
         return coefficients(rule, f, m, j, box)
     sup, top, lattice = _sup(g), 1.0, None
     while True:
@@ -319,6 +337,16 @@ def tail_coefficients(
         top = float(np.abs(cs.values).max())
         if not omitted > _BOX_SHARE * top / sup:
             return cs
+
+
+def _tail_bounds(rule, f, m: Dilation, j: int) -> bool:
+    """Whether ``f.tail`` bounds the rule's ``|c_k|`` (:func:`_tail_box`): a
+    signal with a ``tail`` majorant and finite ``T0``, an exact or
+    ball-averaged rule and a diagonal ``M^-j``."""
+    a = np.asarray(m.power(-j), dtype=float)
+    return (getattr(f, "tail", None) is not None and math.isfinite(f.T0)
+            and not isinstance(rule, DifferentialRule)
+            and np.array_equal(a, np.diag(a.diagonal())))
 
 
 def _tail_box(rule, f, m: Dilation, j: int, box: Lattice, budget: float):
@@ -335,8 +363,7 @@ def _tail_box(rule, f, m: Dilation, j: int, box: Lattice, budget: float):
     sum of ``t_a`` off the box's range and ``B_b`` the sum over ``Z``; the
     half-width ``n_a`` on each axis takes ``1 / d`` of the budget.
     """
-    s = np.abs(np.asarray(m.power(-j), dtype=float).diagonal())
-    w = rule.h * m.norm(-j) if isinstance(rule, FalsifiedRule) else 0.0
+    s, w = _tail_scale(rule, m, j)
     caps = [max(-o, o + n - 1) for o, n in zip(box.origin, box.shape)]
 
     def terms(a, fits):
@@ -373,6 +400,34 @@ def _tail_box(rule, f, m: Dilation, j: int, box: Lattice, budget: float):
     return Lattice(lo, np.subtract(hi, lo) + 1), omitted
 
 
+def _tail_scale(rule, m: Dilation, j: int):
+    """``(s, w)`` of the tail bound ``|c_k| <= prod_i tail(max(s_i |k_i| -
+    w, 0))`` under a diagonal ``M^-j``: its diagonal's moduli, and how far
+    a coefficient reads ``f`` from ``M^-j k``, ``h ||M^-j||`` for a ball
+    average and 0 for a sample (:func:`_tail_box`)."""
+    s = np.abs(np.asarray(m.power(-j), dtype=float).diagonal())
+    return s, rule.h * m.norm(-j) if isinstance(rule, FalsifiedRule) else 0.0
+
+
+def _majorant(rule: FalsifiedRule, f, m: Dilation, j: int, lattice: Lattice):
+    """Per-axis factors over the box whose outer product bounds every ball
+    average that :func:`coefficients` computes there, rounding included:
+    :func:`_tail_box`'s ``tail(max(s_i |k_i| - w, 0))`` with the argument
+    lowered by ``2**-40 (s_i |k_i| + w)``, more than the rounding of a
+    node's coordinates and of a factor's argument, and the product raised
+    by ``1 + 4 (N + d) 2**-52``, more than the rounding of the weights, the
+    products and a sum of ``N`` nodes (``N`` those of the rule split at
+    every kink)."""
+    s, w = _tail_scale(rule, m, j)
+    nodes = len(ball_rule(m.d, rule.h, rule.quad)[1]) * (1 + len(getattr(f, "kinks", ()) or ()))
+    out = []
+    for si, o, n in zip(s, lattice.origin, lattice.shape):
+        far = si * np.abs(np.arange(o, o + n, dtype=float))
+        out.append(np.asarray(f.tail(np.maximum(far - w - 2**-40 * (far + w), 0.0)), dtype=float))
+    out[0] = out[0] * (1 + 4 * (nodes + m.d) * 2**-52)
+    return out
+
+
 def coefficients(
     rule: CoefficientRule, f, m: Dilation, j: int, lattice: Lattice
 ) -> Coefficients:
@@ -384,8 +439,11 @@ def coefficients(
     values on the grid (:meth:`Signal.eval`): the rows' bits in 1-d, and
     for ``gaussian`` within ``4 * (1 + pi |x|^2)`` ulps of them in
     ``d >= 2``.  Ball averages of such a signal in ``d >= 2`` run per axis
-    (:func:`_pullback_average`): within ``1e-13 * max|c_k|`` of the rows'
-    values.  Every other case samples or averages row by row.  The
+    in fixed tiles (:func:`_average_axes`): within ``1e-13 * max|c_k|`` of
+    the rows' values.  Every other case samples or averages row by row
+    (:func:`_pullback_average`).  A ball average has the same bits in any
+    box that holds its lattice point, so a box can be formed piece by
+    piece (:func:`dilsamp.analysis.convergence_study` does).  The
     coefficients are real when the signal's values (and
     derivatives) and the operator's coefficients are real, complex
     otherwise.
@@ -407,7 +465,11 @@ def coefficients(
             raise ValueError("operator dimension does not match the dilation")
         vals = apply_to_signal(rule.operator, f, m, j, lattice.points())
     elif isinstance(rule, FalsifiedRule):
-        vals = _pullback_average(f, rows() if grid is None else grid, a, rule.h, rule.quad)
+        if grid is not None and m.d >= 2 and getattr(f, "factor", None) is not None:
+            vals = _average_axes(f.factor, lattice, a, rule)
+        else:
+            vals = _pullback_average(f, rows() if grid is None else grid.points(), a,
+                                     rule.h, rule.quad)
     else:
         raise TypeError(f"unknown coefficient rule {rule!r}")
     return Coefficients(lattice, vals)
@@ -509,27 +571,30 @@ class _Level:
     later call overwrites.  On the axis operator of a compact generator,
     ``cols``, a range of the last axis's points, limits the values formed
     to those; the others are then unspecified.  ``rows`` rows make a slab,
-    and ``unit`` is axis 0's period (1 without).  ``reach``, on that
-    operator, maps a threshold ``t`` to a box of points outside which no
-    value exceeds ``t`` (:func:`_reach`); elsewhere it is None."""
+    and ``units`` holds each axis's period (1 without; only axis 0's off
+    the axis operator).  ``reach``, on the operator of a compact generator,
+    maps a threshold ``t`` to a box of points outside which no value
+    exceeds ``t`` (:func:`_reach`); elsewhere it is None."""
 
     points: object
     run: object
     rows: int
-    unit: int = 1
+    units: tuple = (1,)
     reach: object = None
 
     def part(self, lo: int, hi: int):
         """The points of the rows ``lo:hi``: a sub-grid, or rows."""
         return self.points.rows(lo, hi) if isinstance(self.points, Grid) else self.points[lo:hi]
 
-    def slabs(self, lo: int = 0, hi: int | None = None):
-        """``(start, stop, part)`` per slab of ``rows`` rows from row 0
-        that meets the rows ``lo:hi``, for its rows among them, in order."""
+    def slabs(self, lo: int = 0, hi: int | None = None, rows: int | None = None):
+        """``(start, stop, part)`` per slab of ``rows`` rows (by default the
+        level's) from row 0 that meets the rows ``lo:hi``, for its rows
+        among them, in order."""
         if hi is None:
             hi = self.points.axes[0].size if isinstance(self.points, Grid) else len(self.points)
-        for a in range(lo - lo % self.rows, hi, self.rows):
-            a, b = max(a, lo), min(a + self.rows, hi)
+        rows = rows or self.rows
+        for a in range(lo - lo % rows, hi, rows):
+            a, b = max(a, lo), min(a + rows, hi)
             yield a, b, self.part(a, b)
 
 
@@ -546,7 +611,7 @@ def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
         points = Grid(points.T)
     lines = _lines(mj, points) if isinstance(points, Grid) else None
     skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
-    kind = np.result_type(*(f(np.zeros(1)) for t in g.terms for f in t))  # the factors' dtype
+    kind = _kind(g)
     # T mode's Ts, a T per term and real part, hold 7 * 2**15 values at most; else rows mode
     if skew and (unbounded or (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(v.size for v, _, _
             in lines[1:]) * len(g.terms) * (1 + (np.result_type(cs.values, kind).kind == "c"))
@@ -567,10 +632,11 @@ def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
         elif unbounded and not periods[0]:  # axis 0's table is formed per slab
             rows = max(1, min(rows, _TILE // span.values.shape[0]))
         if not unbounded:
-            return _Level(points, kernel, rows, periods[0] or 1, _reach(g, m, j, cs, taps))
+            units = tuple(p or 1 for p in periods)
+            return _Level(points, kernel, rows, units, _reach(g, m, j, cs, taps))
         ys = [v[:: r[a]] for a, (v, r, _) in enumerate(lines)]
         run = lambda lo, hi, cols=None: hits(kernel(lo, hi), [ys[0][lo:hi]] + ys[1:], rows=False)
-        return _Level(points, run, rows, periods[0] or 1)
+        return _Level(points, run, rows, (periods[0] or 1,))
     if isinstance(points, Grid):
         rows = points.slab_rows(_ROWS)
         columns, n = points.axes, rows * (len(points) // points.axes[0].size)
@@ -604,28 +670,42 @@ def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
     return level
 
 
+def _kind(g) -> np.dtype:
+    """The dtype of a generator's factor values."""
+    return np.result_type(*(f(np.zeros(1)) for t in g.terms for f in t))
+
+
 def _reach(g, m: Dilation, j: int, cs: Coefficients, taps: float):
     """Where a compact generator's sum can exceed ``t``: a function of ``t``
     to a box ``[(lo, hi)]`` of points ``x``, one range per axis (None if
     empty), outside which every point's taps have ``taps * |c_k| <= t``,
     ``taps`` a bound on ``sum_k |phi(y - k)|`` at the grid's mapped points.
-    The lattice box of the other ``k`` is widened by ``r + 2``, past the
-    reach of a point's taps and of its mapped ``y``'s rounding, and mapped
-    back by ``M^-j`` to the box of its corners.  With a coefficient or
-    ``taps`` not finite, every point."""
+    Its second argument ``bound``, if given, holds per-axis factors over
+    the box whose outer product bounds every ``|c_k|`` (:func:`_majorant`),
+    and it stands in for the coefficients, which are then not read: the box
+    costs ``O(sum_i L_i)``.  The lattice box of the other ``k`` is widened
+    by ``r + 2``, past the reach of a point's taps and of its mapped
+    ``y``'s rounding, and mapped back by ``M^-j`` to the box of its
+    corners.  With a coefficient or ``taps`` not finite, every point."""
     a, d = np.asarray(m.power(-j), dtype=float), g.d
     widen = g.support_radius + 2
 
-    def reach(t):
-        mod = np.abs(cs.values)
-        top = mod.max()
+    def reach(t, bound=None):
+        # per axis, the largest |c_k| (or its bound) at each coordinate
+        if bound is None:
+            mod = np.abs(cs.values)
+            marg = [mod.max(axis=tuple(b for b in range(d) if b != i)) for i in range(d)]
+        else:
+            tops = [float(v.max()) for v in bound]
+            marg = [v * math.prod(tops[:i] + tops[i + 1:]) for i, v in enumerate(bound)]
+        top = marg[0].max()
         if not (math.isfinite(taps) and math.isfinite(top)):
             return [(-math.inf, math.inf)] * d
         if not taps * top > t:
             return None
-        live, box = mod > t / taps, []
-        for i, o in enumerate(cs.lattice.origin):
-            on = live.any(axis=tuple(b for b in range(d) if b != i)) if d > 1 else live
+        box = []
+        for o, v in zip(cs.lattice.origin, marg):
+            on = v > t / taps
             box.append((o + int(on.argmax()) - widen,
                         o + on.size - 1 - int(on[::-1].argmax()) + widen))
         x = np.asarray(list(product(*box)), dtype=float) @ a.T

@@ -14,6 +14,7 @@ from dilsamp import (
     FalsifiedRule,
     Lattice,
     MissingCoefficientError,
+    Signal,
     StudyPlan,
     ball_operator,
     bspline3_2d,
@@ -523,6 +524,153 @@ class TestStreamedErrors:
         monkeypatch.setattr(expansion, "_ROWS", 1)
         with pytest.raises(MissingCoefficientError):
             convergence_study(self.PLANS[name])
+
+
+def _two_bumps(nan_near=None):
+    """A product signal whose factor ``g(t) + g(3 (t - 2)) / 2``, ``g(t) =
+    exp(-pi t**2)``, peaks at 0, while its second bump, 4.5 times as curved,
+    holds the maximum of ``|f - Q_j f|``: far from a seed at the peak.  Its
+    tail ``1.5 g(max(t - 2, 0))`` covers both bumps.  With ``nan_near``, the
+    factor is NaN within 0.01 of it where it fills a coefficient's table
+    (a 2-d argument), and nowhere on the grid's axes."""
+    g = lambda t: np.exp(-np.pi * (t * t))
+
+    def factor(t):
+        out = g(t) + g(3 * (t - 2)) / 2
+        if nan_near is not None and np.ndim(t) == 2:
+            out = np.where(np.abs(t - nan_near) < 0.01, np.nan, out)
+        return out
+
+    def derivative(alpha, x):
+        raise NotImplementedError
+
+    return Signal("two-bumps", 2, lambda x: factor(x[..., 0]) * factor(x[..., 1]), derivative,
+                  None, 0, math.inf, 5.0, factor=factor,
+                  tail=lambda t: 1.5 * g(np.maximum(t - 2, 0.0)))
+
+
+class TestBallAveragesWhereTheMaximumLies:
+    """At p = inf a ball-averaged level of more than one slab forms only the
+    coefficients at the taps of the points it evaluates."""
+
+    PLAN = StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), _two_bumps(),
+                     operator=ball_operator(2, 2, 0.5), j_min=2, j_max=3, grid_per_scale=4)
+
+    @staticmethod
+    def _formed(monkeypatch):
+        """Per level, the boxes of coefficients formed by the study."""
+        seen, form = [], expansion.coefficients
+        spy = lambda rule, f, m, j, box: seen.append((j, box)) or form(rule, f, m, j, box)
+        monkeypatch.setattr(analysis, "coefficients", spy)
+        monkeypatch.setattr(expansion, "coefficients", spy)  # tail_coefficients's
+        return seen
+
+    @pytest.mark.parametrize("rows", [None, 997])
+    def test_a_far_maximum_has_the_whole_grid_bits(self, rows, monkeypatch):
+        plan = self.PLAN
+        ref = _whole_grid_errors(plan)
+        if rows is not None:
+            monkeypatch.setattr(expansion, "_ROWS", rows)
+        seen = self._formed(monkeypatch)
+        assert convergence_study(plan).errors == tuple(ref)
+        domain = study_domain(plan)
+        for j in range(plan.j_min, plan.j_max + 1):
+            # the maximum lies at the second bump on one axis, off the seed's
+            # block at the peak (0, 0)
+            grid = analysis.level_grid(plan, domain, j)[0]
+            cs = coefficients(plan.rule, plan.signal, plan.dilation, j,
+                              lattice_support(plan.generator, plan.dilation, j, domain))
+            diff = np.abs(plan.signal.eval(grid) - evaluate(plan.generator, plan.dilation, j,
+                                                            cs, grid))
+            x = np.asarray(grid)[np.argmax(diff)]
+            assert np.min(np.abs(x - 2)) < 0.5 < np.max(np.abs(x))
+        # fewer coefficients formed than the box holds at level 3 (level 2's
+        # box, out to whole tiles, spans its lattice)
+        assert sum(len(box) for level, box in seen if level == 3) < len(cs)
+
+    def test_a_3d_level_has_the_whole_grid_bits(self, monkeypatch):
+        # the seed spans axis 1, which the operator forms whole
+        plan = StudyPlan(hat(3), dyadic(3), FalsifiedRule(0.5), gaussian(3),
+                         operator=ball_operator(3, 2, 0.5), j_min=1, j_max=2,
+                         grid_per_scale=4, domain_halfwidth=1.5)
+        ref = _whole_grid_errors(plan)
+        monkeypatch.setattr(expansion, "_ROWS", 997)
+        seen = self._formed(monkeypatch)
+        assert convergence_study(plan).errors == tuple(ref)
+        # level 2 formed a seed's coefficients, then a box's; at level 1 the
+        # seed's, out to whole tiles, span the box
+        assert [j for j, _ in seen] == [1, 2, 2]
+
+    def test_a_call_reads_only_formed_coefficients(self, monkeypatch):
+        # before each call the coefficients at the taps of its rows and
+        # columns are formed, and before the seed, which the next calls may
+        # reuse, those of the two periods of axis 0 that the operator may
+        # form on either side of it (hat's taps: |y - k| < 1)
+        calls, make = [], analysis._level
+
+        def level(g, m, j, cs, grid):
+            made = make(g, m, j, cs, grid)
+            period, scale = made.units[0], np.diagonal(m.power(j))
+
+            def run(lo, hi, cols=None):
+                reach = 2 * period if not any(j == c for c, *_ in calls) else 0
+                ranges = [(max(0, lo - reach), hi + reach), cols or (0, grid.axes[1].size)]
+                box = []
+                for x, (a, b), s, o, n in zip(grid.axes, ranges, scale, cs.lattice.origin,
+                                              cs.values.shape):
+                    y = s * x[a:b]
+                    box.append(slice(max(0, math.ceil(y.min() - 1) - o),
+                                     min(n, math.floor(y.max() + 1) + 1 - o)))
+                calls.append((j, lo, hi, cols))
+                assert np.all(cs.values[tuple(box)] != 0), calls[-1]
+                return made.run(lo, hi, cols)
+
+            return dataclasses.replace(made, run=run)
+
+        monkeypatch.setattr(analysis, "_level", level)
+        convergence_study(self.PLAN)
+        assert {j for j, *_ in calls} == {2, 3}
+
+    def test_a_nan_factor_value_inside_the_box_fails_the_level(self):
+        plan = dataclasses.replace(self.PLAN, signal=_two_bumps(nan_near=2.0))
+        with pytest.raises(ValueError, match="non-finite difference at level 2"):
+            convergence_study(plan)
+
+    def test_a_coefficient_the_tail_rules_out_is_not_formed(self, monkeypatch):
+        # a NaN table value far in the tail, where the box does not reach:
+        # the coefficients it spoils are never read, and at level 3, where
+        # they sit at the lattice coordinate -36 on either axis, never formed
+        plan = dataclasses.replace(self.PLAN, signal=_two_bumps(nan_near=-4.5))
+        ref = convergence_study(self.PLAN).errors
+        seen = self._formed(monkeypatch)
+        assert convergence_study(plan).errors == ref
+        assert all(min(box.origin) > -36 for j, box in seen if j == 3)
+
+    def test_exact_rules_and_finite_p_form_the_whole_box(self, monkeypatch):
+        seen = self._formed(monkeypatch)
+        for change in (dict(rule=ExactRule()), dict(p=2.0)):
+            seen.clear()
+            plan = dataclasses.replace(self.PLAN, **change)
+            convergence_study(plan)
+            domain = study_domain(plan)
+            assert [(j, len(box)) for j, box in seen] == [
+                (j, len(lattice_support(plan.generator, plan.dilation, j, domain)))
+                for j in range(plan.j_min, plan.j_max + 1)]
+
+
+def test_ball2d_study_memory_fell_with_its_coefficients():
+    # criterion 7's 2-d study, the benchmark's ball2d: a tracemalloc peak of
+    # 5.04 MB when every level formed its whole coefficient box, 2.17 MB when
+    # a level of more than one slab forms the taps it evaluates
+    plan = StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), gaussian(2),
+                     operator=ball_operator(2, 2, 0.5), j_min=1, j_max=5)
+    tracemalloc.start()
+    try:
+        convergence_study(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 class TestNonFiniteErrors:

@@ -313,6 +313,55 @@ class TestPerAxisBallAverage:
         got = coefficients(rule, f, m, j, lattice).values.ravel()
         assert np.array_equal(got, _rows(f, m, j, lattice, rule))
 
+    @pytest.mark.parametrize("f,m,j,t", [
+        (gaussian(2), dyadic(2), 3, 2.0),
+        (gaussian(2), diagonal((2, 3)), 2, 2.0),
+        (gaussian(2), quincunx(), 2, 2.0),
+        (gaussian(3), dyadic(3), 1, 0.75),
+    ], ids=["dyadic2", "diag23", "quincunx-even", "dyadic3"])
+    def test_a_sub_box_has_the_whole_box_bits(self, f, m, j, t):
+        # a study forms its coefficients box by box, and a traced replay
+        # forms the whole box: their errors must agree bit for bit
+        lattice = lattice_support(hat(f.d), m, j, Box.centered(t, f.d))
+        rule, shape = FalsifiedRule(0.5), np.array(lattice.shape)
+        whole = coefficients(rule, f, m, j, lattice).values
+        one, zero, mid = np.ones_like(shape), np.zeros_like(shape), shape // 2
+        boxes = [(zero, one), (shape - 1, shape), (mid, mid + 1),  # corners and one point
+                 (zero, shape - 1), (one, shape),  # edges
+                 (np.maximum(mid - 3, 0), np.minimum(mid + 4, shape))]  # odd sizes
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            lo = rng.integers(0, shape)
+            boxes.append((lo, lo + rng.integers(1, shape - lo + 1)))
+        for lo, hi in boxes:
+            got = coefficients(rule, f, m, j, Lattice(np.add(lattice.origin, lo), hi - lo))
+            assert _bits(got.values).tobytes() == _bits(whole[tuple(map(slice, lo, hi))]).tobytes()
+
+
+class TestMajorant:
+    """``_majorant`` bounds every ball average that ``coefficients``
+    computes, rounding included, on the studies' boxes."""
+
+    KINK3 = float.fromhex("-0x1.ba122bdba56b2p-6")  # perfbench's kink offset at seed 3
+
+    @pytest.mark.parametrize("f,levels", [
+        (gaussian(2), range(1, 6)), (laplace1d(1 / 3), range(1, 8)),
+        (laplace1d(KINK3), range(1, 8)), (gaussian(3), [1]),
+    ], ids=["ball2d", "kink1d", "kink1d-seed3", "dyadic3"])
+    def test_bounds_every_computed_coefficient(self, f, levels):
+        g, m, rule = hat(f.d), dyadic(f.d), FalsifiedRule(0.5)
+        domain = study_domain(StudyPlan(g, m, rule, f))
+        for j in levels:
+            lattice = lattice_support(g, m, j, domain)
+            cs = np.abs(coefficients(rule, f, m, j, lattice).values)
+            factors = expansion._majorant(rule, f, m, j, lattice)
+            bound = factors[0]
+            for v in factors[1:]:
+                bound = np.multiply.outer(bound, v)
+            assert np.all(cs <= bound), (j, np.max(cs / bound))
+            # and it is close: within a factor of 2 at the largest coefficient
+            assert bound.max() < 2 * cs.max()
+
 
 class TestEvaluation:
     def test_missing_coefficient_detected(self):
