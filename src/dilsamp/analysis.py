@@ -368,8 +368,8 @@ def _level_error(plan: StudyPlan, domain: Box, j: int) -> float:
     a tap (:func:`expansion._reach`) or ``prod_i |f_i(x_i)| > m'/2``
     (:func:`_signal_reach`), on the last axis formed only there.  The error
     is the whole grid's maximum, bit for bit.  Finite ``p``, unbounded
-    generators, rows mode, signals of ``d >= 2`` without a factor and grids
-    of one slab (one operator call either way) evaluate the whole grid.
+    generators, grids off lines (rows mode), signals of ``d >= 2`` without
+    a factor and grids of one slab (one operator call either way) go whole.
 
     Such a level of ball averages in ``d >= 2``, of a real signal with a
     ``factor`` and a ``tail`` majorant, finite ``T0``, under a diagonal

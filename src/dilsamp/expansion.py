@@ -497,13 +497,12 @@ def evaluate(g: Generator, m: Dilation, j: int, cs: Coefficients, points) -> np.
     value is within ``32 * 2**-52 * (1 + |M^j| max|x|) * Lip(phi) *
     sum|c_k|`` of the exact tap sum at ``M^j x`` (the sum over the
     coefficients it reaches; ``Lip`` in the max norm).  A non-diagonal
-    ``M^j`` needs axes of one spacing, compact support and sums along all
-    lines but the first of ``7 * 2**15`` values at most over the terms and
-    real parts; an unbounded generator needs a period, or a ``(points,
-    span)`` table of at most ``2**13`` entries, on every axis but axis 0.
-    Other points gather their taps with ``g.spatial``'s bits
-    (:func:`_rows_gather`), or an unbounded generator's span one axis at a
-    time (:func:`_span_terms`).
+    ``M^j`` needs axes of one spacing and compact support; a point then
+    gathers its taps from the box on its lines (line mode).  An unbounded
+    generator needs a period, or a ``(points, span)`` table of at most
+    ``2**13`` entries, on every axis but axis 0.  Other points gather their
+    taps with ``g.spatial``'s bits (:func:`_rows_gather`), or an unbounded
+    generator's span one axis at a time (:func:`_span_terms`).
 
     No value depends on its slab (:func:`evaluate_slabs`).  Values are real
     when the coefficients and the factors are, with the bits of the real
@@ -534,8 +533,8 @@ def evaluate_slabs(g: Generator, m: Dilation, j: int, cs: Coefficients, points):
     overwrites.  Tables, box checks, the span and workspaces are formed
     before the first slab (per slab off lines), by one evaluator per call
     (:func:`_level`) that gives each slab's rows: the memory beyond the box
-    is about one slab's or two periods' (and the box summed along all lines
-    but one, if skew; a zero-padded box off lines, where a tap leaves it).
+    is about one slab's or two periods' (and a zero-padded box where a tap
+    leaves it, if skew or off lines).
     """
     return _slabs(g, m, j, cs, _checked(g, cs, points))
 
@@ -611,20 +610,15 @@ def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
         points = Grid(points.T)
     lines = _lines(mj, points) if isinstance(points, Grid) else None
     skew = lines is not None and not np.array_equal(np.abs([r for _, r, _ in lines]), np.eye(d))
-    kind = _kind(g)
-    # T mode's Ts, a T per term and real part, hold 7 * 2**15 values at most; else rows mode
-    if skew and (unbounded or (np.ptp(lines[0][0]) + 2 * _width(g)) * math.prod(v.size for v, _, _
-            in lines[1:]) * len(g.terms) * (1 + (np.result_type(cs.values, kind).kind == "c"))
-            > 7 * 2**15):
-        lines = None
+    lines = None if skew and unbounded else lines
     if lines is not None:
         _check_reach(np.concatenate([v for v, _, _ in lines]), bound)
-        periods = [0 if skew and not a else _period(v) for a, (v, _, _) in enumerate(lines)]
+        periods = [0 if skew else _period(v) for v, _, _ in lines]
     # an unbounded generator's (points, span) tables, per slab on axis 0 and whole on later
     # axes without a period, hold at most _TILE entries; else the rows' span sum runs
     if lines is not None and (not unbounded or all(p or v.size * n <= _TILE for p, (v, _, _), n
             in zip(periods[1:], lines[1:], span.values.shape[1:]))):
-        kernel, taps = _operator(g, lines, periods, span if unbounded else cs, kind,
+        kernel, taps = _operator(g, lines, periods, span if unbounded else cs, _kind(g),
                                  points if skew else None)
         rows = points.slab_rows(_ROWS)
         if points.axes[0].size > rows > periods[0] > 0:
@@ -666,7 +660,7 @@ def _level(g, m: Dilation, j: int, cs: Coefficients, points) -> _Level:
                                                 for lo in range(0, y.shape[1], step)]),
                                 y, rows=True)
     else:
-        kernel = _rows_gather(g, cs, n, kind)
+        kernel = _rows_gather(g, cs, n, _kind(g))
     return level
 
 
@@ -925,6 +919,21 @@ def _gather(at, taps, out, v, axis=None):
     return out
 
 
+def _taps(flat, tables, strides, phi, part):
+    """Per tap ``t`` of ``d >= 2`` axes, in index order: ``(flat[t .
+    strides:], weight)``, the sum over terms of the product over axes of
+    ``tables[term][axis][t[axis]]`` in ``g.spatial``'s order, in ``phi``
+    (``part`` for later terms), which the next tap overwrites."""
+    for t in np.ndindex(*map(len, tables[0])):
+        for i, table in enumerate(tables):
+            p = np.multiply(table[0][t[0]], table[1][t[1]], out=part if i else phi)
+            for tab, u in zip(table[2:], t[2:]):
+                np.multiply(p, tab[u], out=p)
+            if i:
+                np.add(phi, p, out=phi)
+        yield flat[np.dot(t, strides) :], phi
+
+
 def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
     """The axis operator on a grid mapped onto ``lines`` (:func:`_lines`),
     and for a compact generator a bound on ``sum_k |phi(y - k)|`` at its
@@ -934,21 +943,18 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
     axis's points, it forms the values only there, with the bits of all of
     them, and leaves the others unspecified.  Tables and box checks are
     formed here on the lines (``cs`` an unbounded generator's span, ``kind``
-    the factors' dtype).  Per term the rows of the coefficients, zeros past
-    the box, are summed along the last axis first (:func:`_stage`); where
-    each line follows its own axis a call sums two periods or more of axis
-    0, kept for the next; otherwise (the ``grid`` given) a point gathers
-    along axis 0 (:func:`_gather`) from the rows summed along the other
-    lines.  Complex coefficients under real tables are summed as real and
-    imaginary parts, the terms added in order."""
+    the factors' dtype).  Where each line follows its own axis, per term the
+    rows of the coefficients, zeros past the box, are summed along the last
+    axis first (:func:`_stage`), and a call sums two periods or more of axis
+    0, kept for the next.  On a skew ``grid`` (line mode, every period 0) a
+    point gathers its taps (:func:`_taps`) from the box, zero-padded where a
+    tap leaves it, through strided views of the lines' tables.  Complex
+    coefficients under real tables are summed as real and imaginary parts."""
     d, unbounded, skew = g.d, g.support_radius is None, grid is not None
     origin, shape = cs.lattice.origin, cs.values.shape
     axes, rs, n0 = zip(*lines)
-    flip = [not skew and r[a] < 0 for a, r in enumerate(rs)]
-    # a skew grid's least and greatest index n0 + r . i into each line, and T's strides: the
-    # gather's strided views and taps must read inside the lines and T (checked once T is summed)
-    r, s = np.array(rs), np.cumprod((1,) + tuple(y.size for y in axes[:0:-1]))[::-1]
-    ends = skew and np.add(n0, np.sort([0 * r, r * [y.size - 1 for y in grid.axes]], 0).sum(2))
+    r = np.array(rs)
+    flip = [not skew and r[a, a] < 0 for a in range(d)]
     units = [-(-y.size // period) if period else y.size for y, period in zip(axes, periods)]
     # an unbounded factor's point p + q P sums table[p, q + i] c[o + n - 1 - i];
     # without a period, _stage forms the (points, n) table's rows per call
@@ -974,6 +980,15 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
     parts = ([np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)]
              if np.iscomplexobj(vals) and kind.kind != "c"
              else [np.ascontiguousarray(vals, dtype=np.result_type(vals, kind))])
+    if skew:
+        # each line's least and greatest index n0 + r . i over the grid, which the views read
+        ends = np.add(n0, np.sort([0 * r, r * [y.size - 1 for y in grid.axes]], 0).sum(2))
+        if ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]):
+            raise IndexError("a gathered index leaves its line")
+        if width != list(shape):  # zeros around the box only where a tap leaves it
+            parts = [np.pad(p, list(zip(pad, np.subtract(width, pad) - shape))) for p in parts]
+        strides = np.cumprod((1,) + tuple(width[:0:-1]))[::-1]
+        starts = [k * st for (_, k), st in zip(ops[0], strides)]
     bufs, kept, block = {}, {}, [None]
 
     def buffer(key, shape, dtype, new=np.empty):
@@ -1020,38 +1035,29 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
                 x = out[:, : axes[a].size].reshape(lead + (axes[a].size, -1))
                 x = np.flip(x, a) if flip[a] else x
             kept[c, i] = (r0, r1), cols, x.reshape(1, r1 - r0, -1)
-            if skew and (ends.min() < 0 or np.any(ends[1] >= [y.size for y in axes]) or (
-                    k[ends[1, 0]] - r0 + table.shape[1] - 1) * s[0] + ends[1, 1:] @ s[1:]
-                    >= x.size):
-                raise IndexError("a gathered index leaves its line or T")
         return (table, None if k is None else k - r0), kept[c, i][2]
 
+    def lined(c, q0, q1, cols):
+        # part c at the rows q0:q1 and cols of the last axis (all if None), into those columns
+        # of the rows; on(arr, a) is the view arr[n0 + r . i] of line a at those points i
+        c0, c1 = cols or (0, grid.axes[-1].size)
+        dims = (q1 - q0,) + tuple(y.size for y in grid.axes[1:-1]) + (c1 - c0,)
+        on = lambda arr, a: as_strided(arr[n0[a] + r[a, 0] * q0 + r[a, -1] * c0 :], arr.shape[
+            1:] + dims, arr.strides[1:] + tuple(int(v) * arr.strides[0] for v in r[a]))
+        at = np.add(on(starts[0], 0), on(starts[1], 1), out=buffer("at", dims, np.int64))
+        for a in range(2, d):
+            np.add(at, on(starts[a], a), out=at)
+        taps = _taps(parts[c].ravel(), [[on(tab, a) for a, (tab, _) in enumerate(t)] for t in ops],
+                     strides, buffer("phi", dims, kind), buffer("part", dims, kind))
+        out = buffer((c, 0, 0), dims[:-1] + (grid.axes[-1].size,), parts[c].dtype, np.zeros)
+        _gather(at, taps, out[..., c0:c1], buffer("v", dims, parts[c].dtype))
+        return out
+
     def total(c, q0, q1, cols):
-        # part c's sum over the terms, for axis 0's q0:q1 (the rows q0:q1 if skew); on(arr, r,
-        # n) is the strided view arr[n + r . i] at the points i of those rows and of cols on
-        # the last axis (all if None), later axes first
-        c0, c1 = cols or (0, grid.axes[-1].size if skew else 0)
-        dims = skew and (q1 - q0,) + tuple(y.size for y in grid.axes[1:-1]) + (c1 - c0,)
-        on = lambda arr, r, n: as_strided(arr[n + r[0] * q0 + r[-1] * c0 :], arr.shape[
-            1:] + dims, arr.strides[1:] + tuple(int(v) * arr.strides[0] for v in r))
-        out = whole = None
-        for i in range(len(ops)):
-            (table, k), x = summed(c, i, 0 if skew else q0, axes[0].size if skew else q1,
-                                   None if skew else cols)
-            if skew:
-                # sum_u table_0[n_0, u] T[start_0[n_0] + u, n_1, ...] at the flat index of tap
-                # 0, into the columns cols of the rows (the others of earlier calls, or zeros)
-                x = x.ravel()
-                at = np.add(on(k * s[0], r[0], n0[0]), on(np.arange(s[0]), r[1:].T @ s[1:],
-                            s[1:] @ n0[1:]), out=buffer("at", dims, np.int64))
-                taps = ((x[u * s[0] :], w) for u, w in enumerate(on(table, r[0], n0[0])))
-                v = buffer((c, i, 0), dims[:-1] + (grid.axes[-1].size,), x.dtype, np.zeros)
-                whole = v if whole is None else whole
-                v = _gather(at, taps, v[..., c0:c1], buffer("v", dims, x.dtype))
-            else:
-                v = _stage((table, k), x, periods[0], q0, q1, buffer, (c, i, 0))
-            out = v if out is None else np.add(out, v, out=out)
-        return out if whole is None else whole
+        # part c's sum over the terms in order, for axis 0's q0:q1, on the last axis at cols
+        vs = [_stage(*summed(c, i, q0, q1, cols), periods[0], q0, q1, buffer, (c, i, 0))
+              for i in range(len(ops))]
+        return reduce(lambda out, v: np.add(out, v, out=out), vs)
 
     def run(lo, hi, cols=None):
         unit, n = periods[0] or 1, axes[0].size
@@ -1063,7 +1069,8 @@ def _operator(g, lines, periods, cs: Coefficients, kind, grid=None):
                 # at least two periods: one would make its window BLAS-able
                 q1 = min(max(q1, q0 + 2), units[0])
                 q0 = min(q0, q1 - 2)
-            sums = [total(c, q0, q1, cols).reshape(-1) for c in range(len(parts))]
+            sums = [(lined if skew else total)(c, q0, q1, cols).reshape(-1)
+                    for c in range(len(parts))]
             if len(sums) > 1:
                 sums = [buffer("complex", sums[0].shape, complex)] + sums
                 sums[0].real, sums[0].imag = sums[1:]
@@ -1124,12 +1131,12 @@ def _rows_gather(g, cs: Coefficients, n: int, kind):
     m)``, to ``sum_k c_k phi(y - k)`` per point, in a buffer the next call
     overwrites.  A point's taps are ``k0 + t``, ``0 <= t < width`` per axis,
     ``k0 = ceil(y - r - 1e-9)``.  Per axis, a table holds each term's
-    ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of
-    ``_TILE`` values, without a dead last row (:func:`_tap_phases`), and
-    checked against the box (:func:`_in_box`).  The taps are gathered with
-    ``g.spatial``'s bits from the coefficients, or where a tap leaves the
-    box from a copy with ``width`` zeros around it, ``k0`` clipped where no
-    tap reaches the box.  ``kind`` is the factors' dtype."""
+    ``factor(y - (k0 + t))``, one row per ``t``, formed in tiles of ``_TILE``
+    values, without a dead last row (:func:`_tap_phases`), and checked
+    against the box (:func:`_in_box`).  The taps are gathered with
+    ``g.spatial``'s bits (:func:`_taps`) from the coefficients, or where a
+    tap leaves the box from a copy with ``width`` zeros around it, ``k0``
+    clipped where no tap reaches the box.  ``kind`` is the factors' dtype."""
     d, width = g.d, _width(g)
     vals = cs.values.astype(np.result_type(cs.values, kind), copy=False)
     flats = {0: vals.ravel()}
@@ -1159,16 +1166,8 @@ def _rows_gather(g, cs: Coefficients, n: int, kind):
             np.clip(k0, lo, lo + np.add(vals.shape, width)[:, None], out=k0)
         strides = np.cumprod((1,) + tuple(np.add(vals.shape[:0:-1], 2 * pad)))[::-1]
         at[:m] = strides.astype(float) @ np.subtract(k0, lo, out=k0)
-        def taps():  # per tap in index order, weighted as g.spatial multiplies and adds
-            w, q = phi[:m], part[:m]
-            for t in np.ndindex(*rows):
-                for i, table in enumerate(tables):
-                    p = np.multiply(table[0][t[0], :m], table[1][t[1], :m], out=q if i else w)
-                    for tab, u in zip(table[2:], t[2:]):
-                        np.multiply(p, tab[u, :m], out=p)
-                    if i:
-                        np.add(w, p, out=w)
-                yield flats[pad][np.dot(t, strides) :], w
-        return _gather(at[:m], taps(), acc[:m], v[:m])
+        taps = _taps(flats[pad], [[t[a][: rows[a], :m] for a in range(d)] for t in tables],
+                     strides, phi[:m], part[:m])
+        return _gather(at[:m], taps, acc[:m], v[:m])
 
     return run

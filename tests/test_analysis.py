@@ -22,6 +22,7 @@ from dilsamp import (
     coefficients,
     convergence_study,
     deviation_study,
+    dilation,
     dyadic,
     evaluate,
     fit_rate,
@@ -412,11 +413,16 @@ class TestStreamedErrors:
                                    domain_halfwidth=12.0),
         "hat2-quincunx-odd": StudyPlan(hat(2), quincunx(), ExactRule(), gaussian(2), j_min=1,
                                        j_max=5, grid_per_scale=4, domain_halfwidth=6.0),
+        # the exact shear's skew levels 4 and 5 in line mode: level 5's grid (142,129
+        # points) would need a sum along its later line of 356 k values per term
+        "hat2-shear": StudyPlan(hat(2), dilation([[2, 1], [0, 2]]), ExactRule(), gaussian(2),
+                                j_min=4, j_max=5, grid_per_scale=4),
         "kink-wide": StudyPlan(hat(1), dyadic(1), FalsifiedRule(0.5), laplace1d(1 / 3),
                                operator=ball_operator(1, 1, 0.5), mode="falsified1d",
                                j_min=1, j_max=4, grid_per_scale=4),
     }
-    CUT = ["hat2-wide", "bspline3-wide", "bspline4-wide", "hat2-quincunx-odd", "kink-wide"]
+    CUT = ["hat2-wide", "bspline3-wide", "bspline4-wide", "hat2-quincunx-odd", "hat2-shear",
+           "kink-wide"]
 
     # points per slab: the default, one row per slab, and sizes that leave
     # a shorter last slab (97 on the 1-d grids, 997 on the 2-d ones)

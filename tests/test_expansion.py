@@ -566,7 +566,8 @@ class TestPerAxisEvaluation:
 
 
 class TestAxisOperator:
-    # the benchmark's four studies
+    # the benchmark's four studies, and the exact shear, whose levels 5 and 6
+    # take line mode on grids of 0.57 M and 1.7 M points
     PLANS = {
         "ball2d": StudyPlan(hat(2), dyadic(2), FalsifiedRule(0.5), gaussian(2),
                             operator=ball_operator(2, 2, 0.5), j_max=5),
@@ -575,6 +576,7 @@ class TestAxisOperator:
         "sinc1d": StudyPlan(sinc_squared(1), dyadic(1), ExactRule(), gaussian(1), j_max=5),
         "quincunx": StudyPlan(hat(2), quincunx(), DifferentialRule(ball_operator(2, 2, 0.5)),
                               gaussian(2), j_max=8),
+        "shear": StudyPlan(hat(2), dilation([[2, 1], [0, 2]]), ExactRule(), gaussian(2), j_max=6),
     }
 
     @pytest.mark.parametrize("name", PLANS)
@@ -635,9 +637,9 @@ class TestAxisOperator:
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_a_gathered_index_off_its_line_raises(self, b, monkeypatch):
-        # a skew grid reads its lines and T through strided views: a line
-        # index past the line's values (here n0 moved by one) raises before
-        # any read, where a view would read past its array
+        # a skew grid reads its lines through strided views: a line index
+        # past the line's values (here n0 moved by one) raises before any
+        # read, where a view would read past its array
         g, m, j = hat(2), quincunx(), 3
         cs, grid = _expansion_on_grid(g, m, j)
         lines = expansion._lines
@@ -646,20 +648,17 @@ class TestAxisOperator:
         with pytest.raises(IndexError, match="gathered index"):
             evaluate(g, m, j, cs, grid)
 
-    @pytest.mark.parametrize("g,n,kind,general", [
-        (hat(2), 2_600, float, True), (hat(2), 1_300, float, False),
-        (hat(2), 1_800, float, False), (hat(2), 1_800, complex, True),
-        (bspline3_2d(0.5, 0.5), 1_800, float, True)],
+    @pytest.mark.parametrize("g,n,kind", [
+        (hat(2), 2_600, float), (hat(2), 1_300, float), (hat(2), 1_800, float),
+        (hat(2), 1_800, complex), (bspline3_2d(0.5, 0.5), 1_800, float)],
         ids=["long", "short", "mid", "mid-complex", "mid-two-terms"])
-    def test_a_skew_grid_whose_sums_would_not_fit_takes_the_general_path(self, g, n, kind,
-                                                                         general, monkeypatch):
+    def test_a_long_skew_strip_takes_line_mode(self, g, n, kind, monkeypatch):
         # quincunx level 11 maps a 2 x n strip of one spacing onto two lines
-        # of n + 1 values, the first 96 lattice units long for n = 2,600:
-        # T[k_0, n_1] would hold 102 x 2,601 values (265 k, past 7 * 2**15),
-        # and that strip takes rows mode with g.spatial's bits; 51 x 1,301
-        # (70 k) for n = 1,300, which takes the operator.  At n = 1,800 one T
-        # holds about 131 k values: the operator takes it, but not with
-        # complex coefficients (a T per real part) or two terms (a T each)
+        # of n + 1 values, the first 96 lattice units long for n = 2,600: a
+        # per-level sum over the lattice rows and the other line's values
+        # would hold 102 x 2,601 values per term and real part, where line
+        # mode holds one slab's workspace; each strip, complex or of two
+        # terms, takes it, within the stated bound of the spatial taps
         m, j = quincunx(), 11
         s = 3.0 / 2599
         grid = Grid([s * np.arange(2), -1.5 + s * np.arange(n)])
@@ -667,11 +666,31 @@ class TestAxisOperator:
         cs = coefficients(ExactRule(), gaussian(2), m, j, lattice)
         cs = Coefficients(cs.lattice, cs.values.astype(kind))
         calls, operator = [], expansion._operator
-        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a) or operator(*a))
+        monkeypatch.setattr(expansion, "_operator", lambda *a: calls.append(a[-1]) or operator(*a))
+        monkeypatch.setattr(expansion, "_rows_gather", None)
         got, ref = evaluate(g, m, j, cs, grid), _general(g, m, j, cs, grid)
-        assert bool(calls) != general
-        assert np.array_equal(got, ref) if general else np.all(
-            np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+        assert len(calls) == 1 and calls[0] is grid
+        assert np.all(np.abs(got - ref) <= _phase_bound(g, m, j, cs, grid))
+
+    @pytest.mark.parametrize("g,m,j", TestPerAxisEvaluation.SKEW,
+                             ids=TestPerAxisEvaluation.SKEW_IDS)
+    def test_rows_mode_serves_only_points_off_lines(self, g, m, j, monkeypatch):
+        # a skew grid of a compact generator takes line mode (the operator
+        # given the grid); its points as rows, and the grid where _lines
+        # rejects it, take rows mode
+        cs, grid = _expansion_on_grid(g, m, j)
+        modes, operator, rows = [], expansion._operator, expansion._rows_gather
+        monkeypatch.setattr(expansion, "_operator", lambda *a: modes.append(
+            "lines" if a[-1] is grid else "axes") or operator(*a))
+        monkeypatch.setattr(expansion, "_rows_gather", lambda *a: modes.append("rows") or rows(*a))
+        for pts, mode in ((grid, "lines"), (np.asarray(grid), "rows")):
+            modes.clear()
+            evaluate(g, m, j, cs, pts)
+            assert modes == [mode]
+        monkeypatch.setattr(expansion, "_lines", lambda *a: None)
+        modes.clear()
+        evaluate(g, m, j, cs, grid)
+        assert modes == ["rows"]
 
     # the compact cases, and a 2-d grid whose last axis the operator reverses
     RANGES = [c for c in TestPerAxisEvaluation.CASES + TestPerAxisEvaluation.SKEW
@@ -701,13 +720,15 @@ class TestAxisOperator:
             assert np.array_equal(got[at], ref[lo:hi][at])
 
     @pytest.mark.parametrize("name,j,peak", [
-        ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 5.0e6)])
+        ("kink1d", 7, 4.6e6), ("ball2d", 5, 0.8e6), ("quincunx", 7, 1.85e6),
+        ("shear", 6, 2.0e6)])
     def test_workspace_memory(self, name, j, peak):
         # below the peaks measured with the per-tap kernel, which kept whole
         # axes of taps (4.70 MB on kink1d at level 7, 0.81 MB on ball2d at
-        # level 5), and with the per-point kernel at quincunx's level 7
-        # (5.19 MB; 4.99 MB in rows mode); observed here: 1.4, 0.4 and 4.3 MB, the last
-        # mostly T[k_0, n_1] (137 x 1,519 values) and its gather buffer
+        # level 5); observed here: 1.4 and 0.4 MB.  The skew levels take line
+        # mode, one slab's workspace: observed 1.59 MB at quincunx level 7
+        # and 1.72 MB at shear level 6 (4.98 and 4.96 MB in rows mode), each
+        # bound 0.25 MB above, less than one slab of 2**15 float64 values
         plan = self.PLANS[name]
         domain = study_domain(plan)
         g, m = plan.generator, plan.dilation
@@ -790,8 +811,9 @@ def _trimmed(cs, low):
 class TestEdgeTaps:
     """Points off lines gather per point (rows mode): of rows, and of a grid
     whose mapped coordinates do not lie on lines (here ``_lines`` is
-    patched to say so).  A tap off the box reads zeros from a padded copy,
-    and its table entry must be zero."""
+    patched to say so); a skew grid on its lines does too (line mode).  A
+    tap off the box reads zeros from a padded copy, and its table entry
+    must be zero."""
 
     def test_padded_and_trimmed_boxes_give_the_spatial_bits(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
@@ -815,6 +837,24 @@ class TestEdgeTaps:
                 ref = _spatial_taps(g, m, j, box, pts)
                 assert np.array_equal(evaluate(g, m, j, box, pts), ref)
                 assert pads == padding
+
+    def test_line_mode_gathers_a_trimmed_box_zero_padded(self, monkeypatch):
+        # on its lines the grid maps to lines starting at -6, where the first
+        # tap's entry is 0: the box without its first rows misses no
+        # coefficient, and is gathered from a copy with a row of zeros before
+        # it on each axis, with the bits of a box holding every tap
+        g, m, j = hat(2), quincunx(), 3
+        cs, _ = _expansion_on_grid(g, m, j)
+        grid = Grid([np.linspace(-1.5, 1.5, 61)] * 2)
+        lat = cs.lattice
+        padded = coefficients(ExactRule(), gaussian(2), m, j,
+                              Lattice(np.subtract(lat.origin, 2), np.add(lat.shape, 4)))
+        pads, pad = [], np.pad
+        monkeypatch.setattr(np, "pad", lambda *a, **k: pads.append(a[1]) or pad(*a, **k))
+        ref = evaluate(g, m, j, padded, grid)
+        assert not pads
+        assert np.array_equal(evaluate(g, m, j, _trimmed(cs, True), grid), ref)
+        assert pads == [[(1, 0), (1, 0)]]
 
     def test_a_trimmed_box_names_the_missing_point(self, monkeypatch):
         g, m, j = hat(2), quincunx(), 3
